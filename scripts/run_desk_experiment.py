@@ -64,7 +64,7 @@ def main() -> None:
     print(f"trained {args.epochs} epochs ({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    table = sweep_precision(model, data, qualities=qualities, jobs=4)
+    table = sweep_precision(model, data, qualities=qualities)
     write_precision_csv(table, out / "precision.csv")
     (out / "table.md").write_text(emit_table(table, "markdown"))
     (out / "chart.svg").write_text(emit_chart_svg(table, ChartSpec(

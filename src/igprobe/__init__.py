@@ -17,7 +17,7 @@ from .codec import (ORIGINAL, QualityLevel, degrade_jpeg, psnr, quant_table,
 from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from .harness import (AttributionBatch, AttributionRecord, PrecisionRow, PrecisionTable,
                       accuracy, attribute_batch, macro_precision, sweep_precision)
-from .model import (GradFn, LossGrad, ScorerModel, TrainConfig, backward, forward,
+from .model import (GradFn, LossGrads, ScorerModel, TrainConfig, backward, forward,
                     gradient_check, load_model, loss_ce, model_gradfn, new_scorer,
                     save_model, train)
 from .provider import ProviderClient, ProviderError, ProviderSpec, provider_connect
@@ -26,7 +26,7 @@ from .viz import ChartSpec, OverlaySpec, emit_chart_svg, emit_table, render_over
 
 __all__ = [
     "AttributionBatch", "AttributionMap", "AttributionRecord", "ChartSpec",
-    "Dataset", "DatasetItem", "GradFn", "LossGrad", "ORIGINAL", "OverlaySpec",
+    "Dataset", "DatasetItem", "GradFn", "LossGrads", "ORIGINAL", "OverlaySpec",
     "PathSpec", "PolarityMaps", "PrecisionRow", "PrecisionTable", "ProviderClient",
     "ProviderError", "ProviderSpec", "QualityLevel", "ScorerModel", "SeededRng",
     "Tensor", "TrainConfig", "accuracy", "argmax", "attribute_batch", "backward",

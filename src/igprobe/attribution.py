@@ -4,9 +4,10 @@ The attribution of pixel ``i`` is ``(target_i - baseline_i)`` times the
 quadrature-weighted mean of the loss gradient along the line path, with
 the sign fixed so the attributions sum to ``loss(target) -
 loss(baseline)`` in the infinite-step limit (the completeness
-identity).  Endpoint losses are always evaluated exactly at the
-endpoints, so the reported completeness gap measures quadrature error
-and nothing else.
+identity).  Endpoint losses are evaluated at the endpoint rows of the
+same batch (right-Riemann's target row is ``baseline + 1 * delta``, one
+rounding away from the target), so the reported completeness gap
+measures quadrature error and nothing else.
 """
 
 from __future__ import annotations
@@ -61,29 +62,41 @@ def path_nodes(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
     return ts, ws
 
 
-def _path_point(spec: PathSpec, ts: np.ndarray, s: int) -> np.ndarray:
-    """Image at node ``s`` of the discretized path.
+def _fill_path(spec: PathSpec, ts: np.ndarray, out: np.ndarray) -> None:
+    """Write the image at node ``s`` of the discretized path into ``out[s]``.
 
     Trapezoid nodes are built mirror-symmetrically: the upper half is
     anchored at the target with the lower half's coefficients, and an
     even-N midpoint averages the endpoints.  Swapping baseline and
     target then reproduces the identical point set (reversed) down to
     the last bit, which is what makes attribution antisymmetry exact
-    rather than approximate.
+    rather than approximate.  Each element is the same two IEEE
+    operations as ``baseline + t * delta``, so filling all rows at once
+    changes no bit.
     """
     delta = spec.target - spec.baseline
     last = len(ts) - 1
-    if spec.scheme == "riemann_right" or 2 * s < last:
-        return spec.baseline + ts[s] * delta
-    if 2 * s > last:
-        return spec.target - ts[last - s] * delta
-    return 0.5 * spec.baseline + 0.5 * spec.target
+    s = np.arange(len(ts))
+    if spec.scheme == "riemann_right":
+        lower, upper = s, s[:0]
+    else:
+        lower, upper = s[2 * s < last], s[2 * s > last]
+    shape = (-1,) + (1,) * delta.ndim
+    low, up = out[:len(lower)], out[last - len(upper) + 1:last + 1]
+    np.multiply(ts[lower].reshape(shape), delta, out=low)
+    np.add(spec.baseline, low, out=low)
+    np.multiply(ts[last - upper].reshape(shape), delta, out=up)
+    np.subtract(spec.target, up, out=up)
+    if len(lower) + len(upper) <= last:
+        out[last // 2] = 0.5 * spec.baseline + 0.5 * spec.target
 
 
 def interpolate_path(spec: PathSpec) -> list[np.ndarray]:
     """The images at the quadrature nodes, baseline end first."""
     ts, _ = path_nodes(spec)
-    return [_path_point(spec, ts, s) for s in range(len(ts))]
+    out = np.empty((len(ts),) + spec.baseline.shape)
+    _fill_path(spec, ts, out)
+    return list(out)
 
 
 @dataclass
@@ -93,36 +106,51 @@ class AttributionMap:
     loss_baseline: float
     loss_target: float
     completeness_gap: float
+    logits_baseline: np.ndarray | None = None  # (num_classes,)
+    logits_target: np.ndarray | None = None
 
 
 def integrated_gradients(gradfn: GradFn, spec: PathSpec, label: int) -> AttributionMap:
-    """Quadrature approximation of the path integral of the loss gradient."""
-    ts, ws = path_nodes(spec)
-    delta = spec.target - spec.baseline
+    """Quadrature approximation of the path integral of the loss gradient.
 
-    def weighted_grad(s: int) -> np.ndarray:
-        try:
-            result = gradfn(_path_point(spec, ts, s), label)
-        except Exception as exc:
-            raise RuntimeError(
-                f"gradient evaluation failed at path step {s} (t={ts[s]:g})") from exc
-        return ws[s] * result.grad
+    All path nodes go to ``gradfn`` as one batch.  The endpoint losses and
+    logits come from the endpoint rows of that batch: trapezoid nodes
+    include both endpoints, and right-Riemann gets one baseline row
+    appended after its nodes.
+    """
+    ts, ws = path_nodes(spec)
+    last = len(ts) - 1
+    rows = len(ts) + (spec.scheme == "riemann_right")
+    batch = np.empty((rows,) + spec.baseline.shape)
+    _fill_path(spec, ts, batch)
+    if spec.scheme == "riemann_right":
+        batch[-1] = spec.baseline
+    try:
+        result = gradfn(batch, np.full(rows, label))
+        if (np.shape(result.losses) != (rows,) or np.shape(result.grads) != batch.shape
+                or np.shape(result.logits)[:1] != (rows,)):
+            raise ValueError(f"expected {rows} result rows shaped like {batch.shape[1:]}, got "
+                             f"losses {np.shape(result.losses)}, grads "
+                             f"{np.shape(result.grads)}, logits {np.shape(result.logits)}")
+    except Exception as exc:
+        raise RuntimeError(f"gradient evaluation failed at path step 0 to {last} "
+                           f"(t={ts[0]:g} to {ts[-1]:g}, one batched call): {exc}") from exc
+    grads = result.grads
 
     # Mirror pairs are reduced innermost-first so a baseline/target swap
     # re-adds the same addends in a commuted order, never a different
     # grouping: attribution antisymmetry stays exact.
     acc = np.zeros_like(spec.baseline)
-    last = len(ts) - 1
     for s in range((last + 2) // 2):
         m = last - s
-        term = weighted_grad(s)
+        term = ws[s] * grads[s]
         if m != s:
-            term = term + weighted_grad(m)
+            term = term + ws[m] * grads[m]
         acc = acc + term
-    values = delta * acc
+    values = (spec.target - spec.baseline) * acc
 
-    loss0 = gradfn(spec.baseline, label).loss
-    loss1 = gradfn(spec.target, label).loss
+    i0 = rows - 1 if spec.scheme == "riemann_right" else 0
+    loss0, loss1 = float(result.losses[i0]), float(result.losses[last])
     total = float(values.sum())
     return AttributionMap(
         values=values,
@@ -130,6 +158,8 @@ def integrated_gradients(gradfn: GradFn, spec: PathSpec, label: int) -> Attribut
         loss_baseline=loss0,
         loss_target=loss1,
         completeness_gap=abs(total - (loss1 - loss0)),
+        logits_baseline=result.logits[i0],
+        logits_target=result.logits[last],
     )
 
 

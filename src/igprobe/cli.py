@@ -62,7 +62,6 @@ class RunConfig:
     epochs: int = 30
     batch: int = 16
     out: str = "igprobe_out"
-    jobs: int | None = None
     quality: object = 25
     overlay_quality: int | None = None
     label: int | None = None
@@ -96,7 +95,7 @@ def _opt_str(v):
 
 _COERCE = {
     "seed": int, "steps": int, "classes": int, "per_class": int, "side": int,
-    "embed_dim": int, "epochs": int, "batch": int, "jobs": int, "label": int,
+    "embed_dim": int, "epochs": int, "batch": int, "label": int,
     "overlay_quality": int,
     "temperature": float, "lr": float,
     "scheme": str, "metric": str, "out": str,
@@ -224,8 +223,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     dataset = _load_data(cfg)
     name, scorer, close = _resolve_scorer(cfg, dataset)
     try:
-        table = sweep_precision({name: scorer}, dataset, cfg.qualities,
-                                metric=cfg.metric, jobs=cfg.jobs)
+        table = sweep_precision({name: scorer}, dataset, cfg.qualities, metric=cfg.metric)
     finally:
         close()
     out_dir = _out_dir(cfg)
@@ -256,7 +254,7 @@ def cmd_attribute(cfg: RunConfig) -> int:
     name, scorer, close = _resolve_scorer(cfg, dataset)
     try:
         batch = attribute_batch(scorer, dataset, cfg.qualities,
-                                steps=cfg.steps, scheme=cfg.scheme, jobs=cfg.jobs)
+                                steps=cfg.steps, scheme=cfg.scheme)
         hw = scorer.input_shape[:2] if hasattr(scorer, "input_shape") else None
         out_dir = _out_dir(cfg)
         write_attribution_csv(batch, out_dir / "attributions.csv")
@@ -355,7 +353,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", "-o", help="output directory")
-    p.add_argument("--jobs", type=int, help="worker threads (default: all cores)")
 
 
 def _add_dataset(p: argparse.ArgumentParser) -> None:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Union
@@ -136,29 +134,17 @@ def prepare_input(image: np.ndarray, quality: QualityLevel,
     return out
 
 
-def _eval(scorer: ScorerLike, image: np.ndarray, label: int) -> tuple[np.ndarray, float]:
-    """Logits plus the true-label softmax score."""
+def _logits(scorer: ScorerLike, image: np.ndarray, label: int) -> np.ndarray:
+    """Class logits for one image: a forward pass, or one gradient row."""
     if isinstance(scorer, ScorerModel):
-        logits = forward(scorer, image)
-    else:
-        logits = scorer(image, label).logits
-    return logits, float(softmax(logits)[label])
-
-
-def _pool_map(fn, items, jobs: int | None):
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return forward(scorer, image)
+    return scorer(image[None], np.array([label])).logits[0]
 
 
 def sweep_precision(scorers: Union[ScorerLike, Mapping[str, ScorerLike]],
                     dataset: Dataset, qualities,
                     resize_to: tuple[int, int] | None = None,
-                    metric: str = "macro_precision",
-                    jobs: int | None = None) -> PrecisionTable:
+                    metric: str = "macro_precision") -> PrecisionTable:
     """Degrade, resize, classify and score the whole dataset per quality.
 
     ``scorers`` is one scorer (row named "model") or a name -> scorer map;
@@ -177,16 +163,15 @@ def sweep_precision(scorers: Union[ScorerLike, Mapping[str, ScorerLike]],
         hw = _input_hw(scorer, resize_to)
         scores: dict[QualityLevel, float] = {}
         for q in qualities:
-            def classify(item: DatasetItem, _q=q):
+            preds = []
+            for item in dataset.items:
                 try:
-                    prepared = prepare_input(item.image, _q, hw)
-                    logits, _ = _eval(scorer, prepared, item.label)
-                    return argmax(logits)
+                    prepared = prepare_input(item.image, q, hw)
+                    preds.append(argmax(_logits(scorer, prepared, item.label)))
                 except Exception as exc:
                     raise RuntimeError(
                         f"scoring failed on image {item.id!r} at quality "
-                        f"{quality_key(_q)}: {exc}") from exc
-            preds = _pool_map(classify, dataset.items, jobs)
+                        f"{quality_key(q)}: {exc}") from exc
             truths = [it.label for it in dataset.items]
             scores[q] = score_fn(preds, truths, dataset.num_classes)
         rows.append(PrecisionRow(model_name=name, scores=scores))
@@ -195,10 +180,13 @@ def sweep_precision(scorers: Union[ScorerLike, Mapping[str, ScorerLike]],
 
 def attribute_batch(scorer: ScorerLike, dataset: Dataset, qualities,
                     steps: int = 50, scheme: str = "trapezoid",
-                    resize_to: tuple[int, int] | None = None,
-                    jobs: int | None = None) -> AttributionBatch:
+                    resize_to: tuple[int, int] | None = None) -> AttributionBatch:
     """Per image: baseline = resized original, one attribution map per
-    degraded quality with the degraded-and-resized image as target."""
+    degraded quality with the degraded-and-resized image as target.
+
+    Each map costs one batched gradient call over its path nodes; the
+    predicted labels and scores are read from that call's endpoint rows.
+    """
     qualities = _check_qualities(qualities)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -206,38 +194,36 @@ def attribute_batch(scorer: ScorerLike, dataset: Dataset, qualities,
     gradfn = model_gradfn(scorer) if isinstance(scorer, ScorerModel) else scorer
     hw = _input_hw(scorer, resize_to)
 
-    def one(item: DatasetItem):
+    degraded = [q for q in qualities if q != ORIGINAL]
+    records, all_maps = [], []
+    for item in dataset.items:
+        q: QualityLevel = ORIGINAL
         try:
             baseline = prepare_input(item.image, ORIGINAL, hw)
-            labels, scores, igs = [], [], []
             maps: dict[QualityLevel, AttributionMap] = {}
-            for q in qualities:
-                target = baseline if q == ORIGINAL else prepare_input(item.image, q, hw)
-                logits, true_score = _eval(gradfn, target, item.label)
-                labels.append(argmax(logits))
-                scores.append(true_score)
-                if q != ORIGINAL:
-                    att = integrated_gradients(
-                        gradfn,
-                        PathSpec(baseline=baseline, target=target,
-                                 steps=steps, scheme=scheme),
-                        item.label)
-                    maps[q] = att
-                    igs.append(att.sum)
+            for q in degraded:
+                maps[q] = integrated_gradients(
+                    gradfn,
+                    PathSpec(baseline=baseline, target=prepare_input(item.image, q, hw),
+                             steps=steps, scheme=scheme),
+                    item.label)
+            # Every map starts at the same baseline row; with no degraded
+            # quality there is no map, so the original is scored on its own.
+            q = ORIGINAL
+            original = (maps[degraded[0]].logits_baseline if degraded
+                        else _logits(gradfn, baseline, item.label))
         except Exception as exc:
-            raise RuntimeError(f"attribution failed on image {item.id!r}: {exc}") from exc
-        record = AttributionRecord(
+            raise RuntimeError(f"attribution failed on image {item.id!r} at quality "
+                               f"{quality_key(q)}: {exc}") from exc
+        logits = [maps[q].logits_target if q in maps else original for q in qualities]
+        records.append(AttributionRecord(
             id=item.id,
             true_label=dataset.class_names[item.label],
-            predicted_labels=[dataset.class_names[p] for p in labels],
-            predicted_scores=scores,
-            ig_values=igs)
-        return record, maps
-
-    results = _pool_map(one, dataset.items, jobs)
-    return AttributionBatch(records=[r for r, _ in results],
-                            maps=[m for _, m in results],
-                            qualities=qualities)
+            predicted_labels=[dataset.class_names[argmax(z)] for z in logits],
+            predicted_scores=[float(softmax(z)[item.label]) for z in logits],
+            ig_values=[maps[q].sum for q in degraded]))
+        all_maps.append(maps)
+    return AttributionBatch(records=records, maps=all_maps, qualities=qualities)
 
 
 def write_precision_csv(table: PrecisionTable, path) -> None:

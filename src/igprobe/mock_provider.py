@@ -19,7 +19,7 @@ from .model import linear_model_weights, linear_softmax_gradfn
 from .provider import decode_f32, encode_f32
 
 MISBEHAVE_MODES = ("none", "no-hello", "bad-hello", "wrong-grad-len",
-                   "bad-loss", "error", "exit", "garbage")
+                   "bad-loss", "nan-grad", "error", "exit", "garbage")
 
 
 def _emit(obj) -> None:
@@ -73,13 +73,16 @@ def serve(seed: int, classes: int, side: int, misbehave: str = "none") -> int:
         if not 0 <= label < classes:
             _emit({"type": "error", "id": rid, "message": f"label {label} out of range"})
             continue
-        result = gradfn(image, label)
-        grad = np.asarray(result.grad, dtype="<f4")
+        result = gradfn(image[None], np.array([label]))
+        grad = np.asarray(result.grads[0], dtype="<f4")
+        logits = result.logits[0]
+        loss = float(result.losses[0]) + (0.5 if misbehave == "bad-loss" else 0.0)
         if misbehave == "wrong-grad-len":
             grad = grad.ravel()[:-1]
-        loss = float(result.loss) + (0.5 if misbehave == "bad-loss" else 0.0)
+        if misbehave == "nan-grad":
+            loss, logits, grad = np.nan, logits * np.nan, grad * np.nan
         _emit({"type": "grad_result", "id": rid, "loss": loss,
-               "logits": [float(v) for v in result.logits],
+               "logits": [float(v) for v in logits],
                "grad": encode_f32(grad)})
     return 0
 

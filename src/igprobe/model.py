@@ -91,13 +91,37 @@ class ScorerModel:
 
 
 @dataclass
-class LossGrad:
-    loss: float
-    grad: Tensor  # shaped like the model input
-    logits: Tensor  # (num_classes,)
+class LossGrads:
+    """One batched gradient call: row ``b`` belongs to ``images[b]``."""
+    losses: Tensor  # (batch,)
+    grads: Tensor  # (batch, *input_shape)
+    logits: Tensor  # (batch, num_classes)
 
 
-GradFn = Callable[[np.ndarray, int], LossGrad]
+# images[B, H, W, C], labels[B] -> LossGrads
+GradFn = Callable[[np.ndarray, np.ndarray], LossGrads]
+
+
+def check_labels(labels, batch: int, num_classes: int) -> np.ndarray:
+    """Integer labels, one per batch row, each in [0, num_classes)."""
+    labels = np.asarray(labels)
+    if labels.shape != (batch,):
+        raise ValueError(f"expected {batch} labels, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValueError(f"label {int(bad[0])} out of range for {num_classes} classes")
+    return labels.astype(np.intp)
+
+
+def check_batch(images, labels, input_shape: tuple, num_classes: int):
+    """Finite float64 images shaped (batch, *input_shape) and their labels."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[1:] != tuple(input_shape):
+        raise ValueError(f"input shape {images.shape} != (batch, *{tuple(input_shape)})")
+    return (require_finite(images, "input images"),
+            check_labels(labels, images.shape[0], num_classes))
 
 
 def _check_input(model: ScorerModel, image: np.ndarray) -> np.ndarray:
@@ -147,18 +171,19 @@ def loss_ce(logits: Tensor, k: int) -> float:
     return float(np.log(np.exp(z).sum()) - z[k])
 
 
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Row-wise loss_ce over a (batch, classes) logit matrix."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(len(labels)), labels]
+
+
 def _backward_batch(model: ScorerModel, x: np.ndarray, labels: np.ndarray,
                     want_params: bool = False):
     """Losses, input gradients and (optionally) parameter gradients."""
     logits, (acts, pres, e, norms, denom, e_hat) = _encode_batch(model, x)
-    probs = softmax(logits)
-    batch = x.shape[0]
-    rows = np.arange(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    losses = np.log(np.exp(shifted).sum(axis=1)) - shifted[rows, labels]
-
-    d_logits = probs.copy()
-    d_logits[rows, labels] -= 1.0
+    losses = cross_entropy(logits, labels)
+    d_logits = softmax(logits)
+    d_logits[np.arange(x.shape[0]), labels] -= 1.0
     d_ehat = model.temperature * (d_logits @ model.class_embeddings)
     # Through the normalization: (I - e_hat e_hat^T)/||e|| above the
     # epsilon floor, plain 1/eps scaling below it.
@@ -180,21 +205,18 @@ def _backward_batch(model: ScorerModel, x: np.ndarray, labels: np.ndarray,
     return losses, grad, logits, param_grads
 
 
-def backward(model: ScorerModel, image: np.ndarray, k: int) -> LossGrad:
-    """Exact gradient of loss_ce(forward(image), k) w.r.t. every pixel."""
-    image = _check_input(model, image)
-    if not 0 <= k < model.num_classes:
-        raise ValueError(f"label {k} out of range for {model.num_classes} classes")
-    losses, grads, logits, _ = _backward_batch(model, image.reshape(1, -1), np.array([k]))
-    return LossGrad(loss=float(losses[0]),
-                    grad=grads[0].reshape(model.input_shape),
-                    logits=logits[0])
+def backward(model: ScorerModel, images: np.ndarray, labels) -> LossGrads:
+    """Exact gradient of loss_ce(forward(images[b]), labels[b]) w.r.t. every
+    pixel, for each row b of a (batch, *input_shape) array."""
+    images, labels = check_batch(images, labels, model.input_shape, model.num_classes)
+    losses, grads, logits, _ = _backward_batch(model, images.reshape(len(images), -1), labels)
+    return LossGrads(losses=losses, grads=grads.reshape(images.shape), logits=logits)
 
 
 def model_gradfn(model: ScorerModel) -> GradFn:
-    """Wrap a scorer as the generic (image, label) -> LossGrad callable."""
-    def fn(image: np.ndarray, label: int) -> LossGrad:
-        return backward(model, image, label)
+    """Wrap a scorer as the generic batched GradFn."""
+    def fn(images: np.ndarray, labels) -> LossGrads:
+        return backward(model, images, labels)
     return fn
 
 
@@ -249,12 +271,14 @@ def gradient_check(model: ScorerModel, image: np.ndarray, k: int, h: float = 1e-
     Relative error per pixel uses max(|analytic|, |numeric|, 1e-8) as
     denominator.  Pixels whose +/-h probes land on different sides of a
     ReLU kink are reported in ``kink_pixels`` and excluded from
-    ``max_rel_err``.
+    ``max_rel_err``.  The per-pixel ``analytic`` and ``numeric`` gradients
+    and the ``loss`` at the image are returned too.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     image = _check_input(model, image)
-    analytic = backward(model, image, k).grad.reshape(-1)
+    at_image = backward(model, image[None], [k])
+    analytic = at_image.grads[0].reshape(-1)
 
     flat = image.reshape(-1)
     n = flat.size
@@ -264,8 +288,7 @@ def gradient_check(model: ScorerModel, image: np.ndarray, k: int, h: float = 1e-
     probes[2 * rows + 1, rows] -= h
 
     logits, (acts, pres, *_rest) = _encode_batch(model, probes)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    losses = np.log(np.exp(shifted).sum(axis=1)) - shifted[:, k]
+    losses = cross_entropy(logits, np.full(2 * n, k))
     numeric = (losses[2 * rows] - losses[2 * rows + 1]) / (2.0 * h)
 
     kink = np.zeros(n, dtype=bool)
@@ -276,14 +299,14 @@ def gradient_check(model: ScorerModel, image: np.ndarray, k: int, h: float = 1e-
     rel = np.abs(analytic - numeric) / np.maximum(
         np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     usable = ~kink
-    if not usable.any():
-        return {"max_rel_err": 0.0, "argmax_err_index": -1, "kink_pixels": rows.tolist()}
-    masked = np.where(usable, rel, -1.0)
-    worst = int(np.argmax(masked))
+    worst = int(np.argmax(np.where(usable, rel, -1.0))) if usable.any() else -1
     return {
-        "max_rel_err": float(rel[worst]),
+        "max_rel_err": float(rel[worst]) if worst >= 0 else 0.0,
         "argmax_err_index": worst,
         "kink_pixels": rows[kink].tolist(),
+        "analytic": analytic,
+        "numeric": numeric,
+        "loss": float(at_image.losses[0]),
     }
 
 
@@ -316,14 +339,14 @@ def linear_softmax_gradfn(weights: Tensor, bias: Tensor | None = None) -> GradFn
     weights = np.asarray(weights, dtype=np.float64)
     bias = np.zeros(weights.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
 
-    def fn(image: np.ndarray, label: int) -> LossGrad:
-        x = np.asarray(image, dtype=np.float64)
-        logits = weights @ x.reshape(-1) + bias
-        p = softmax(logits)
-        if not 0 <= label < logits.size:
-            raise ValueError(f"label {label} out of range")
-        grad = (weights.T @ (p - np.eye(logits.size)[label])).reshape(x.shape)
-        return LossGrad(loss=loss_ce(logits, label), grad=grad, logits=logits)
+    def fn(images: np.ndarray, labels) -> LossGrads:
+        x = np.asarray(images, dtype=np.float64)
+        labels = check_labels(labels, len(x), weights.shape[0])
+        logits = x.reshape(len(x), -1) @ weights.T + bias
+        d_logits = softmax(logits)
+        d_logits[np.arange(len(x)), labels] -= 1.0
+        return LossGrads(losses=cross_entropy(logits, labels),
+                         grads=(d_logits @ weights).reshape(x.shape), logits=logits)
 
     return fn
 

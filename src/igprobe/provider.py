@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GradFn, LossGrad, loss_ce
+from .model import LossGrads, check_batch, loss_ce
 
 DEFAULT_TIMEOUT = 30.0
 LOSS_TOLERANCE = 1e-4
@@ -56,10 +56,11 @@ def decode_f32(text: str, count: int, what: str) -> np.ndarray:
 
 
 class ProviderClient:
-    """Spawned provider wrapped as a GradFn; callable and thread-safe.
+    """Spawned provider wrapped as a batched GradFn.
 
-    Requests are serialized through one lock so a single child can back
-    several workers.
+    A call sends one ``grad`` request per batch row, in order, and checks
+    every reply.  Requests are serialized through one lock, so threads
+    may share a client.
     """
 
     def __init__(self, spec: ProviderSpec):
@@ -134,17 +135,22 @@ class ProviderClient:
             raise self._fail(f"{what} is not a JSON object: {obj!r}")
         return obj
 
-    def __call__(self, image: np.ndarray, label: int) -> LossGrad:
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != self.input_shape:
-            raise ValueError(f"input shape {image.shape} != provider input {self.input_shape}")
-        if not 0 <= label < len(self.class_names):
-            raise ValueError(f"label {label} out of range for {len(self.class_names)} classes")
+    def __call__(self, images: np.ndarray, labels) -> LossGrads:
+        images, labels = check_batch(images, labels, self.input_shape, len(self.class_names))
+        losses = np.empty(len(images))
+        grads = np.empty(images.shape)
+        logits = np.empty((len(images), len(self.class_names)))
+        for b in range(len(images)):
+            losses[b], logits[b], grads[b] = self._request(images[b], int(labels[b]))
+        return LossGrads(losses=losses, grads=grads, logits=logits)
+
+    def _request(self, image: np.ndarray, label: int):
+        """One grad round trip: (loss, logits, grad), all checked."""
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
             payload = json.dumps({"type": "grad", "id": request_id,
-                                  "image": encode_f32(image), "label": int(label)})
+                                  "image": encode_f32(image), "label": label})
             try:
                 self._proc.stdin.write(payload + "\n")
                 self._proc.stdin.flush()
@@ -167,13 +173,18 @@ class ProviderClient:
         if logits.size != len(self.class_names):
             raise ProviderError(f"logits length mismatch: expected {len(self.class_names)}, "
                                 f"got {logits.size}")
-        grad = decode_f32(grad_text, int(np.prod(self.input_shape)), "grad")
+        grad = decode_f32(grad_text, image.size, "grad")
+        # JSON carries NaN and Infinity, and no comparison below rejects them.
+        bad = [name for name, v in (("loss", loss), ("logits", logits), ("grad", grad))
+               if not np.all(np.isfinite(v))]
+        if bad:
+            raise ProviderError(f"non-finite {', '.join(bad)} in reply to request {request_id}")
         expected = loss_ce(logits, label)
         if abs(loss - expected) > LOSS_TOLERANCE:
             raise ProviderError(
                 f"loss/logits consistency violation: provider loss {loss!r} vs "
                 f"-log softmax(logits)[{label}] = {expected!r} (tolerance {LOSS_TOLERANCE:g})")
-        return LossGrad(loss=loss, grad=grad.reshape(self.input_shape), logits=logits)
+        return loss, logits, grad.reshape(image.shape)
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -203,5 +214,5 @@ class ProviderClient:
 
 
 def provider_connect(spec: ProviderSpec) -> ProviderClient:
-    """Spawn the provider and return it wrapped as a GradFn."""
+    """Spawn the provider and return it wrapped as a batched GradFn."""
     return ProviderClient(spec)

@@ -19,7 +19,7 @@ from .attribution import (AttributionMap, PathSpec, SCHEMES, completeness_report
 from .codec import (CHROMA_BASE, LUMA_BASE, cubic_kernel, dct8x8, degrade_jpeg,
                     idct8x8, psnr, quant_table, resize_bicubic)
 from .data import gen_synthetic
-from .model import (GradFn, LossGrad, TrainConfig, gradient_check,
+from .model import (GradFn, LossGrads, TrainConfig, gradient_check,
                     linear_model_weights, linear_softmax_gradfn, model_gradfn,
                     new_scorer, train)
 from .tensor import SeededRng
@@ -27,24 +27,26 @@ from .viz import OverlaySpec, render_overlay
 
 
 def linear_loss_gradfn(w: np.ndarray, c: float = 0.0) -> GradFn:
-    """Loss w . x + c; the gradient is the constant w."""
+    """Loss w . x + c per row; the gradient is the constant w."""
     w = np.asarray(w, dtype=np.float64)
 
-    def fn(x, label: int) -> LossGrad:
-        x = np.asarray(x, dtype=np.float64)
-        return LossGrad(loss=float(np.vdot(w, x)) + c, grad=w.copy(), logits=np.zeros(1))
+    def fn(images, labels) -> LossGrads:
+        x = np.asarray(images, dtype=np.float64)
+        return LossGrads(losses=x.reshape(len(x), -1) @ w.reshape(-1) + c,
+                         grads=np.broadcast_to(w, x.shape).copy(),
+                         logits=np.zeros((len(x), 1)))
 
     return fn
 
 
 def power_loss_gradfn(p: float) -> GradFn:
-    """Loss sum(x ** p) with exact gradient, for quadrature oracles."""
+    """Loss sum(x ** p) per row with exact gradient, for quadrature oracles."""
 
-    def fn(x, label: int) -> LossGrad:
-        x = np.asarray(x, dtype=np.float64)
-        return LossGrad(loss=float(np.sum(x ** p)),
-                        grad=p * x ** (p - 1.0),
-                        logits=np.zeros(1))
+    def fn(images, labels) -> LossGrads:
+        x = np.asarray(images, dtype=np.float64)
+        return LossGrads(losses=(x ** p).reshape(len(x), -1).sum(axis=1),
+                         grads=p * x ** (p - 1.0),
+                         logits=np.zeros((len(x), 1)))
 
     return fn
 

@@ -35,7 +35,7 @@ from igprobe.codec import (
 from igprobe.data import gen_synthetic
 from igprobe.harness import PrecisionRow, PrecisionTable, sweep_precision, write_precision_csv
 from igprobe.model import (
-    LossGrad,
+    LossGrads,
     TrainConfig,
     gradient_check,
     linear_model_weights,
@@ -55,18 +55,19 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 
 def linear_scalar_gradfn(w: np.ndarray):
-    def fn(x: np.ndarray, label: int) -> LossGrad:
-        loss = float(np.sum(w * x))
-        return LossGrad(loss=loss, grad=w.copy(), logits=np.array([loss]))
+    def fn(x: np.ndarray, labels) -> LossGrads:
+        losses = np.sum(w * x, axis=tuple(range(1, x.ndim)))
+        return LossGrads(losses=losses, grads=np.broadcast_to(w, x.shape).copy(),
+                         logits=losses[:, None])
     return fn
 
 
 def scalar_power_gradfn(p: int):
-    # loss = x^p on scalar paths
-    def fn(x: np.ndarray, label: int) -> LossGrad:
-        v = float(x.reshape(()))
-        return LossGrad(loss=v ** p, grad=np.array(p * v ** (p - 1)).reshape(x.shape),
-                        logits=np.array([v ** p]))
+    # loss = x^p on scalar paths, one row per path node
+    def fn(x: np.ndarray, labels) -> LossGrads:
+        v = x.reshape(len(x))
+        return LossGrads(losses=v ** p, grads=(p * v ** (p - 1)).reshape(x.shape),
+                         logits=(v ** p)[:, None])
     return fn
 
 
@@ -188,7 +189,7 @@ def test_criterion_07_precision_degrades_with_quality():
     model = new_scorer(2, (32, 32, 3), (64,), 32, 4, class_names=data.class_names)
     model = train(model, data, TrainConfig(lr=0.2, epochs=40, batch=8, seed=1))
     qualities = [ORIGINAL, 75, 50, 25]
-    table = sweep_precision(model, data, qualities, jobs=4)
+    table = sweep_precision(model, data, qualities)
     s = [table.rows[0].scores[q] for q in qualities]
     drop = s[0] - s[-1]
     inversions = [(b - a) for a, b in zip(s, s[1:]) if b > a]

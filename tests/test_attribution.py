@@ -87,10 +87,77 @@ def test_equal_endpoints_zero_attribution():
 
 
 def test_gradfn_failure_names_step():
-    def broken(x, label):
+    def broken(x, labels):
         raise RuntimeError("synthetic failure")
     with pytest.raises(RuntimeError, match=r"path step \d"):
         integrated_gradients(broken, PathSpec(scalar(0.0), scalar(1.0), 4), 0)
+
+
+def test_gradfn_wrong_row_count_names_step():
+    def short(x, labels):
+        return power_loss_gradfn(2.0)(x[1:], labels[1:])
+    with pytest.raises(RuntimeError, match=r"path step 0 to 4 .*expected 5 result rows"):
+        integrated_gradients(short, PathSpec(scalar(0.0), scalar(1.0), 4), 0)
+
+
+# ------------------------------------------------------- batched vs per-node
+
+def per_node_reference(gradfn, spec: PathSpec, label: int) -> AttributionMap:
+    """Integrated gradients as one single-row gradient call per path node,
+    with the endpoint losses evaluated at the endpoints themselves."""
+    ts, ws = path_nodes(spec)
+    delta = spec.target - spec.baseline
+    last = len(ts) - 1
+
+    def point(s):
+        if spec.scheme == "riemann_right" or 2 * s < last:
+            return spec.baseline + ts[s] * delta
+        if 2 * s > last:
+            return spec.target - ts[last - s] * delta
+        return 0.5 * spec.baseline + 0.5 * spec.target
+
+    def one(x):
+        return gradfn(x[None], np.array([label]))
+
+    acc = np.zeros_like(spec.baseline)
+    for s in range((last + 2) // 2):
+        m = last - s
+        term = ws[s] * one(point(s)).grads[0]
+        if m != s:
+            term = term + ws[m] * one(point(m)).grads[0]
+        acc = acc + term
+    values = delta * acc
+    loss0 = float(one(spec.baseline).losses[0])
+    loss1 = float(one(spec.target).losses[0])
+    return AttributionMap(values=values, sum=float(values.sum()), loss_baseline=loss0,
+                          loss_target=loss1,
+                          completeness_gap=abs(float(values.sum()) - (loss1 - loss0)))
+
+
+@pytest.mark.parametrize("side", [8, 32])
+@pytest.mark.parametrize("steps", [7, 50])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batched_ig_matches_per_node_loop(side, steps, scheme):
+    # The batch only changes how the BLAS groups each row's products, so
+    # float64 rounding bounds the difference far below 1e-12 of the map.
+    model = new_scorer(70 + side, (side, side, 3), (64,), 32, 4, 10.0)
+    fn = model_gradfn(model)
+    rng = SeededRng(71 + steps)
+    x0, x1 = rng.uniform([side, side, 3]), rng.uniform([side, side, 3])
+    spec = PathSpec(x0, x1, steps, scheme)
+    got = integrated_gradients(fn, spec, 1)
+    ref = per_node_reference(fn, spec, 1)
+    tol = 1e-12 * float(np.abs(ref.values).sum())
+    assert float(np.max(np.abs(got.values - ref.values))) <= tol
+    assert abs(got.sum - ref.sum) <= tol
+    assert got.loss_baseline == pytest.approx(ref.loss_baseline, abs=1e-12)
+    assert got.loss_target == pytest.approx(ref.loss_target, abs=1e-12)
+    assert abs(got.completeness_gap - ref.completeness_gap) <= tol + 1e-12
+    logits0 = model_gradfn(model)(x0[None], [1]).logits[0]
+    assert np.allclose(got.logits_baseline, logits0, rtol=0.0, atol=1e-12)
+    if scheme == "trapezoid":
+        rev = integrated_gradients(fn, PathSpec(x1, x0, steps, scheme), 1)
+        assert np.array_equal(rev.values, -got.values)
 
 
 # ----------------------------------------------------------------- convergence

@@ -102,7 +102,7 @@ def test_train_writes_loadable_checkpoint(tmp_path, capsys):
 def test_sweep_train_fresh_artifacts(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run(["sweep", *TINY, "--train-fresh", "--seed", "4",
-                "--qualities", "original,50", "--jobs", "1", "--out", out]) == 0
+                "--qualities", "original,50", "--out", out]) == 0
     for name in ("precision.csv", "table.csv", "table.md", "chart.svg",
                  "manifest.json"):
         assert (out / name).exists(), name
@@ -116,14 +116,14 @@ def test_sweep_from_checkpoint_row_named_after_file(tmp_path):
     assert run(["train", *TINY, "--seed", "4", "--out", ckpt_dir]) == 0
     out = tmp_path / "s"
     assert run(["sweep", *TINY, "--checkpoint", ckpt_dir / "checkpoint.json",
-                "--qualities", "original,50", "--jobs", "1", "--out", out]) == 0
+                "--qualities", "original,50", "--out", out]) == 0
     assert "checkpoint,original," in (out / "precision.csv").read_text()
 
 
 def test_sweep_byte_identical_across_runs(tmp_path):
     out = tmp_path / "rep"
     argv = ["sweep", *TINY, "--train-fresh", "--seed", "4",
-            "--qualities", "original,50", "--jobs", "1", "--out", out]
+            "--qualities", "original,50", "--out", out]
     assert run(argv) == 0
     first = {n: (out / n).read_bytes()
              for n in ("precision.csv", "table.csv", "table.md",
@@ -136,7 +136,7 @@ def test_sweep_byte_identical_across_runs(tmp_path):
 def test_report_rerenders_from_csv(tmp_path):
     sweep_out = tmp_path / "sweep"
     assert run(["sweep", *TINY, "--train-fresh", "--seed", "4",
-                "--qualities", "original,50", "--jobs", "1",
+                "--qualities", "original,50",
                 "--out", sweep_out]) == 0
     report_out = tmp_path / "report"
     assert run(["report", "--from", sweep_out, "--out", report_out]) == 0
@@ -156,7 +156,7 @@ def test_attribute_writes_csv_and_overlays(tmp_path):
     out = tmp_path / "att"
     assert run(["attribute", *TINY, "--train-fresh", "--seed", "4",
                 "--qualities", "original,75,50", "--steps", "4",
-                "--jobs", "1", "--out", out]) == 0
+                "--out", out]) == 0
     text = (out / "attributions.csv").read_text()
     assert text.startswith("id,true,predicted_original,predicted_75,predicted_50,"
                            "score_original,score_75,score_50,ig_75,ig_50\n")
@@ -253,11 +253,13 @@ def test_env_output_dir_between_flag_and_config(tmp_path, monkeypatch):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
+    # "jobs" set the removed worker-thread count; an old config must fail loudly
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sedd": 1}))
-    assert run(["train", "--config", cfg, "--synthetic",
-                "--out", tmp_path / "o"]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    for key in ("sedd", "jobs"):
+        cfg.write_text(json.dumps({key: 1}))
+        assert run(["train", "--config", cfg, "--synthetic",
+                    "--out", tmp_path / "o"]) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
 
 def test_malformed_config_value_rejected(tmp_path, capsys):

@@ -25,6 +25,7 @@ from igprobe.harness import (
 )
 from igprobe.model import (
     Layer,
+    model_gradfn,
     ScorerModel,
     TrainConfig,
     forward,
@@ -129,7 +130,7 @@ def brightness_dataset(side: int = 8) -> Dataset:
 
 def test_sweep_quality_proof_model_is_flat_ones():
     table = sweep_precision(brightness_scorer(), brightness_dataset(),
-                            [ORIGINAL, 90, 75, 50, 25, 10], jobs=1)
+                            [ORIGINAL, 90, 75, 50, 25, 10])
     assert [r.model_name for r in table.rows] == ["model"]
     assert table.qualities == [ORIGINAL, 90, 75, 50, 25, 10]
     assert all(s == 1.0 for s in table.rows[0].scores.values())
@@ -138,7 +139,7 @@ def test_sweep_quality_proof_model_is_flat_ones():
 def test_sweep_original_only_matches_direct_classification():
     data = gen_synthetic(9, classes=3, per_class=4, side=8)
     model = new_scorer(11, (8, 8, 3), (16,), 8, 3)
-    table = sweep_precision(model, data, [ORIGINAL], jobs=1)
+    table = sweep_precision(model, data, [ORIGINAL])
     preds = [argmax(forward(model, it.image)) for it in data.items]
     truths = [it.label for it in data.items]
     want = macro_precision(preds, truths, data.num_classes)
@@ -147,7 +148,7 @@ def test_sweep_original_only_matches_direct_classification():
 
 def test_sweep_accuracy_metric():
     table = sweep_precision(brightness_scorer(), brightness_dataset(),
-                            [ORIGINAL, 50], metric="accuracy", jobs=1)
+                            [ORIGINAL, 50], metric="accuracy")
     assert table.rows[0].scores[50] == 1.0
 
 
@@ -164,7 +165,7 @@ def test_sweep_requires_original_level():
 
 def test_sweep_multi_model_rows():
     models = {"wide": brightness_scorer(), "narrow": brightness_scorer()}
-    table = sweep_precision(models, brightness_dataset(), [ORIGINAL, 50], jobs=1)
+    table = sweep_precision(models, brightness_dataset(), [ORIGINAL, 50])
     assert [r.model_name for r in table.rows] == ["wide", "narrow"]
     for row in table.rows:
         assert set(row.scores) == {ORIGINAL, 50}
@@ -177,21 +178,13 @@ def test_sweep_class_count_mismatch():
 
 
 def test_sweep_failure_names_image_and_quality():
-    def broken(image, label):
+    def broken(images, labels):
         raise RuntimeError("boom")
 
     data = brightness_dataset()
     with pytest.raises(RuntimeError,
                        match=r"scoring failed on image 'bright_0' at quality 50: boom"):
-        sweep_precision(broken, data, [50, ORIGINAL], jobs=1)
-
-
-def test_sweep_parallel_matches_serial():
-    data = gen_synthetic(5, classes=2, per_class=3, side=8)
-    model = new_scorer(6, (8, 8, 3), (16,), 8, 2)
-    serial = sweep_precision(model, data, [ORIGINAL, 50], jobs=1)
-    threaded = sweep_precision(model, data, [ORIGINAL, 50], jobs=4)
-    assert serial.rows[0].scores == threaded.rows[0].scores
+        sweep_precision(broken, data, [50, ORIGINAL])
 
 
 def test_precision_table_validates_missing_cells():
@@ -207,7 +200,7 @@ def test_precision_table_validates_missing_cells():
 def test_attribute_batch_structure():
     data = gen_synthetic(3, classes=2, per_class=2, side=8)
     model = new_scorer(5, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
-    batch = attribute_batch(model, data, (ORIGINAL, 75, 50), steps=8, jobs=1)
+    batch = attribute_batch(model, data, (ORIGINAL, 75, 50), steps=8)
     assert batch.qualities == [ORIGINAL, 75, 50]
     assert len(batch.records) == len(batch.maps) == 4
     for rec, maps in zip(batch.records, batch.maps):
@@ -224,7 +217,7 @@ def test_attribute_batch_structure():
 def test_attribute_batch_completeness_against_recomputed_losses():
     data = gen_synthetic(21, classes=2, per_class=2, side=8)
     model = new_scorer(22, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
-    batch = attribute_batch(model, data, (ORIGINAL, 50), steps=64, jobs=1)
+    batch = attribute_batch(model, data, (ORIGINAL, 50), steps=64)
     for item, rec, maps in zip(data.items, batch.records, batch.maps):
         # recompute both endpoint losses through the plain forward pass
         l0 = loss_ce(forward(model, prepare_input(item.image, ORIGINAL)), item.label)
@@ -248,11 +241,30 @@ def test_attribute_batch_rejects_bad_steps():
 
 
 def test_attribute_batch_failure_names_image():
-    def broken(image, label):
+    def broken(images, labels):
         raise RuntimeError("boom")
 
-    with pytest.raises(RuntimeError, match=r"attribution failed on image 'bright_0'"):
-        attribute_batch(broken, brightness_dataset(), (ORIGINAL, 50), jobs=1)
+    # the failed batched call still names the image, the quality and the path steps
+    with pytest.raises(RuntimeError,
+                       match=r"attribution failed on image 'bright_0' at quality 50: "
+                             r"gradient evaluation failed at path step 0 to 8 .*boom"):
+        attribute_batch(broken, brightness_dataset(), (ORIGINAL, 50), steps=8)
+
+
+@pytest.mark.parametrize("scheme", ["trapezoid", "riemann_right"])
+def test_attribute_batch_requests_one_row_per_path_node(scheme):
+    data = gen_synthetic(23, classes=2, per_class=1, side=8)
+    model = new_scorer(24, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
+    inner = model_gradfn(model)
+    calls = []
+
+    def counting(images, labels):
+        calls.append(len(images))
+        return inner(images, labels)
+
+    attribute_batch(counting, data, (ORIGINAL, 75, 50, 25), steps=50, scheme=scheme)
+    # one call of N+1 rows per map, three maps per image: 153 rows each
+    assert calls == [51] * 3 * len(data.items)
 
 
 def test_attribute_batch_golden_record():
@@ -264,7 +276,7 @@ def test_attribute_batch_golden_record():
     model = train(model, data, TrainConfig(lr=0.05, epochs=200, batch=4, seed=61))
     probe = Dataset(items=[data.items[0], data.items[5], data.items[10]],
                     class_names=data.class_names)
-    batch = attribute_batch(model, probe, (ORIGINAL, 50, 25), steps=50, jobs=1)
+    batch = attribute_batch(model, probe, (ORIGINAL, 50, 25), steps=50)
 
     golden = [
         ("stripes_a_0_0000", "stripes_a_0", ["stripes_a_0"] * 3,
@@ -313,7 +325,7 @@ def test_precision_csv_roundtrip_exact(tmp_path):
 
 def test_precision_csv_bytes_deterministic(tmp_path):
     table = sweep_precision(brightness_scorer(), brightness_dataset(),
-                            [ORIGINAL, 75, 25], jobs=1)
+                            [ORIGINAL, 75, 25])
     write_precision_csv(table, tmp_path / "one.csv")
     write_precision_csv(table, tmp_path / "two.csv")
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
@@ -351,7 +363,7 @@ def test_attribution_csv_layout(tmp_path):
 def test_attribution_csv_bytes_deterministic(tmp_path):
     data = gen_synthetic(3, classes=2, per_class=1, side=8)
     model = new_scorer(5, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
-    batch = attribute_batch(model, data, (ORIGINAL, 50), steps=8, jobs=1)
+    batch = attribute_batch(model, data, (ORIGINAL, 50), steps=8)
     write_attribution_csv(batch, tmp_path / "one.csv")
     write_attribution_csv(batch, tmp_path / "two.csv")
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igprobe.data import gen_synthetic
@@ -117,8 +117,8 @@ def test_backward_dead_relu_gives_zero_grad():
         layers=[Layer(0.01 * np.eye(3), np.full(3, -10.0), "relu")],
         class_embeddings=np.eye(3),
         temperature=1.0, input_shape=(1, 1, 3))
-    out = backward(model, np.array([[[0.2, 0.5, 0.8]]]), 1)
-    assert np.array_equal(out.grad, np.zeros((1, 1, 3)))
+    out = backward(model, np.array([[[[0.2, 0.5, 0.8]]]]), [1])
+    assert np.array_equal(out.grads, np.zeros((1, 1, 1, 3)))
 
 
 def central_diff(model, image, k, h=1e-5):
@@ -135,28 +135,28 @@ def central_diff(model, image, k, h=1e-5):
 def test_backward_single_linear_matches_finite_differences():
     model = linear_model(11, 12, 6, 4)
     image = SeededRng(12).uniform([1, 1, 12])
-    out = backward(model, image, 2)
+    grad = backward(model, image[None], [2]).grads[0]
     fd = central_diff(model, image, 2)
-    denom = np.maximum(np.maximum(np.abs(out.grad), np.abs(fd)), 1e-8)
-    assert float(np.max(np.abs(out.grad - fd) / denom)) < 1e-6
+    denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
+    assert float(np.max(np.abs(grad - fd) / denom)) < 1e-6
 
 
 def test_backward_identity_encoder_one_hot_matches_finite_differences():
     model = identity_model(4)
     x = np.zeros((1, 1, 4))
     x[0, 0, 1] = 1.0
-    out = backward(model, x, 1)
+    grad = backward(model, x[None], [1]).grads[0]
     fd = central_diff(model, x, 1)
-    assert np.max(np.abs(out.grad - fd)) < 1e-9
+    assert np.max(np.abs(grad - fd)) < 1e-9
 
 
 def test_backward_loss_and_logits_consistent_with_forward():
     model = new_scorer(3, (4, 4, 3), (8,), 6, 5)
     img = SeededRng(6).uniform([4, 4, 3])
-    out = backward(model, img, 4)
+    out = backward(model, img[None], [4])
     logits = forward(model, img)
-    assert np.allclose(out.logits, logits, atol=1e-12)
-    assert out.loss == pytest.approx(loss_ce(logits, 4), abs=1e-12)
+    assert np.allclose(out.logits[0], logits, atol=1e-12)
+    assert out.losses[0] == pytest.approx(loss_ce(logits, 4), abs=1e-12)
 
 
 # -------------------------------------------------------------- gradient_check
@@ -187,12 +187,29 @@ def test_gradient_check_error_grows_with_coarse_step():
     assert coarse["max_rel_err"] > fine["max_rel_err"]
 
 
+@example(491)
+@example(3603)
+@example(6452)
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10_000))
 def test_gradient_check_property_over_seeded_models(seed):
+    h = 1e-5
     model = new_scorer(seed, (8, 8, 3), (24,), 12, 4, 10.0)
     img = SeededRng(seed * 97 + 3).uniform([8, 8, 3])
-    assert gradient_check(model, img, seed % 4)["max_rel_err"] < 1e-5
+    res = gradient_check(model, img, seed % 4, h=h)
+    analytic, numeric = res["analytic"], res["numeric"]
+    err = np.abs(analytic - numeric)
+    # A central difference cannot resolve a gradient below its own
+    # roundoff: each probe loss is off by up to about 2 eps max(1, |L|)
+    # (the log and the subtraction), so their difference over 2h is off
+    # by up to 2 eps max(1, |L|) / h.  Only pixels whose gradient is
+    # below that floor / 1e-5 can pass on the floor.
+    floor = 2.0 * np.finfo(np.float64).eps * max(1.0, abs(res["loss"])) / h
+    ok = (err < 1e-5 * np.maximum(np.abs(analytic), np.abs(numeric))) | (err <= floor)
+    ok[res["kink_pixels"]] = True
+    worst = int(np.argmax(np.where(ok, -1.0, err)))
+    assert ok.all(), (f"pixel {worst}: analytic {analytic[worst]:.3e}, numeric "
+                      f"{numeric[worst]:.3e}, floor {floor:.1e}")
 
 
 # ----------------------------------------------------------------------- train

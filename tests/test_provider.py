@@ -72,14 +72,15 @@ def test_mock_provider_matches_in_process_gradfn():
     with spawn() as client:
         assert client.class_names == [f"class_{i}" for i in range(CLASSES)]
         assert client.input_shape == (SIDE, SIDE, 3)
-        for label in range(CLASSES):
-            got = client(image, label)
-            want = reference(rounded, label)
-            assert got.loss == pytest.approx(want.loss, abs=1e-6)
-            assert got.logits == pytest.approx(want.logits, abs=1e-6)
-            assert got.grad.shape == (SIDE, SIDE, 3)
-            # gradient comes back as float32
-            assert np.max(np.abs(got.grad - want.grad)) < 1e-6
+        labels = np.arange(CLASSES)
+        batch = np.repeat(image[None], CLASSES, axis=0)
+        got = client(batch, labels)
+        want = reference(np.repeat(rounded[None], CLASSES, axis=0), labels)
+        assert got.losses == pytest.approx(want.losses, abs=1e-6)
+        assert got.logits.ravel() == pytest.approx(want.logits.ravel(), abs=1e-6)
+        assert got.grads.shape == (CLASSES, SIDE, SIDE, 3)
+        # gradient comes back as float32
+        assert np.max(np.abs(got.grads - want.grads)) < 1e-6
 
 
 def test_hello_shape_advertised_when_spec_omits_it():
@@ -90,17 +91,17 @@ def test_hello_shape_advertised_when_spec_omits_it():
 def test_sequential_requests_share_one_child():
     rng = SeededRng(41)
     with spawn() as client:
-        first = client(rng.uniform([SIDE, SIDE, 3]), 0)
-        second = client(rng.uniform([SIDE, SIDE, 3]), 1)
-    assert np.isfinite(first.loss) and np.isfinite(second.loss)
+        first = client(rng.uniform([1, SIDE, SIDE, 3]), [0])
+        second = client(rng.uniform([1, SIDE, SIDE, 3]), [1])
+    assert np.isfinite(first.losses[0]) and np.isfinite(second.losses[0])
 
 
 def test_client_validates_input_shape_and_label():
     with spawn() as client:
         with pytest.raises(ValueError, match="input shape"):
-            client(np.zeros((SIDE + 1, SIDE, 3)), 0)
+            client(np.zeros((1, SIDE + 1, SIDE, 3)), [0])
         with pytest.raises(ValueError, match="label 9 out of range"):
-            client(np.zeros((SIDE, SIDE, 3)), 9)
+            client(np.zeros((1, SIDE, SIDE, 3)), [9])
 
 
 # ---------------------------------------------------------------- handshake failures
@@ -139,26 +140,35 @@ def test_wrong_grad_length_detected():
     with spawn("wrong-grad-len") as client:
         with pytest.raises(ProviderError,
                            match=f"expected {N_INPUTS} floats, got {N_INPUTS - 1}"):
-            client(np.zeros((SIDE, SIDE, 3)), 0)
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
 
 
 def test_loss_logits_consistency_enforced():
     with spawn("bad-loss") as client:
         with pytest.raises(ProviderError, match="consistency violation"):
-            client(np.zeros((SIDE, SIDE, 3)), 0)
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
+
+
+def test_non_finite_reply_rejected():
+    # NaN passes the loss/logits comparison (nan > tol is False), so the
+    # client must reject it by value, naming the request.
+    with spawn("nan-grad") as client:
+        with pytest.raises(ProviderError,
+                           match="non-finite loss, logits, grad in reply to request 0"):
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
 
 
 def test_provider_error_object_forwarded():
     with spawn("error") as client:
         with pytest.raises(ProviderError,
                            match="request 0: synthetic provider failure"):
-            client(np.zeros((SIDE, SIDE, 3)), 0)
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
 
 
 def test_provider_exit_reported_with_stderr():
     client = spawn("exit")
     with pytest.raises(ProviderError, match=r"provider exited \(code 3\)"):
-        client(np.zeros((SIDE, SIDE, 3)), 0)
+        client(np.zeros((1, SIDE, SIDE, 3)), [0])
     # the stderr pump is asynchronous; give it a moment to drain
     deadline = time.time() + 5.0
     while time.time() < deadline and "synthetic crash" not in client.stderr_text():

@@ -104,10 +104,16 @@ def test_argmax_empty_rejected():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
        st.floats(-100, 100), st.floats(0.01, 100))
 def test_argmax_shift_and_positive_scale_invariant(values, shift, scale):
+    # x + shift and x * scale are monotone in float64 but may round two
+    # distinct entries onto one value ([0, 1e-150] + 1.0 ties), which moves
+    # argmax to the lower index.  The property holds for maps that keep
+    # distinct entries distinct, so only those are tested.
     t = as_tensor(values)
     base = argmax(t)
-    assert argmax(t + shift) == base
-    assert argmax(t * scale) == base
+    distinct = np.unique(t).size
+    for moved in (t + shift, t * scale):
+        if np.unique(moved).size == distinct:
+            assert argmax(moved) == base
 
 
 # ------------------------------------------------------------------- SeededRng
