@@ -10,18 +10,17 @@ against independent oracles.
 __version__ = "0.1.0"
 
 from .attribution import (AttributionMap, PathSpec, PolarityMaps, completeness_report,
-                          integrated_gradients, interpolate_path, sensitivity_probe,
-                          split_polarity)
+                          integrated_gradients, interpolate_path, split_polarity)
 from .codec import (ORIGINAL, QualityLevel, degrade_jpeg, psnr, quant_table,
                     resize_bicubic)
 from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from .harness import (AttributionBatch, AttributionRecord, PrecisionRow, PrecisionTable,
                       accuracy, attribute_batch, macro_precision, sweep_precision)
 from .model import (GradFn, LossGrads, ScorerModel, TrainConfig, backward, forward,
-                    gradient_check, load_model, loss_ce, model_gradfn, new_scorer,
-                    save_model, train)
+                    gradient_check, load_model, model_gradfn, new_scorer, save_model,
+                    train)
 from .provider import ProviderClient, ProviderError, ProviderSpec, provider_connect
-from .tensor import SeededRng, Tensor, argmax, matmul, rng_normal, tensor_filled
+from .tensor import SeededRng, Tensor, argmax
 from .viz import ChartSpec, OverlaySpec, emit_chart_svg, emit_table, render_overlay
 
 __all__ = [
@@ -32,9 +31,7 @@ __all__ = [
     "Tensor", "TrainConfig", "accuracy", "argmax", "attribute_batch", "backward",
     "completeness_report", "degrade_jpeg", "emit_chart_svg", "emit_table", "forward",
     "gen_synthetic", "gradient_check", "integrated_gradients", "interpolate_path",
-    "load_dataset", "load_model", "loss_ce", "macro_precision", "matmul",
-    "model_gradfn", "new_scorer", "provider_connect", "psnr", "quant_table",
-    "render_overlay", "resize_bicubic", "rng_normal", "save_model",
-    "sensitivity_probe", "split_polarity", "sweep_precision", "tensor_filled",
-    "train", "__version__",
+    "load_dataset", "load_model", "macro_precision", "model_gradfn", "new_scorer",
+    "provider_connect", "psnr", "quant_table", "render_overlay", "resize_bicubic",
+    "save_model", "split_polarity", "sweep_precision", "train", "__version__",
 ]

@@ -189,18 +189,3 @@ def split_polarity(att: AttributionMap) -> PolarityMaps:
         positive=np.clip(scaled, 0.0, 1.0),
         scale=scale,
     )
-
-
-def sensitivity_probe(gradfn: GradFn, baseline: np.ndarray, target: np.ndarray,
-                      label: int, steps: int = DEFAULT_STEPS,
-                      scheme: Scheme = "trapezoid") -> dict:
-    """Numerical witness of the sensitivity axiom for one pair.
-
-    A nonzero loss difference must come with a nonzero attribution sum;
-    the tolerance for "zero difference" is tied to the quadrature gap.
-    """
-    att = integrated_gradients(gradfn, PathSpec(baseline, target, steps, scheme), label)
-    delta_loss = att.loss_target - att.loss_baseline
-    eps = max(att.completeness_gap, 1e-12)
-    consistent = abs(delta_loss) <= eps or abs(att.sum) > 0.0
-    return {"delta_loss": delta_loss, "ig_sum": att.sum, "consistent": consistent}

@@ -219,6 +219,13 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def _write_table_and_chart(cfg: RunConfig, table, out_dir: Path) -> None:
+    (out_dir / "table.csv").write_text(emit_table(table, "csv"))
+    (out_dir / "table.md").write_text(emit_table(table, "markdown"))
+    chart = emit_chart_svg(table, ChartSpec(y_label=cfg.metric.replace("_", " ")))
+    (out_dir / "chart.svg").write_text(chart)
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     dataset = _load_data(cfg)
     name, scorer, close = _resolve_scorer(cfg, dataset)
@@ -228,10 +235,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         close()
     out_dir = _out_dir(cfg)
     write_precision_csv(table, out_dir / "precision.csv")
-    (out_dir / "table.csv").write_text(emit_table(table, "csv"))
-    (out_dir / "table.md").write_text(emit_table(table, "markdown"))
-    chart = emit_chart_svg(table, ChartSpec(y_label=cfg.metric.replace("_", " ")))
-    (out_dir / "chart.svg").write_text(chart)
+    _write_table_and_chart(cfg, table, out_dir)
     _write_manifest(cfg, out_dir)
     print(emit_table(table, "csv"), end="")
     print(f"wrote precision.csv, table.csv, table.md, chart.svg to {out_dir}")
@@ -328,10 +332,7 @@ def cmd_report(cfg: RunConfig) -> int:
         source = source / "precision.csv"
     table = read_precision_csv(source)
     out_dir = _out_dir(cfg)
-    (out_dir / "table.csv").write_text(emit_table(table, "csv"))
-    (out_dir / "table.md").write_text(emit_table(table, "markdown"))
-    chart = emit_chart_svg(table, ChartSpec(y_label=cfg.metric.replace("_", " ")))
-    (out_dir / "chart.svg").write_text(chart)
+    _write_table_and_chart(cfg, table, out_dir)
     _write_manifest(cfg, out_dir)
     print(emit_table(table, "csv"), end="")
     print(f"re-rendered table.csv, table.md, chart.svg to {out_dir}")

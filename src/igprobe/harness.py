@@ -16,9 +16,8 @@ import numpy as np
 
 from .attribution import AttributionMap, PathSpec, integrated_gradients
 from .codec import ORIGINAL, QualityLevel, degrade_jpeg, resize_bicubic
-from .data import Dataset, DatasetItem, gen_synthetic, load_dataset  # noqa: F401
+from .data import Dataset
 from .model import GradFn, ScorerModel, forward, model_gradfn, softmax
-from .provider import ProviderSpec, provider_connect  # noqa: F401
 from .tensor import argmax
 
 ScorerLike = Union[ScorerModel, GradFn]

@@ -46,6 +46,8 @@ class Layer:
                 f"layer fan-out mismatch: weights {self.weights.shape}, bias {self.bias.shape}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        require_finite(self.weights, "weights")
+        require_finite(self.bias, "bias")
 
 
 @dataclass
@@ -59,10 +61,12 @@ class ScorerModel:
     def __post_init__(self):
         self.class_embeddings = np.asarray(self.class_embeddings, dtype=np.float64)
         self.input_shape = tuple(int(s) for s in self.input_shape)
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.class_embeddings.ndim != 2:
             raise ValueError("class embeddings must be a (classes, dim) matrix")
+        # JSON round-trips NaN, and a NaN norm passes the unit-norm test below.
+        require_finite(self.class_embeddings, "class embeddings")
         norms = np.linalg.norm(self.class_embeddings, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("class embedding rows must have unit L2 norm")
@@ -162,17 +166,9 @@ def forward(model: ScorerModel, image: np.ndarray) -> Tensor:
     return logits[0]
 
 
-def loss_ce(logits: Tensor, k: int) -> float:
-    """Cross-entropy -log softmax(logits)[k], stabilized against overflow."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= k < logits.shape[-1]:
-        raise ValueError(f"label {k} out of range for {logits.shape[-1]} classes")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[k])
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Row-wise loss_ce over a (batch, classes) logit matrix."""
+    """Row-wise cross-entropy -log softmax(logits)[label], stabilized against
+    overflow, over a (batch, classes) logit matrix."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(len(labels)), labels]
 
@@ -206,8 +202,8 @@ def _backward_batch(model: ScorerModel, x: np.ndarray, labels: np.ndarray,
 
 
 def backward(model: ScorerModel, images: np.ndarray, labels) -> LossGrads:
-    """Exact gradient of loss_ce(forward(images[b]), labels[b]) w.r.t. every
-    pixel, for each row b of a (batch, *input_shape) array."""
+    """Exact gradient of the cross-entropy of forward(images[b]) at labels[b]
+    w.r.t. every pixel, for each row b of a (batch, *input_shape) array."""
     images, labels = check_batch(images, labels, model.input_shape, model.num_classes)
     losses, grads, logits, _ = _backward_batch(model, images.reshape(len(images), -1), labels)
     return LossGrads(losses=losses, grads=grads.reshape(images.shape), logits=logits)
@@ -397,9 +393,14 @@ def load_model(path: str | Path) -> ScorerModel:
         raise ValueError(f"not a scorer checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+    layers = []
+    for i, l in enumerate(doc["layers"]):
+        try:
+            layers.append(Layer(_unpack(l["weights"]), _unpack(l["bias"]), l["activation"]))
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
     return ScorerModel(
-        layers=[Layer(_unpack(l["weights"]), _unpack(l["bias"]), l["activation"])
-                for l in doc["layers"]],
+        layers=layers,
         class_embeddings=_unpack(doc["class_embeddings"]),
         temperature=float(doc["temperature"]),
         input_shape=tuple(doc["input_shape"]),

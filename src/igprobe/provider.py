@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LossGrads, check_batch, loss_ce
+from .model import LossGrads, check_batch, cross_entropy
 
 DEFAULT_TIMEOUT = 30.0
 LOSS_TOLERANCE = 1e-4
@@ -179,7 +179,7 @@ class ProviderClient:
                if not np.all(np.isfinite(v))]
         if bad:
             raise ProviderError(f"non-finite {', '.join(bad)} in reply to request {request_id}")
-        expected = loss_ce(logits, label)
+        expected = cross_entropy(logits[None], [label])[0]
         if abs(loss - expected) > LOSS_TOLERANCE:
             raise ProviderError(
                 f"loss/logits consistency violation: provider loss {loss!r} vs "

@@ -41,33 +41,6 @@ def require_finite(t: Tensor, name: str = "tensor") -> Tensor:
     return t
 
 
-def as_tensor(values) -> Tensor:
-    """Coerce nested lists / arrays to a finite float64 array."""
-    t = np.asarray(values, dtype=np.float64)
-    return require_finite(t)
-
-
-def tensor_filled(shape: Sequence[int], value: float) -> Tensor:
-    """New tensor of the given shape with every element set to ``value``."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError("fill value must be finite")
-    return np.full(_checked_shape(shape), value, dtype=np.float64)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 matrix product with 64-bit accumulation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 tensors, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    require_finite(a, "matmul lhs")
-    require_finite(b, "matmul rhs")
-    return a @ b
-
-
 def argmax(t: Tensor) -> int:
     """Index of the maximum of a rank-1 tensor; ties break to the lowest index."""
     t = np.asarray(t, dtype=np.float64)
@@ -145,8 +118,3 @@ class SeededRng:
         if n < 1:
             raise ValueError("permutation needs n >= 1")
         return np.argsort(self.uniform([n]), kind="stable")
-
-
-def rng_normal(rng: SeededRng, shape: Sequence[int]) -> Tensor:
-    """Standard normal tensor drawn from ``rng`` (advances its state)."""
-    return rng.normal(shape)

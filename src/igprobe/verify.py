@@ -2,8 +2,8 @@
 of one contract (exactness, convergence order, codec identities, bounds).
 
 The CLI ``verify`` subcommand runs these and prints one pass/fail row
-per check; the test suite reuses the same functions at larger trial
-counts.
+per check; acceptance criteria 1-6 and 8-10 run the same functions at
+seed 1, so each check has one implementation and one strength.
 """
 
 from __future__ import annotations
@@ -59,19 +59,20 @@ class CheckResult:
     seconds: float
 
 
-def check_linear_exactness(seed: int, trials: int = 5) -> tuple[bool, str]:
+def check_linear_exactness(seed: int) -> tuple[bool, str]:
     rng = SeededRng(seed)
     worst = 0.0
-    for _ in range(trials):
-        w = rng.normal([6])
-        x0, x1 = rng.uniform([6]), rng.uniform([6])
+    for _ in range(20):
+        w = rng.normal([4, 5, 3])
+        x0, x1 = rng.uniform([4, 5, 3]), rng.uniform([4, 5, 3])
         fn = linear_loss_gradfn(w)
         expected = w * (x1 - x0)
         for scheme in SCHEMES:
             for steps in (1, 5, 50):
                 att = integrated_gradients(fn, PathSpec(x0, x1, steps, scheme), 0)
                 worst = max(worst, float(np.max(np.abs(att.values - expected))))
-    return worst < 1e-12, f"max |IG - w*dx| = {worst:.3e}"
+    return worst < 1e-12, (f"max |IG - w*dx| = {worst:.3e} over 20 trials, "
+                           f"both schemes, N in {{1,5,50}}")
 
 
 def check_quadrature_convergence(seed: int) -> tuple[bool, str]:
@@ -99,42 +100,41 @@ def check_quadrature_convergence(seed: int) -> tuple[bool, str]:
                 f"slopes {r_slope:+.3f} / {t_slope:+.3f}")
 
 
-def check_micromodel_completeness(seed: int, pairs: int = 4,
-                                  allow_growth: int = 1) -> tuple[bool, str]:
+def check_micromodel_completeness(seed: int) -> tuple[bool, str]:
     # An untrained scorer has near-zero loss deltas between original and
     # compressed inputs, which inflates rel_gap; a briefly fitted one puts
     # the denominator on the scale the gap bound assumes.
     side = 16
-    data = gen_synthetic(seed + 10, classes=4,
-                         per_class=max(1, (pairs + 3) // 4), side=side)
+    data = gen_synthetic(seed + 10, classes=4, per_class=3, side=side)
     model = new_scorer(seed + 11, (side, side, 3), (32,), 16, 4)
     model = train(model, data, TrainConfig(lr=0.05, epochs=8, batch=8, seed=seed))
     fn = model_gradfn(model)
     worst_rel = 0.0
     shrank = 0
-    used = data.items[:pairs]
+    used = data.items[:10]
     for item in used:
         target = degrade_jpeg(item.image, 25)
         a50 = integrated_gradients(fn, PathSpec(item.image, target, 50), item.label)
         a300 = integrated_gradients(fn, PathSpec(item.image, target, 300), item.label)
         worst_rel = max(worst_rel, completeness_report(a50)["rel_gap"])
         shrank += a300.completeness_gap <= a50.completeness_gap
-    ok = worst_rel < 0.02 and shrank >= len(used) - allow_growth
+    ok = worst_rel < 0.02 and shrank >= len(used) - 1
     return ok, (f"worst rel_gap(N=50) = {worst_rel:.4%}, "
                 f"gap shrank at N=300 in {shrank}/{len(used)} pairs")
 
 
-def check_gradient_check(seed: int, trials: int = 3) -> tuple[bool, str]:
+def check_gradient_check(seed: int) -> tuple[bool, str]:
     # Temperature 10: at tau=100 the h=1e-5 central-difference oracle's own
     # truncation error can cross 1e-5 near logit crossings, so the bound
     # would flag the *oracle*, not the backprop under test.
     worst = 0.0
-    for i in range(trials):
+    for i in range(10):
         model = new_scorer(seed + i, (8, 8, 3), (24,), 12, 4, 10.0)
         img = SeededRng(seed * 97 + i).uniform([8, 8, 3])
         res = gradient_check(model, img, i % 4)
         worst = max(worst, res["max_rel_err"])
-    return worst < 1e-5, f"max relative gradient error = {worst:.3e}"
+    return worst < 1e-5, (f"max relative gradient error = {worst:.3e} over 10 "
+                          f"model/image pairs, kink pixels excluded")
 
 
 def check_dct_identities(seed: int) -> tuple[bool, str]:
@@ -164,11 +164,11 @@ def check_resize_identities(seed: int) -> tuple[bool, str]:
                 f"partition-of-unity err {partition:.2e}")
 
 
-def check_polarity_bounds(seed: int, trials: int = 50) -> tuple[bool, str]:
+def check_polarity_bounds(seed: int) -> tuple[bool, str]:
     rng = SeededRng(seed)
-    for i in range(trials):
+    for i in range(1000):
         vals = rng.normal([6, 5, 3]) * 10.0 ** ((i % 7) - 3)
-        if i == 0:
+        if i % 100 == 0:
             vals = np.zeros_like(vals)
         att = AttributionMap(values=vals, sum=float(vals.sum()), loss_baseline=0.0,
                              loss_target=float(vals.sum()), completeness_gap=0.0)
@@ -180,22 +180,26 @@ def check_polarity_bounds(seed: int, trials: int = 50) -> tuple[bool, str]:
         interior = np.abs(vals) < pol.scale
         if np.max(np.abs(np.where(interior, merged - vals, 0.0))) > 1e-12:
             return False, f"reconstruction drifted on trial {i}"
-    swap_err = _swap_negation_error(seed)
-    return swap_err == 0.0, (f"{trials} fuzzed maps in bounds; "
-                             f"swap negation exact: {swap_err == 0.0}")
+    swap_exact = _swap_negation_exact(seed)
+    return swap_exact, (f"1000 fuzzed maps in bounds; swap negation exact "
+                        f"on the scorer and the cubic: {swap_exact}")
 
 
-def _swap_negation_error(seed: int) -> float:
-    rng = SeededRng(seed + 1)
-    fn = power_loss_gradfn(3.0)
-    worst = 0.0
-    for steps in (1, 2, 7, 50):
-        x0, x1 = rng.normal([11]), rng.normal([11])
-        fwd = integrated_gradients(fn, PathSpec(x0, x1, steps, "trapezoid"), 0)
-        rev = integrated_gradients(fn, PathSpec(x1, x0, steps, "trapezoid"), 0)
-        if not np.array_equal(rev.values, -fwd.values):
-            worst = max(worst, float(np.max(np.abs(rev.values + fwd.values))))
-    return worst
+def _swap_negation_exact(seed: int) -> bool:
+    """Swapping baseline and target must negate trapezoid IG bit for bit:
+    three pairs at N in {1, 2, 7, 50} on a scorer, then on the cubic."""
+    rng = SeededRng(seed + 31)
+    scorer = model_gradfn(new_scorer(seed + 30, (8, 8, 3), (16,), 8, 3))
+    exact = True
+    for fn, draw, shape in ((scorer, rng.uniform, [8, 8, 3]),
+                            (power_loss_gradfn(3.0), rng.normal, [11])):
+        for _ in range(3):
+            x0, x1 = draw(shape), draw(shape)
+            for steps in (1, 2, 7, 50):
+                fwd = integrated_gradients(fn, PathSpec(x0, x1, steps, "trapezoid"), 1)
+                rev = integrated_gradients(fn, PathSpec(x1, x0, steps, "trapezoid"), 1)
+                exact &= np.array_equal(rev.values, -fwd.values)
+    return bool(exact)
 
 
 def check_overlay_contract(seed: int) -> tuple[bool, str]:
@@ -208,13 +212,16 @@ def check_overlay_contract(seed: int) -> tuple[bool, str]:
         out = render_overlay(img, pol_zero, OverlaySpec(polarity=mode))
         if not np.array_equal(out, 0.7 * img):
             return False, f"zero-attribution overlay != 0.7*img in {mode} mode"
-    vals = rng.normal([6, 5, 3]) * 3.0
-    att = AttributionMap(values=vals, sum=float(vals.sum()), loss_baseline=0.0,
-                         loss_target=0.0, completeness_gap=0.0)
-    out = render_overlay(img, split_polarity(att))
-    in_bounds = bool(np.all(out >= 0.0) and np.all(out <= 1.0))
-    blue_ok = bool(np.array_equal(out[:, :, 2], np.clip(0.7 * img[:, :, 2], 0.0, 1.0)))
-    return in_bounds and blue_ok, f"bounds {in_bounds}, blue untouched {blue_ok}"
+    in_bounds = blue_ok = True
+    for _ in range(50):
+        vals = rng.normal([6, 5, 3]) * 3.0
+        att = AttributionMap(values=vals, sum=float(vals.sum()), loss_baseline=0.0,
+                             loss_target=0.0, completeness_gap=0.0)
+        out = render_overlay(img, split_polarity(att))
+        in_bounds &= bool(np.all(out >= 0.0) and np.all(out <= 1.0))
+        blue_ok &= bool(np.array_equal(out[:, :, 2], np.clip(0.7 * img[:, :, 2], 0.0, 1.0)))
+    return in_bounds and blue_ok, (f"zero map is 0.7*image in 3 modes; over 50 maps "
+                                   f"bounds {in_bounds}, blue untouched {blue_ok}")
 
 
 def check_psnr_ordering(seed: int) -> tuple[bool, str]:
@@ -233,14 +240,16 @@ def check_protocol_roundtrip(seed: int) -> tuple[bool, str]:
     rng = SeededRng(seed + 5)
     x0 = rng.uniform([side, side, 3]).astype(np.float32).astype(np.float64)
     x1 = rng.uniform([side, side, 3]).astype(np.float32).astype(np.float64)
-    spec = PathSpec(x0, x1, steps=8)
+    spec = PathSpec(x0, x1, steps=16)
     command = [sys.executable, "-m", "igprobe.mock_provider",
                "--seed", str(seed), "--classes", str(classes), "--side", str(side)]
     with provider_connect(ProviderSpec(command, timeout=30.0)) as client:
         remote = integrated_gradients(client, spec, 1)
     in_process = integrated_gradients(local, spec, 1)
     err = float(np.max(np.abs(remote.values - in_process.values)))
-    return err < 1e-6, f"max |IG_wire - IG_local| = {err:.3e}"
+    total = abs(remote.sum - in_process.sum)
+    return err < 1e-6 and total < 1e-6, (f"max |IG_wire - IG_local| = {err:.3e}, "
+                                         f"sum diff {total:.3e}")
 
 
 CHECKS = [

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from igprobe.attribution import (AttributionMap, PathSpec, SCHEMES,
                                  completeness_report, integrated_gradients,
-                                 interpolate_path, path_nodes,
-                                 sensitivity_probe, split_polarity)
+                                 interpolate_path, path_nodes, split_polarity)
 from igprobe.model import model_gradfn, new_scorer
 from igprobe.tensor import SeededRng
 from igprobe.verify import linear_loss_gradfn, power_loss_gradfn
@@ -293,31 +292,31 @@ def test_polarity_bounds_and_reconstruction(seed):
 
 
 # ------------------------------------------------------------------ sensitivity
+# The sensitivity axiom: a nonzero loss difference gets a nonzero
+# attribution sum, up to the reported quadrature gap.
 
 def test_sensitivity_equal_endpoints():
     x = SeededRng(9).uniform([2, 2, 1])
-    out = sensitivity_probe(power_loss_gradfn(2.0), x, x.copy(), 0)
-    assert out["delta_loss"] == 0.0
-    assert out["ig_sum"] == 0.0
-    assert out["consistent"]
+    att = integrated_gradients(power_loss_gradfn(2.0), PathSpec(x, x.copy()), 0)
+    assert att.loss_target - att.loss_baseline == 0.0
+    assert att.sum == 0.0
 
 
 def test_sensitivity_known_half_delta():
     w = np.full((1, 1, 1), 0.5)
-    out = sensitivity_probe(linear_loss_gradfn(w), scalar(0.0), scalar(1.0), 0)
-    assert out["delta_loss"] == pytest.approx(0.5, abs=1e-12)
-    assert out["ig_sum"] == pytest.approx(0.5, abs=1e-12)
-    assert out["consistent"]
+    att = integrated_gradients(linear_loss_gradfn(w), PathSpec(scalar(0.0), scalar(1.0)), 0)
+    assert att.loss_target - att.loss_baseline == pytest.approx(0.5, abs=1e-12)
+    assert att.sum == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sensitivity_coarse_riemann_still_consistent():
-    # N=1 right-Riemann on the quadratic: IG sum 2 vs true delta 1, the
-    # gap widens to 1 and the axiom check must tolerate it
-    out = sensitivity_probe(power_loss_gradfn(2.0), scalar(0.0), scalar(1.0),
-                            0, steps=1, scheme="riemann_right")
-    assert out["ig_sum"] == pytest.approx(2.0, abs=1e-12)
-    assert out["delta_loss"] == pytest.approx(1.0, abs=1e-12)
-    assert out["consistent"]
+    # N=1 right-Riemann on the quadratic: IG sum 2 vs true delta 1, and
+    # the reported gap widens to cover the difference
+    spec = PathSpec(scalar(0.0), scalar(1.0), steps=1, scheme="riemann_right")
+    att = integrated_gradients(power_loss_gradfn(2.0), spec, 0)
+    assert att.sum == pytest.approx(2.0, abs=1e-12)
+    assert att.loss_target - att.loss_baseline == pytest.approx(1.0, abs=1e-12)
+    assert att.completeness_gap == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ path independence

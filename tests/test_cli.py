@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from igprobe import verify
 from igprobe.cli import main
 from igprobe.codec import degrade_jpeg
 from igprobe.data import gen_synthetic
@@ -212,6 +213,27 @@ def test_verify_subset_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2/2 checks passed" in out
     assert "linear_exactness" in out
+
+
+def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", [("always_false", lambda seed: (False, "no"))])
+    code = run(["verify", "--out", tmp_path / "v"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("always_false") and "FAIL" in line and line.endswith("no")
+               for line in out.splitlines())
+    assert "0/1 checks passed" in out
+
+
+def test_verify_raising_check_exits_1(tmp_path, capsys, monkeypatch):
+    def boom(seed):
+        raise ZeroDivisionError(f"seed {seed}")
+
+    monkeypatch.setattr(verify, "CHECKS", [("boom", boom)])
+    code = run(["verify", "--seed", "3", "--out", tmp_path / "v"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "raised ZeroDivisionError: seed 3" in out
 
 
 def test_verify_unknown_check_fails(tmp_path, capsys):

@@ -28,8 +28,8 @@ from igprobe.model import (
     model_gradfn,
     ScorerModel,
     TrainConfig,
+    cross_entropy,
     forward,
-    loss_ce,
     new_scorer,
     train,
 )
@@ -220,8 +220,8 @@ def test_attribute_batch_completeness_against_recomputed_losses():
     batch = attribute_batch(model, data, (ORIGINAL, 50), steps=64)
     for item, rec, maps in zip(data.items, batch.records, batch.maps):
         # recompute both endpoint losses through the plain forward pass
-        l0 = loss_ce(forward(model, prepare_input(item.image, ORIGINAL)), item.label)
-        l1 = loss_ce(forward(model, prepare_input(item.image, 50)), item.label)
+        l0, l1 = cross_entropy(np.stack([forward(model, prepare_input(item.image, q))
+                                         for q in (ORIGINAL, 50)]), [item.label] * 2)
         att = maps[50]
         assert abs(rec.ig_values[0] - (l1 - l0)) <= att.completeness_gap + 1e-9
         assert att.loss_baseline == pytest.approx(l0, abs=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from igprobe.data import gen_synthetic
 from igprobe.model import (Layer, ScorerModel, TrainConfig, backward, forward,
-                           gradient_check, load_model, loss_ce, mean_loss,
+                           cross_entropy, gradient_check, load_model, mean_loss,
                            new_scorer, save_model, softmax, train)
 from igprobe.tensor import SeededRng
 
@@ -78,27 +78,31 @@ def test_temperature_must_be_positive():
                     temperature=0.0, input_shape=(1, 1, 2))
 
 
-# --------------------------------------------------------------------- loss_ce
+# --------------------------------------------------------------- cross_entropy
+
+def loss_of(logits, k: int) -> float:
+    return float(cross_entropy(np.array([logits], dtype=np.float64), [k])[0])
+
 
 def test_loss_uniform_logits_is_log_c():
-    assert loss_ce(np.zeros(10), 3) == pytest.approx(math.log(10.0), abs=1e-12)
+    assert loss_of(np.zeros(10), 3) == pytest.approx(math.log(10.0), abs=1e-12)
 
 
 def test_loss_extreme_logits_no_overflow():
-    assert loss_ce(np.array([1000.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-12)
+    assert loss_of([1000.0, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_1_2_3_at_k2():
     # -log(e^3 / (e + e^2 + e^3)), evaluated independently at high precision
-    assert loss_ce(np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(
-        0.40760596444438, abs=1e-12)
+    assert loss_of([1.0, 2.0, 3.0], 2) == pytest.approx(0.40760596444438, abs=1e-12)
 
 
 def test_loss_label_out_of_range():
-    with pytest.raises(ValueError):
-        loss_ce(np.zeros(3), 3)
-    with pytest.raises(ValueError):
-        loss_ce(np.zeros(3), -1)
+    # cross_entropy trusts its labels; backward checks them first
+    model = identity_model(3)
+    for k in (3, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            backward(model, np.zeros((1, 1, 1, 3)), [k])
 
 
 @settings(max_examples=50, deadline=None)
@@ -106,7 +110,7 @@ def test_loss_label_out_of_range():
 def test_loss_nonnegative_and_softmax_sums_to_one(logits, data):
     z = np.array(logits)
     k = data.draw(st.integers(0, len(logits) - 1))
-    assert loss_ce(z, k) >= 0.0
+    assert loss_of(z, k) >= 0.0
     assert float(softmax(z).sum()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -128,7 +132,7 @@ def central_diff(model, image, k, h=1e-5):
         for sign in (1.0, -1.0):
             probe = flat.copy()
             probe[i] += sign * h
-            grad[i] += sign * loss_ce(forward(model, probe.reshape(image.shape)), k)
+            grad[i] += sign * loss_of(forward(model, probe.reshape(image.shape)), k)
     return (grad / (2 * h)).reshape(image.shape)
 
 
@@ -156,7 +160,7 @@ def test_backward_loss_and_logits_consistent_with_forward():
     out = backward(model, img[None], [4])
     logits = forward(model, img)
     assert np.allclose(out.logits[0], logits, atol=1e-12)
-    assert out.losses[0] == pytest.approx(loss_ce(logits, 4), abs=1e-12)
+    assert out.losses[0] == pytest.approx(loss_of(logits, 4), abs=1e-12)
 
 
 # -------------------------------------------------------------- gradient_check
@@ -276,6 +280,27 @@ def test_checkpoint_roundtrip(tmp_path):
         assert la.activation == lb.activation
     img = SeededRng(18).uniform([8, 8, 3])
     assert np.array_equal(forward(loaded, img), forward(model, img))
+
+
+@pytest.mark.parametrize("field,message", [
+    ("weights", "layer 1: weights contains non-finite"),
+    ("bias", "layer 1: bias contains non-finite"),
+    ("class_embeddings", "class embeddings contains non-finite"),
+    ("temperature", "temperature must be positive and finite"),
+], ids=["weights", "bias", "class_embeddings", "temperature"])
+def test_checkpoint_rejects_non_finite_values(tmp_path, field, message):
+    # JSON writes and reads NaN, so a corrupt model survives save_model.
+    model = new_scorer(17, (8, 8, 3), (16, 12), 8, 5)
+    if field == "temperature":
+        model.temperature = float("nan")
+    elif field == "class_embeddings":
+        model.class_embeddings[2, 3] = np.nan
+    else:
+        getattr(model.layers[1], field)[0] = np.nan
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
 
 
 def test_checkpoint_rejects_foreign_json(tmp_path):
