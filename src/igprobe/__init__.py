@@ -16,9 +16,8 @@ from .codec import (ORIGINAL, QualityLevel, degrade_jpeg, psnr, quant_table,
 from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from .harness import (AttributionBatch, AttributionRecord, PrecisionRow, PrecisionTable,
                       accuracy, attribute_batch, macro_precision, sweep_precision)
-from .model import (GradFn, LossGrads, ScorerModel, TrainConfig, backward, forward,
-                    gradient_check, load_model, model_gradfn, new_scorer, save_model,
-                    train)
+from .model import (GradFn, LossGrads, Scorer, ScorerModel, TrainConfig, backward, forward,
+                    gradient_check, load_model, new_scorer, save_model, train)
 from .provider import ProviderClient, ProviderError, ProviderSpec, provider_connect
 from .tensor import SeededRng, Tensor, argmax
 from .viz import ChartSpec, OverlaySpec, emit_chart_svg, emit_table, render_overlay
@@ -27,11 +26,11 @@ __all__ = [
     "AttributionBatch", "AttributionMap", "AttributionRecord", "ChartSpec",
     "Dataset", "DatasetItem", "GradFn", "LossGrads", "ORIGINAL", "OverlaySpec",
     "PathSpec", "PolarityMaps", "PrecisionRow", "PrecisionTable", "ProviderClient",
-    "ProviderError", "ProviderSpec", "QualityLevel", "ScorerModel", "SeededRng",
+    "ProviderError", "ProviderSpec", "QualityLevel", "Scorer", "ScorerModel", "SeededRng",
     "Tensor", "TrainConfig", "accuracy", "argmax", "attribute_batch", "backward",
     "completeness_report", "degrade_jpeg", "emit_chart_svg", "emit_table", "forward",
     "gen_synthetic", "gradient_check", "integrated_gradients", "interpolate_path",
-    "load_dataset", "load_model", "macro_precision", "model_gradfn", "new_scorer",
+    "load_dataset", "load_model", "macro_precision", "new_scorer",
     "provider_connect", "psnr", "quant_table", "render_overlay", "resize_bicubic",
     "save_model", "split_polarity", "sweep_precision", "train", "__version__",
 ]

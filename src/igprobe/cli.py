@@ -25,8 +25,8 @@ from .harness import (METRICS, attribute_batch, parse_quality, prepare_input,
                       quality_key, read_precision_csv, sweep_precision,
                       write_attribution_csv, write_precision_csv)
 from .imgio import read_image, write_image
-from .model import (ScorerModel, TrainConfig, load_model, mean_loss, model_gradfn,
-                    new_scorer, save_model, train)
+from .model import (ScorerModel, TrainConfig, load_model, mean_loss, new_scorer, save_model,
+                    train)
 from .provider import ProviderSpec, provider_connect
 from .verify import CHECKS, format_results, run_checks
 from .viz import ChartSpec, OverlaySpec, POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
@@ -259,7 +259,7 @@ def cmd_attribute(cfg: RunConfig) -> int:
     try:
         batch = attribute_batch(scorer, dataset, cfg.qualities,
                                 steps=cfg.steps, scheme=cfg.scheme)
-        hw = scorer.input_shape[:2] if hasattr(scorer, "input_shape") else None
+        hw = scorer.input_shape[:2]
         out_dir = _out_dir(cfg)
         write_attribution_csv(batch, out_dir / "attributions.csv")
         overlay_q = _default_overlay_quality(cfg)
@@ -293,11 +293,10 @@ def cmd_overlay(cfg: RunConfig) -> int:
         raise UsageError("overlay needs --label")
     name, scorer, close = _resolve_scorer(cfg, None)
     try:
-        gradfn = model_gradfn(scorer) if isinstance(scorer, ScorerModel) else scorer
-        hw = scorer.input_shape[:2] if hasattr(scorer, "input_shape") else None
+        hw = scorer.input_shape[:2]
         base = prepare_input(img, ORIGINAL, hw)
         target = prepare_input(img, cfg.quality, hw)
-        att = integrated_gradients(gradfn, PathSpec(base, target, cfg.steps, cfg.scheme),
+        att = integrated_gradients(scorer, PathSpec(base, target, cfg.steps, cfg.scheme),
                                    cfg.label)
     finally:
         close()

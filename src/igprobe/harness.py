@@ -10,17 +10,15 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
 from .attribution import AttributionMap, PathSpec, integrated_gradients
 from .codec import ORIGINAL, QualityLevel, degrade_jpeg, resize_bicubic
 from .data import Dataset
-from .model import GradFn, ScorerModel, forward, model_gradfn, softmax
+from .model import Scorer, softmax
 from .tensor import argmax
-
-ScorerLike = Union[ScorerModel, GradFn]
 
 
 def quality_key(q: QualityLevel) -> str:
@@ -104,24 +102,10 @@ def _check_qualities(qualities) -> list[QualityLevel]:
     return qualities
 
 
-def _check_classes(scorer: ScorerLike, dataset: Dataset) -> None:
-    if isinstance(scorer, ScorerModel):
-        n = scorer.num_classes
-    else:
-        names = getattr(scorer, "class_names", None)
-        n = len(names) if names else None
-    if n is not None and n != dataset.num_classes:
-        raise ValueError(f"scorer expects {n} classes, dataset has {dataset.num_classes}")
-
-
-def _input_hw(scorer: ScorerLike, resize_to) -> tuple[int, int] | None:
-    if resize_to is not None:
-        h, w = resize_to
-        return int(h), int(w)
-    shape = getattr(scorer, "input_shape", None)
-    if shape is not None:
-        return int(shape[0]), int(shape[1])
-    return None
+def _check_classes(scorer: Scorer, dataset: Dataset) -> None:
+    if scorer.num_classes != dataset.num_classes:
+        raise ValueError(f"scorer expects {scorer.num_classes} classes, "
+                         f"dataset has {dataset.num_classes}")
 
 
 def prepare_input(image: np.ndarray, quality: QualityLevel,
@@ -133,21 +117,13 @@ def prepare_input(image: np.ndarray, quality: QualityLevel,
     return out
 
 
-def _logits(scorer: ScorerLike, image: np.ndarray, label: int) -> np.ndarray:
-    """Class logits for one image: a forward pass, or one gradient row."""
-    if isinstance(scorer, ScorerModel):
-        return forward(scorer, image)
-    return scorer(image[None], np.array([label])).logits[0]
-
-
-def sweep_precision(scorers: Union[ScorerLike, Mapping[str, ScorerLike]],
-                    dataset: Dataset, qualities,
-                    resize_to: tuple[int, int] | None = None,
+def sweep_precision(scorers: Scorer | Mapping[str, Scorer], dataset: Dataset, qualities,
                     metric: str = "macro_precision") -> PrecisionTable:
     """Degrade, resize, classify and score the whole dataset per quality.
 
     ``scorers`` is one scorer (row named "model") or a name -> scorer map;
-    each produces one table row.
+    each produces one table row.  Each image is scored on its own call to
+    ``logits``: a batch of rows may round differently from one row.
     """
     qualities = _check_qualities(qualities)
     if metric not in METRICS:
@@ -159,14 +135,14 @@ def sweep_precision(scorers: Union[ScorerLike, Mapping[str, ScorerLike]],
     rows = []
     for name, scorer in scorers.items():
         _check_classes(scorer, dataset)
-        hw = _input_hw(scorer, resize_to)
+        hw = scorer.input_shape[:2]
         scores: dict[QualityLevel, float] = {}
         for q in qualities:
             preds = []
             for item in dataset.items:
                 try:
                     prepared = prepare_input(item.image, q, hw)
-                    preds.append(argmax(_logits(scorer, prepared, item.label)))
+                    preds.append(argmax(scorer.logits(prepared[None])[0]))
                 except Exception as exc:
                     raise RuntimeError(
                         f"scoring failed on image {item.id!r} at quality "
@@ -177,9 +153,8 @@ def sweep_precision(scorers: Union[ScorerLike, Mapping[str, ScorerLike]],
     return PrecisionTable(rows=rows, qualities=qualities)
 
 
-def attribute_batch(scorer: ScorerLike, dataset: Dataset, qualities,
-                    steps: int = 50, scheme: str = "trapezoid",
-                    resize_to: tuple[int, int] | None = None) -> AttributionBatch:
+def attribute_batch(scorer: Scorer, dataset: Dataset, qualities,
+                    steps: int = 50, scheme: str = "trapezoid") -> AttributionBatch:
     """Per image: baseline = resized original, one attribution map per
     degraded quality with the degraded-and-resized image as target.
 
@@ -190,8 +165,7 @@ def attribute_batch(scorer: ScorerLike, dataset: Dataset, qualities,
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_classes(scorer, dataset)
-    gradfn = model_gradfn(scorer) if isinstance(scorer, ScorerModel) else scorer
-    hw = _input_hw(scorer, resize_to)
+    hw = scorer.input_shape[:2]
 
     degraded = [q for q in qualities if q != ORIGINAL]
     records, all_maps = [], []
@@ -202,7 +176,7 @@ def attribute_batch(scorer: ScorerLike, dataset: Dataset, qualities,
             maps: dict[QualityLevel, AttributionMap] = {}
             for q in degraded:
                 maps[q] = integrated_gradients(
-                    gradfn,
+                    scorer,
                     PathSpec(baseline=baseline, target=prepare_input(item.image, q, hw),
                              steps=steps, scheme=scheme),
                     item.label)
@@ -210,7 +184,7 @@ def attribute_batch(scorer: ScorerLike, dataset: Dataset, qualities,
             # quality there is no map, so the original is scored on its own.
             q = ORIGINAL
             original = (maps[degraded[0]].logits_baseline if degraded
-                        else _logits(gradfn, baseline, item.label))
+                        else scorer.logits(baseline[None])[0])
         except Exception as exc:
             raise RuntimeError(f"attribution failed on image {item.id!r} at quality "
                                f"{quality_key(q)}: {exc}") from exc

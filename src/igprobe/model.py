@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -84,6 +84,14 @@ class ScorerModel:
     def num_classes(self) -> int:
         return self.class_embeddings.shape[0]
 
+    # Looked up by name at call time, so a wrapped module-level forward or
+    # backward is the one that runs.
+    def logits(self, images: np.ndarray) -> Tensor:
+        return forward(self, images)
+
+    def __call__(self, images: np.ndarray, labels) -> LossGrads:
+        return backward(self, images, labels)
+
     def copy(self) -> "ScorerModel":
         return ScorerModel(
             layers=[Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers],
@@ -106,6 +114,21 @@ class LossGrads:
 GradFn = Callable[[np.ndarray, np.ndarray], LossGrads]
 
 
+class Scorer(Protocol):
+    """A classifier the harness can sweep and attribute: a ``GradFn`` with
+    its input shape, its class count and a batch ``logits`` call.
+    ``ScorerModel`` and a connected ``ProviderClient`` both have this form."""
+    @property
+    def input_shape(self) -> tuple[int, int, int]: ...  # (H, W, C)
+
+    @property
+    def num_classes(self) -> int: ...
+
+    def logits(self, images: np.ndarray) -> Tensor: ...  # [B, H, W, C] -> [B, K]
+
+    def __call__(self, images: np.ndarray, labels) -> LossGrads: ...
+
+
 def check_labels(labels, batch: int, num_classes: int) -> np.ndarray:
     """Integer labels, one per batch row, each in [0, num_classes)."""
     labels = np.asarray(labels)
@@ -119,20 +142,18 @@ def check_labels(labels, batch: int, num_classes: int) -> np.ndarray:
     return labels.astype(np.intp)
 
 
-def check_batch(images, labels, input_shape: tuple, num_classes: int):
-    """Finite float64 images shaped (batch, *input_shape) and their labels."""
+def check_images(images, input_shape: tuple) -> np.ndarray:
+    """Finite float64 images shaped (batch, *input_shape)."""
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:] != tuple(input_shape):
         raise ValueError(f"input shape {images.shape} != (batch, *{tuple(input_shape)})")
-    return (require_finite(images, "input images"),
-            check_labels(labels, images.shape[0], num_classes))
+    return require_finite(images, "input images")
 
 
-def _check_input(model: ScorerModel, image: np.ndarray) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != model.input_shape:
-        raise ValueError(f"input shape {image.shape} != model input {model.input_shape}")
-    return require_finite(image, "input image")
+def check_batch(images, labels, input_shape: tuple, num_classes: int):
+    """Finite float64 images shaped (batch, *input_shape) and their labels."""
+    images = check_images(images, input_shape)
+    return images, check_labels(labels, images.shape[0], num_classes)
 
 
 def _encode_batch(model: ScorerModel, x: np.ndarray):
@@ -159,11 +180,11 @@ def softmax(logits: Tensor) -> Tensor:
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
-def forward(model: ScorerModel, image: np.ndarray) -> Tensor:
-    """Class logits for one image."""
-    image = _check_input(model, image)
-    logits, _ = _encode_batch(model, image.reshape(1, -1))
-    return logits[0]
+def forward(model: ScorerModel, images: np.ndarray) -> Tensor:
+    """Class logits, one row per image of a (batch, *input_shape) array."""
+    images = check_images(images, model.input_shape)
+    logits, _ = _encode_batch(model, images.reshape(len(images), -1))
+    return logits
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -209,19 +230,19 @@ def backward(model: ScorerModel, images: np.ndarray, labels) -> LossGrads:
     return LossGrads(losses=losses, grads=grads.reshape(images.shape), logits=logits)
 
 
-def model_gradfn(model: ScorerModel) -> GradFn:
-    """Wrap a scorer as the generic batched GradFn."""
-    def fn(images: np.ndarray, labels) -> LossGrads:
-        return backward(model, images, labels)
-    return fn
-
-
 @dataclass
 class TrainConfig:
     lr: float = 0.05
     epochs: int = 30
     batch: int = 16
     seed: int = 0
+
+
+def _require_finite_layers(model: ScorerModel, when: str) -> None:
+    for i, layer in enumerate(model.layers):
+        for name, values in (("weights", layer.weights), ("bias", layer.bias)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"non-finite {name} in layer {i} {when}")
 
 
 def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerModel:
@@ -242,7 +263,7 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
     y_all = np.array([it.label for it in items])
     rng = SeededRng(cfg.seed)
 
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(items))
         for start in range(0, len(items), cfg.batch):
             idx = order[start:start + cfg.batch]
@@ -251,6 +272,7 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
             for layer, (dw, db) in zip(out.layers, pgrads):
                 layer.weights -= scale * dw
                 layer.bias -= scale * db
+        _require_finite_layers(out, f"after epoch {epoch} (lr {cfg.lr:g})")
     return out
 
 
@@ -272,8 +294,8 @@ def gradient_check(model: ScorerModel, image: np.ndarray, k: int, h: float = 1e-
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    image = _check_input(model, image)
-    at_image = backward(model, image[None], [k])
+    image = np.asarray(image, dtype=np.float64)
+    at_image = backward(model, image[None], [k])  # checks the image and the label
     analytic = at_image.grads[0].reshape(-1)
 
     flat = image.reshape(-1)
@@ -361,6 +383,7 @@ CHECKPOINT_VERSION = 1
 
 def save_model(model: ScorerModel, path: str | Path) -> None:
     """Write a JSON checkpoint (field layout documented in the README)."""
+    _require_finite_layers(model, "before saving")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

@@ -12,7 +12,7 @@ import json
 import queue
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +56,15 @@ def decode_f32(text: str, count: int, what: str) -> np.ndarray:
 
 
 class ProviderClient:
-    """Spawned provider wrapped as a batched GradFn.
+    """Spawned provider wrapped as a ``Scorer``: a batched GradFn with
+    ``input_shape``, ``num_classes`` and ``logits``.
 
     A call sends one ``grad`` request per batch row, in order, and checks
-    every reply.  Requests are serialized through one lock, so threads
-    may share a client.
+    every reply.
     """
 
     def __init__(self, spec: ProviderSpec):
         self.spec = spec
-        self._lock = threading.Lock()
         self._next_id = 0
         self._stderr_chunks: list[str] = []
         self._lines: "queue.Queue[str | None]" = queue.Queue()
@@ -95,6 +94,7 @@ class ProviderClient:
         if spec.class_names is not None and spec.class_names != self.class_names:
             raise self._fail(f"classes {self.class_names} != expected {spec.class_names}")
         self.input_shape = shape
+        self.num_classes = len(self.class_names)
 
     def _pump_stdout(self):
         for line in self._proc.stdout:
@@ -135,28 +135,31 @@ class ProviderClient:
             raise self._fail(f"{what} is not a JSON object: {obj!r}")
         return obj
 
+    def logits(self, images: np.ndarray) -> np.ndarray:
+        # The wire has no forward-only request; logits do not depend on the label.
+        return self(images, np.zeros(len(images), dtype=np.intp)).logits
+
     def __call__(self, images: np.ndarray, labels) -> LossGrads:
-        images, labels = check_batch(images, labels, self.input_shape, len(self.class_names))
+        images, labels = check_batch(images, labels, self.input_shape, self.num_classes)
         losses = np.empty(len(images))
         grads = np.empty(images.shape)
-        logits = np.empty((len(images), len(self.class_names)))
+        logits = np.empty((len(images), self.num_classes))
         for b in range(len(images)):
             losses[b], logits[b], grads[b] = self._request(images[b], int(labels[b]))
         return LossGrads(losses=losses, grads=grads, logits=logits)
 
     def _request(self, image: np.ndarray, label: int):
         """One grad round trip: (loss, logits, grad), all checked."""
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            payload = json.dumps({"type": "grad", "id": request_id,
-                                  "image": encode_f32(image), "label": label})
-            try:
-                self._proc.stdin.write(payload + "\n")
-                self._proc.stdin.flush()
-            except (OSError, ValueError) as exc:
-                raise self._fail(f"provider write failed: {exc}") from exc
-            reply = self._read_object(f"grad request {request_id}")
+        request_id = self._next_id
+        self._next_id += 1
+        payload = json.dumps({"type": "grad", "id": request_id,
+                              "image": encode_f32(image), "label": label})
+        try:
+            self._proc.stdin.write(payload + "\n")
+            self._proc.stdin.flush()
+        except (OSError, ValueError) as exc:
+            raise self._fail(f"provider write failed: {exc}") from exc
+        reply = self._read_object(f"grad request {request_id}")
         if reply.get("type") == "error":
             raise ProviderError(f"provider error for request {request_id}: "
                                 f"{reply.get('message', '<no message>')}")
@@ -170,8 +173,8 @@ class ProviderClient:
             grad_text = reply["grad"]
         except (KeyError, TypeError, ValueError) as exc:
             raise self._fail(f"malformed grad_result: {exc}")
-        if logits.size != len(self.class_names):
-            raise ProviderError(f"logits length mismatch: expected {len(self.class_names)}, "
+        if logits.size != self.num_classes:
+            raise ProviderError(f"logits length mismatch: expected {self.num_classes}, "
                                 f"got {logits.size}")
         grad = decode_f32(grad_text, image.size, "grad")
         # JSON carries NaN and Infinity, and no comparison below rejects them.
@@ -214,5 +217,5 @@ class ProviderClient:
 
 
 def provider_connect(spec: ProviderSpec) -> ProviderClient:
-    """Spawn the provider and return it wrapped as a batched GradFn."""
+    """Spawn the provider and return it wrapped as a ``Scorer``."""
     return ProviderClient(spec)

@@ -19,9 +19,8 @@ from .attribution import (AttributionMap, PathSpec, SCHEMES, completeness_report
 from .codec import (CHROMA_BASE, LUMA_BASE, cubic_kernel, dct8x8, degrade_jpeg,
                     idct8x8, psnr, quant_table, resize_bicubic)
 from .data import gen_synthetic
-from .model import (GradFn, LossGrads, TrainConfig, gradient_check,
-                    linear_model_weights, linear_softmax_gradfn, model_gradfn,
-                    new_scorer, train)
+from .model import (GradFn, LossGrads, TrainConfig, gradient_check, linear_model_weights,
+                    linear_softmax_gradfn, new_scorer, train)
 from .tensor import SeededRng
 from .viz import OverlaySpec, render_overlay
 
@@ -108,14 +107,13 @@ def check_micromodel_completeness(seed: int) -> tuple[bool, str]:
     data = gen_synthetic(seed + 10, classes=4, per_class=3, side=side)
     model = new_scorer(seed + 11, (side, side, 3), (32,), 16, 4)
     model = train(model, data, TrainConfig(lr=0.05, epochs=8, batch=8, seed=seed))
-    fn = model_gradfn(model)
     worst_rel = 0.0
     shrank = 0
     used = data.items[:10]
     for item in used:
         target = degrade_jpeg(item.image, 25)
-        a50 = integrated_gradients(fn, PathSpec(item.image, target, 50), item.label)
-        a300 = integrated_gradients(fn, PathSpec(item.image, target, 300), item.label)
+        a50 = integrated_gradients(model, PathSpec(item.image, target, 50), item.label)
+        a300 = integrated_gradients(model, PathSpec(item.image, target, 300), item.label)
         worst_rel = max(worst_rel, completeness_report(a50)["rel_gap"])
         shrank += a300.completeness_gap <= a50.completeness_gap
     ok = worst_rel < 0.02 and shrank >= len(used) - 1
@@ -189,7 +187,7 @@ def _swap_negation_exact(seed: int) -> bool:
     """Swapping baseline and target must negate trapezoid IG bit for bit:
     three pairs at N in {1, 2, 7, 50} on a scorer, then on the cubic."""
     rng = SeededRng(seed + 31)
-    scorer = model_gradfn(new_scorer(seed + 30, (8, 8, 3), (16,), 8, 3))
+    scorer = new_scorer(seed + 30, (8, 8, 3), (16,), 8, 3)
     exact = True
     for fn, draw, shape in ((scorer, rng.uniform, [8, 8, 3]),
                             (power_loss_gradfn(3.0), rng.normal, [11])):

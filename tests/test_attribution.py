@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from igprobe.attribution import (AttributionMap, PathSpec, SCHEMES,
                                  completeness_report, integrated_gradients,
                                  interpolate_path, path_nodes, split_polarity)
-from igprobe.model import model_gradfn, new_scorer
+from igprobe.model import new_scorer
 from igprobe.tensor import SeededRng
 from igprobe.verify import linear_loss_gradfn, power_loss_gradfn
 
@@ -140,22 +140,21 @@ def test_batched_ig_matches_per_node_loop(side, steps, scheme):
     # The batch only changes how the BLAS groups each row's products, so
     # float64 rounding bounds the difference far below 1e-12 of the map.
     model = new_scorer(70 + side, (side, side, 3), (64,), 32, 4, 10.0)
-    fn = model_gradfn(model)
     rng = SeededRng(71 + steps)
     x0, x1 = rng.uniform([side, side, 3]), rng.uniform([side, side, 3])
     spec = PathSpec(x0, x1, steps, scheme)
-    got = integrated_gradients(fn, spec, 1)
-    ref = per_node_reference(fn, spec, 1)
+    got = integrated_gradients(model, spec, 1)
+    ref = per_node_reference(model, spec, 1)
     tol = 1e-12 * float(np.abs(ref.values).sum())
     assert float(np.max(np.abs(got.values - ref.values))) <= tol
     assert abs(got.sum - ref.sum) <= tol
     assert got.loss_baseline == pytest.approx(ref.loss_baseline, abs=1e-12)
     assert got.loss_target == pytest.approx(ref.loss_target, abs=1e-12)
     assert abs(got.completeness_gap - ref.completeness_gap) <= tol + 1e-12
-    logits0 = model_gradfn(model)(x0[None], [1]).logits[0]
+    logits0 = model(x0[None], [1]).logits[0]
     assert np.allclose(got.logits_baseline, logits0, rtol=0.0, atol=1e-12)
     if scheme == "trapezoid":
-        rev = integrated_gradients(fn, PathSpec(x1, x0, steps, scheme), 1)
+        rev = integrated_gradients(model, PathSpec(x1, x0, steps, scheme), 1)
         assert np.array_equal(rev.values, -got.values)
 
 
@@ -183,11 +182,10 @@ def test_trapezoid_gap_is_second_order():
 
 def test_micromodel_gap_shrinks_with_steps():
     model = new_scorer(31, (8, 8, 3), (16,), 8, 3, 10.0)
-    fn = model_gradfn(model)
     rng = SeededRng(32)
     x0, x1 = rng.uniform([8, 8, 3]), rng.uniform([8, 8, 3])
-    g50 = integrated_gradients(fn, PathSpec(x0, x1, 50), 1).completeness_gap
-    g300 = integrated_gradients(fn, PathSpec(x0, x1, 300), 1).completeness_gap
+    g50 = integrated_gradients(model, PathSpec(x0, x1, 50), 1).completeness_gap
+    g300 = integrated_gradients(model, PathSpec(x0, x1, 300), 1).completeness_gap
     assert g300 <= g50
 
 
@@ -218,11 +216,10 @@ def test_swap_negation_property(seed, steps):
 
 def test_swap_negates_micromodel_attribution_exactly():
     model = new_scorer(41, (8, 8, 3), (16,), 8, 3)
-    fn = model_gradfn(model)
     rng = SeededRng(42)
     x0, x1 = rng.uniform([8, 8, 3]), rng.uniform([8, 8, 3])
-    fwd = integrated_gradients(fn, PathSpec(x0, x1, 50), 2)
-    rev = integrated_gradients(fn, PathSpec(x1, x0, 50), 2)
+    fwd = integrated_gradients(model, PathSpec(x0, x1, 50), 2)
+    rev = integrated_gradients(model, PathSpec(x1, x0, 50), 2)
     assert np.array_equal(rev.values, -fwd.values)
 
 
@@ -323,12 +320,11 @@ def test_sensitivity_coarse_riemann_still_consistent():
 
 def test_line_vs_two_segment_path_agree_within_gaps():
     model = new_scorer(51, (6, 6, 3), (12,), 8, 3, 10.0)
-    fn = model_gradfn(model)
     rng = SeededRng(52)
     x0, x1 = rng.uniform([6, 6, 3]), rng.uniform([6, 6, 3])
     mid = rng.uniform([6, 6, 3])
-    direct = integrated_gradients(fn, PathSpec(x0, x1, 400), 1)
-    leg_a = integrated_gradients(fn, PathSpec(x0, mid, 400), 1)
-    leg_b = integrated_gradients(fn, PathSpec(mid, x1, 400), 1)
+    direct = integrated_gradients(model, PathSpec(x0, x1, 400), 1)
+    leg_a = integrated_gradients(model, PathSpec(x0, mid, 400), 1)
+    leg_b = integrated_gradients(model, PathSpec(mid, x1, 400), 1)
     tol = direct.completeness_gap + leg_a.completeness_gap + leg_b.completeness_gap
     assert abs(direct.sum - (leg_a.sum + leg_b.sum)) <= tol + 1e-9

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, config precedence, artifacts."""
 
 import json
+import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from igprobe.model import load_model
 
 TINY = ["--synthetic", "--classes", "2", "--per-class", "1", "--side", "8",
         "--hidden", "8", "--embed-dim", "8", "--epochs", "1", "--batch", "2"]
+# The mock gradient provider, scoring TINY's 8x8 two-class images over the wire.
+MOCK = ["--provider", f"{shlex.quote(sys.executable)} -m igprobe.mock_provider "
+                      "--side 8 --classes 2 --seed 1"]
 
 
 def run(argv):
@@ -95,6 +100,18 @@ def test_train_writes_loadable_checkpoint(tmp_path, capsys):
     assert manifest["seed"] == 4
     assert manifest["subcommand"] == "train"
     assert "trained on 2 images" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["train", "--synthetic", "--classes", "2", "--per-class", "4", "--side", "8",
+                "--hidden", "8", "--embed-dim", "8", "--epochs", "3", "--batch", "2",
+                "--lr", "1e300", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "epoch" in err and "layer" in err
+    assert not (out / "checkpoint.json").exists()
 
 
 # ---------------------------------------------------------------- sweep & report
@@ -194,6 +211,38 @@ def test_overlay_single_image(tmp_path, sample_ppm):
         img = read_image(out / fname)
         assert img.shape == (8, 8, 3)
     assert "ig_sum" in meta and "completeness_gap" in meta
+
+
+def test_sweep_over_provider(tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["sweep", *TINY, *MOCK, "--qualities", "original,50", "--out", out]) == 0
+    for name in ("precision.csv", "table.csv", "table.md", "chart.svg", "manifest.json"):
+        assert (out / name).exists(), name
+    assert "provider,original," in (out / "precision.csv").read_text()
+
+
+def test_attribute_over_provider(tmp_path):
+    out = tmp_path / "att"
+    assert run(["attribute", *TINY, *MOCK, "--qualities", "original,75,50",
+                "--steps", "4", "--out", out]) == 0
+    assert (out / "attributions.csv").read_text().count("\n") == 3
+    meta = json.loads((out / "overlays.json").read_text())
+    assert len(meta) == 2
+    for entry in meta:
+        for fname in entry["files"].values():
+            assert read_image(out / fname).shape == (8, 8, 3)
+    assert (out / "manifest.json").exists()
+
+
+def test_overlay_over_provider(tmp_path, sample_ppm):
+    out = tmp_path / "ov"
+    assert run(["overlay", "--in", sample_ppm, "--label", "0", *MOCK,
+                "--quality", "25", "--steps", "4", "--out", out]) == 0
+    meta = json.loads((out / "overlay.json").read_text())
+    assert set(meta["files"]) == {"negative", "positive", "both"}
+    for fname in meta["files"].values():
+        assert read_image(out / fname).shape == (8, 8, 3)
+    assert (out / "manifest.json").exists()
 
 
 def test_overlay_requires_label(tmp_path, sample_ppm, capsys):

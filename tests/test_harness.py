@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igprobe import model as model_module
 from igprobe.codec import ORIGINAL, degrade_jpeg
 from igprobe.data import Dataset, DatasetItem, gen_synthetic
 from igprobe.harness import (
@@ -25,7 +26,6 @@ from igprobe.harness import (
 )
 from igprobe.model import (
     Layer,
-    model_gradfn,
     ScorerModel,
     TrainConfig,
     cross_entropy,
@@ -106,6 +106,19 @@ def test_accuracy_length_mismatch():
 # ---------------------------------------------------------------- sweeps
 
 
+class FakeScorer:
+    """The four ``Scorer`` members around a bare gradient function."""
+
+    def __init__(self, fn, input_shape=(8, 8, 3), num_classes=2):
+        self.fn, self.input_shape, self.num_classes = fn, input_shape, num_classes
+
+    def logits(self, images):
+        return self.fn(images, np.zeros(len(images), dtype=int)).logits
+
+    def __call__(self, images, labels):
+        return self.fn(images, labels)
+
+
 def brightness_scorer(side: int = 8) -> ScorerModel:
     """Two-class scorer keyed on mean brightness vs the 0.5 midpoint.
 
@@ -140,10 +153,23 @@ def test_sweep_original_only_matches_direct_classification():
     data = gen_synthetic(9, classes=3, per_class=4, side=8)
     model = new_scorer(11, (8, 8, 3), (16,), 8, 3)
     table = sweep_precision(model, data, [ORIGINAL])
-    preds = [argmax(forward(model, it.image)) for it in data.items]
+    preds = [argmax(forward(model, it.image[None])[0]) for it in data.items]
     truths = [it.label for it in data.items]
     want = macro_precision(preds, truths, data.num_classes)
     assert table.rows[0].scores[ORIGINAL] == want
+
+
+def test_sweep_computes_no_gradient_rows(monkeypatch):
+    data = gen_synthetic(9, classes=3, per_class=4, side=8)
+    model = new_scorer(11, (8, 8, 3), (16,), 8, 3)
+    want = sweep_precision(model, data, [ORIGINAL, 50])
+
+    def no_backward(*args):
+        raise AssertionError("the sweep asked for a gradient row")
+
+    monkeypatch.setattr(model_module, "backward", no_backward)
+    got = sweep_precision(model, data, [ORIGINAL, 50])
+    assert got.rows[0].scores == want.rows[0].scores
 
 
 def test_sweep_accuracy_metric():
@@ -184,7 +210,7 @@ def test_sweep_failure_names_image_and_quality():
     data = brightness_dataset()
     with pytest.raises(RuntimeError,
                        match=r"scoring failed on image 'bright_0' at quality 50: boom"):
-        sweep_precision(broken, data, [50, ORIGINAL])
+        sweep_precision(FakeScorer(broken), data, [50, ORIGINAL])
 
 
 def test_precision_table_validates_missing_cells():
@@ -220,7 +246,7 @@ def test_attribute_batch_completeness_against_recomputed_losses():
     batch = attribute_batch(model, data, (ORIGINAL, 50), steps=64)
     for item, rec, maps in zip(data.items, batch.records, batch.maps):
         # recompute both endpoint losses through the plain forward pass
-        l0, l1 = cross_entropy(np.stack([forward(model, prepare_input(item.image, q))
+        l0, l1 = cross_entropy(np.stack([forward(model, prepare_input(item.image, q)[None])[0]
                                          for q in (ORIGINAL, 50)]), [item.label] * 2)
         att = maps[50]
         assert abs(rec.ig_values[0] - (l1 - l0)) <= att.completeness_gap + 1e-9
@@ -248,21 +274,21 @@ def test_attribute_batch_failure_names_image():
     with pytest.raises(RuntimeError,
                        match=r"attribution failed on image 'bright_0' at quality 50: "
                              r"gradient evaluation failed at path step 0 to 8 .*boom"):
-        attribute_batch(broken, brightness_dataset(), (ORIGINAL, 50), steps=8)
+        attribute_batch(FakeScorer(broken), brightness_dataset(), (ORIGINAL, 50), steps=8)
 
 
 @pytest.mark.parametrize("scheme", ["trapezoid", "riemann_right"])
 def test_attribute_batch_requests_one_row_per_path_node(scheme):
     data = gen_synthetic(23, classes=2, per_class=1, side=8)
     model = new_scorer(24, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
-    inner = model_gradfn(model)
     calls = []
 
     def counting(images, labels):
         calls.append(len(images))
-        return inner(images, labels)
+        return model(images, labels)
 
-    attribute_batch(counting, data, (ORIGINAL, 75, 50, 25), steps=50, scheme=scheme)
+    attribute_batch(FakeScorer(counting, model.input_shape, model.num_classes), data,
+                    (ORIGINAL, 75, 50, 25), steps=50, scheme=scheme)
     # one call of N+1 rows per map, three maps per image: 153 rows each
     assert calls == [51] * 3 * len(data.items)
 
