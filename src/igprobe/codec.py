@@ -100,18 +100,19 @@ _DCT = _dct_matrix()
 
 
 def dct8x8(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of an 8x8 block."""
+    """Orthonormal 2-D DCT-II of an 8x8 block, or of each block in a
+    ``(..., 8, 8)`` stack."""
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (8, 8):
-        raise ValueError(f"dct8x8 expects an 8x8 block, got {block.shape}")
+    if block.shape[-2:] != (8, 8):
+        raise ValueError(f"dct8x8 expects 8x8 blocks, got {block.shape}")
     return _DCT @ block @ _DCT.T
 
 
 def idct8x8(block: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dct8x8` (2-D DCT-III)."""
+    """Inverse of :func:`dct8x8` (2-D DCT-III), also over a ``(..., 8, 8)`` stack."""
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (8, 8):
-        raise ValueError(f"idct8x8 expects an 8x8 block, got {block.shape}")
+    if block.shape[-2:] != (8, 8):
+        raise ValueError(f"idct8x8 expects 8x8 blocks, got {block.shape}")
     return _DCT.T @ block @ _DCT
 
 
@@ -123,9 +124,8 @@ def _quantize_plane(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
     """DCT -> quantize -> dequantize -> inverse DCT over all 8x8 blocks."""
     h, w = plane.shape
     blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
-    coeffs = _DCT @ blocks @ _DCT.T
-    recon = _round_half_away(coeffs / table) * table
-    spatial = _DCT.T @ recon @ _DCT
+    recon = _round_half_away(dct8x8(blocks) / table) * table
+    spatial = idct8x8(recon)
     return spatial.transpose(0, 2, 1, 3).reshape(h, w)
 
 

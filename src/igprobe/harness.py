@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .attribution import AttributionMap, PathSpec, integrated_gradients
-from .codec import ORIGINAL, QualityLevel, degrade_jpeg, resize_bicubic
+from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
 from .data import Dataset
 from .model import Scorer, softmax
 from .tensor import argmax
@@ -27,7 +27,7 @@ def quality_key(q: QualityLevel) -> str:
 
 def parse_quality(text: str) -> QualityLevel:
     t = text.strip().lower()
-    return ORIGINAL if t == ORIGINAL else int(t)
+    return check_quality(ORIGINAL if t == ORIGINAL else int(t))
 
 
 def macro_precision(predictions, truths, num_classes: int) -> float:

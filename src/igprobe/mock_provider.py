@@ -1,9 +1,10 @@
 """Reference gradient provider: an analytic linear-softmax scorer on stdio.
 
-Run with ``python -m igprobe.mock_provider``.  Shares its weights with
-``model.linear_model_weights`` so clients can check wire answers against
-the in-process implementation.  The ``--misbehave`` modes exist to
-exercise client error paths.
+Run with ``python -m igprobe.mock_provider``.  Each ``grad`` request
+carries a whole batch, which goes to ``linear_softmax_gradfn`` as it is.
+Shares its weights with ``model.linear_model_weights`` so clients can
+check wire answers against the in-process implementation.  The
+``--misbehave`` modes exist to exercise client error paths.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .model import linear_model_weights, linear_softmax_gradfn
 from .provider import decode_f32, encode_f32
 
 MISBEHAVE_MODES = ("none", "no-hello", "bad-hello", "wrong-grad-len",
-                   "bad-loss", "nan-grad", "error", "exit", "garbage")
+                   "bad-loss", "nan-grad", "error", "exit", "garbage", "slow")
+SLOW_ROW_S = 0.7  # --misbehave slow: sleep per batch row before replying
 
 
 def _emit(obj) -> None:
@@ -65,25 +67,24 @@ def serve(seed: int, classes: int, side: int, misbehave: str = "none") -> int:
             print("mock provider: synthetic crash", file=sys.stderr, flush=True)
             return 3
         try:
-            label = int(req["label"])
-            image = decode_f32(req["image"], n_inputs, "image").reshape(shape)
+            labels = np.asarray(req["labels"])
+            images = decode_f32(req["images"], labels.size * n_inputs, "images")
+            result = gradfn(images.reshape((labels.size,) + shape), labels)
         except Exception as exc:
             _emit({"type": "error", "id": rid, "message": f"bad request: {exc}"})
             continue
-        if not 0 <= label < classes:
-            _emit({"type": "error", "id": rid, "message": f"label {label} out of range"})
-            continue
-        result = gradfn(image[None], np.array([label]))
-        grad = np.asarray(result.grads[0], dtype="<f4")
-        logits = result.logits[0]
-        loss = float(result.losses[0]) + (0.5 if misbehave == "bad-loss" else 0.0)
+        if misbehave == "slow":
+            time.sleep(SLOW_ROW_S * labels.size)
+        grads = np.asarray(result.grads, dtype="<f4")
+        losses, logits = result.losses, result.logits
+        if misbehave == "bad-loss":
+            losses[-1] += 0.5
         if misbehave == "wrong-grad-len":
-            grad = grad.ravel()[:-1]
+            grads = grads.ravel()[:-1]
         if misbehave == "nan-grad":
-            loss, logits, grad = np.nan, logits * np.nan, grad * np.nan
-        _emit({"type": "grad_result", "id": rid, "loss": loss,
-               "logits": [float(v) for v in logits],
-               "grad": encode_f32(grad)})
+            losses, logits, grads = losses * np.nan, logits * np.nan, grads * np.nan
+        _emit({"type": "grad_result", "id": rid, "losses": losses.tolist(),
+               "logits": logits.tolist(), "grads": encode_f32(grads)})
     return 0
 
 

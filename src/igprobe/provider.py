@@ -1,8 +1,10 @@
 """Client for external gradient providers speaking line-delimited JSON.
 
 The child process prints one hello object, then answers each grad request
-with a grad_result (or error) object on its own line.  Image and gradient
-payloads are base64-encoded little-endian float32, row-major HxWxC.
+with a grad_result (or error) object on its own line.  One request carries
+a whole batch: B images and B labels in, B losses, B logit rows and B
+gradients out.  Image and gradient payloads are base64-encoded
+little-endian float32, row-major BxHxWxC.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ class ProviderClient:
     """Spawned provider wrapped as a ``Scorer``: a batched GradFn with
     ``input_shape``, ``num_classes`` and ``logits``.
 
-    A call sends one ``grad`` request per batch row, in order, and checks
-    every reply.
+    A call sends the whole batch as one ``grad`` request and checks the
+    whole reply.  The reply's deadline is ``spec.timeout`` per row.
     """
 
     def __init__(self, spec: ProviderSpec):
@@ -77,7 +79,7 @@ class ProviderClient:
         threading.Thread(target=self._pump_stdout, daemon=True).start()
         threading.Thread(target=self._pump_stderr, daemon=True).start()
 
-        hello = self._read_object("handshake")
+        hello = self._read_object("handshake", spec.timeout)
         if hello.get("type") != "hello":
             raise self._fail(f"expected hello, got {hello.get('type')!r}")
         try:
@@ -115,11 +117,11 @@ class ProviderClient:
         self.close()
         return ProviderError(message)
 
-    def _read_object(self, what: str) -> dict:
+    def _read_object(self, what: str, timeout: float) -> dict:
         try:
-            line = self._lines.get(timeout=self.spec.timeout)
+            line = self._lines.get(timeout=timeout)
         except queue.Empty:
-            raise self._fail(f"{what} timed out after {self.spec.timeout:g}s")
+            raise self._fail(f"{what} timed out after {timeout:g}s")
         if line is None:
             # stdout EOF can beat process teardown; wait for the real code
             try:
@@ -141,25 +143,16 @@ class ProviderClient:
 
     def __call__(self, images: np.ndarray, labels) -> LossGrads:
         images, labels = check_batch(images, labels, self.input_shape, self.num_classes)
-        losses = np.empty(len(images))
-        grads = np.empty(images.shape)
-        logits = np.empty((len(images), self.num_classes))
-        for b in range(len(images)):
-            losses[b], logits[b], grads[b] = self._request(images[b], int(labels[b]))
-        return LossGrads(losses=losses, grads=grads, logits=logits)
-
-    def _request(self, image: np.ndarray, label: int):
-        """One grad round trip: (loss, logits, grad), all checked."""
         request_id = self._next_id
         self._next_id += 1
-        payload = json.dumps({"type": "grad", "id": request_id,
-                              "image": encode_f32(image), "label": label})
+        payload = json.dumps({"type": "grad", "id": request_id, "images": encode_f32(images),
+                              "labels": labels.tolist()})
         try:
             self._proc.stdin.write(payload + "\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise self._fail(f"provider write failed: {exc}") from exc
-        reply = self._read_object(f"grad request {request_id}")
+        reply = self._read_object(f"grad request {request_id}", self.spec.timeout * len(images))
         if reply.get("type") == "error":
             raise ProviderError(f"provider error for request {request_id}: "
                                 f"{reply.get('message', '<no message>')}")
@@ -168,26 +161,29 @@ class ProviderClient:
         if reply.get("id") != request_id:
             raise self._fail(f"response id {reply.get('id')} != request id {request_id}")
         try:
-            loss = float(reply["loss"])
-            logits = np.asarray([float(v) for v in reply["logits"]], dtype=np.float64)
-            grad_text = reply["grad"]
+            losses = np.asarray(reply["losses"], dtype=np.float64)
+            logits = np.asarray(reply["logits"], dtype=np.float64)
+            grads = decode_f32(reply["grads"], images.size, f"grads of request {request_id}")
         except (KeyError, TypeError, ValueError) as exc:
-            raise self._fail(f"malformed grad_result: {exc}")
-        if logits.size != self.num_classes:
-            raise ProviderError(f"logits length mismatch: expected {self.num_classes}, "
-                                f"got {logits.size}")
-        grad = decode_f32(grad_text, image.size, "grad")
+            raise self._fail(f"malformed grad_result for request {request_id}: {exc}")
+        want = (len(images), self.num_classes)
+        if losses.shape != want[:1] or logits.shape != want:
+            raise ProviderError(f"reply to request {request_id}: losses shape {losses.shape} "
+                                f"and logits shape {logits.shape}, expected {want[:1]} and {want}")
         # JSON carries NaN and Infinity, and no comparison below rejects them.
-        bad = [name for name, v in (("loss", loss), ("logits", logits), ("grad", grad))
+        bad = [name for name, v in (("loss", losses), ("logits", logits), ("grad", grads))
                if not np.all(np.isfinite(v))]
         if bad:
             raise ProviderError(f"non-finite {', '.join(bad)} in reply to request {request_id}")
-        expected = cross_entropy(logits[None], [label])[0]
-        if abs(loss - expected) > LOSS_TOLERANCE:
+        expected = cross_entropy(logits, labels)
+        off = np.flatnonzero(np.abs(losses - expected) > LOSS_TOLERANCE)
+        if off.size:
+            b = off[0]
             raise ProviderError(
-                f"loss/logits consistency violation: provider loss {loss!r} vs "
-                f"-log softmax(logits)[{label}] = {expected!r} (tolerance {LOSS_TOLERANCE:g})")
-        return loss, logits, grad.reshape(image.shape)
+                f"loss/logits consistency violation in reply to request {request_id}, row {b}: "
+                f"provider loss {float(losses[b])!r} vs -log softmax(logits)[{labels[b]}] = "
+                f"{float(expected[b])!r} (tolerance {LOSS_TOLERANCE:g})")
+        return LossGrads(losses=losses, grads=grads.reshape(images.shape), logits=logits)
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)

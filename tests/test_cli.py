@@ -56,11 +56,29 @@ def test_missing_model_source_is_exit_2(tmp_path, capsys):
     assert "exactly one model source" in capsys.readouterr().err
 
 
-def test_value_error_is_exit_1(tmp_path, sample_ppm, capsys):
-    code = run(["degrade", "--quality", "0", "--in", sample_ppm,
+def test_value_error_is_exit_1(tmp_path, capsys):
+    ascii_ppm = tmp_path / "ascii.ppm"
+    ascii_ppm.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
+    code = run(["degrade", "--quality", "50", "--in", ascii_ppm,
                 "--out", tmp_path / "out.ppm"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["degrade", "--quality", "0"],
+    ["degrade", "--quality", "101"],
+    ["sweep", *TINY, "--train-fresh", "--qualities", "original,0"],
+])
+def test_out_of_range_quality_is_usage_error(tmp_path, sample_ppm, capsys, argv):
+    # rejected while the config is read, before any image is degraded or model trained
+    if argv[0] == "degrade":
+        argv = [*argv, "--in", sample_ppm]
+    code = run([*argv, "--out", tmp_path / "o"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error: bad value for" in err and "must be in [1, 100]" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_input_file_is_exit_1(tmp_path, capsys):

@@ -107,6 +107,16 @@ def test_dct_rejects_wrong_shape():
         dct8x8(np.zeros((4, 4)))
 
 
+def test_dct_stack_equals_per_block_results():
+    # The codec transforms every block of a plane in one stacked call.
+    stack = SeededRng(5).normal([12, 12, 8, 8])
+    for fn in (dct8x8, idct8x8):
+        per_block = np.array([[fn(block) for block in row] for row in stack])
+        assert np.array_equal(fn(stack), per_block)
+        with pytest.raises(ValueError, match="8x8 blocks"):
+            fn(np.zeros((8, 7)))
+
+
 # --------------------------------------------------------------------- degrade
 
 def test_degrade_original_is_bit_identical():

@@ -1,11 +1,20 @@
 """Gradient-provider wire protocol: handshake, payloads, failure paths."""
 
+import json
+import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from igprobe import provider
+from igprobe.attribution import PathSpec, integrated_gradients
+from igprobe.codec import ORIGINAL
+from igprobe.data import gen_synthetic
+from igprobe.harness import sweep_precision
+from igprobe.mock_provider import SLOW_ROW_S
 from igprobe.model import linear_model_weights, linear_softmax_gradfn
 from igprobe.provider import (
     ProviderError,
@@ -15,6 +24,8 @@ from igprobe.provider import (
     provider_connect,
 )
 from igprobe.tensor import SeededRng
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SIDE = 6
 CLASSES = 3
@@ -29,6 +40,34 @@ def mock_command(misbehave: str = "none", seed: int = 3) -> list[str]:
 
 def spawn(misbehave: str = "none", **kwargs):
     return provider_connect(ProviderSpec(command=mock_command(misbehave), **kwargs))
+
+
+class WireLog:
+    """Stands in for ``json`` inside the provider module, the hook the
+    benchmark's tracer uses, and keeps every object sent and received."""
+
+    def __init__(self):
+        self.sent: list[dict] = []
+        self.received: list[dict] = []
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    def dumps(self, obj, *args, **kwargs):
+        self.sent.append(obj)
+        return json.dumps(obj, *args, **kwargs)
+
+    def loads(self, text, *args, **kwargs):
+        obj = json.loads(text, *args, **kwargs)
+        self.received.append(obj)
+        return obj
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    log = WireLog()
+    monkeypatch.setattr(provider, "json", log)
+    return log
 
 
 # ---------------------------------------------------------------- payload codec
@@ -96,6 +135,24 @@ def test_sequential_requests_share_one_child():
     assert np.isfinite(first.losses[0]) and np.isfinite(second.losses[0])
 
 
+def test_ig_path_is_one_grad_message(wire):
+    rng = SeededRng(42)
+    spec = PathSpec(rng.uniform([SIDE, SIDE, 3]), rng.uniform([SIDE, SIDE, 3]), steps=50)
+    with spawn() as client:
+        integrated_gradients(client, spec, 1)
+    assert [m["type"] for m in wire.sent] == ["grad"]
+    assert len(wire.sent[0]["labels"]) == 51
+    assert [m["type"] for m in wire.received] == ["hello", "grad_result"]
+
+
+def test_sweep_sends_one_message_per_image_per_quality(wire):
+    data = gen_synthetic(5, classes=CLASSES, per_class=2, side=8)  # resized to SIDE
+    with spawn() as client:
+        sweep_precision(client, data, [ORIGINAL, 50])
+    assert len(wire.sent) == 2 * len(data.items)
+    assert all(len(m["labels"]) == 1 for m in wire.sent)
+
+
 def test_client_validates_input_shape_and_label():
     with spawn() as client:
         with pytest.raises(ValueError, match="input shape"):
@@ -144,9 +201,12 @@ def test_wrong_grad_length_detected():
 
 
 def test_loss_logits_consistency_enforced():
+    # bad-loss offsets the loss of the last row only
     with spawn("bad-loss") as client:
-        with pytest.raises(ProviderError, match="consistency violation"):
+        with pytest.raises(ProviderError, match="consistency violation in reply to request 0, row 0"):
             client(np.zeros((1, SIDE, SIDE, 3)), [0])
+        with pytest.raises(ProviderError, match="request 1, row 2: provider loss"):
+            client(np.zeros((3, SIDE, SIDE, 3)), [0, 1, 2])
 
 
 def test_non_finite_reply_rejected():
@@ -174,6 +234,57 @@ def test_provider_exit_reported_with_stderr():
     while time.time() < deadline and "synthetic crash" not in client.stderr_text():
         time.sleep(0.05)
     assert "synthetic crash" in client.stderr_text()
+
+
+def test_reply_deadline_is_timeout_per_row():
+    # 3 rows reply after 3 * 0.7 s = 2.1 s: past one 1 s timeout, inside three.
+    assert SLOW_ROW_S == 0.7
+    with spawn("slow", timeout=1.0) as client:
+        start = time.monotonic()
+        out = client(np.zeros((3, SIDE, SIDE, 3)), [0, 1, 2])
+        elapsed = time.monotonic() - start
+    assert out.losses.shape == (3,)
+    assert elapsed > 1.0
+
+
+def test_reply_past_deadline_names_request():
+    with spawn("slow", timeout=1.0) as client:
+        # The handshake needs its start-up time; the reply's deadline is
+        # read per call, so shrink it to 0.1 s against the 0.7 s reply.
+        client.spec.timeout = 0.1
+        with pytest.raises(ProviderError, match=r"grad request 0 timed out after 0\.1s"):
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
+
+
+# A provider that still speaks the single-image form of the protocol.
+SINGLE_IMAGE_PROVIDER = f"""
+import json, sys
+print(json.dumps({{"type": "hello", "classes": ["a", "b", "c"], "input_shape": [{SIDE}, {SIDE}, 3]}}),
+      flush=True)
+for line in sys.stdin:
+    req = json.loads(line)
+    print(json.dumps({{"type": "grad_result", "id": req["id"], "loss": 1.0,
+                      "logits": [0.0, 0.0, 0.0], "grad": req.get("image", "")}}), flush=True)
+"""
+
+
+def test_single_image_provider_fails_on_first_request():
+    with provider_connect(ProviderSpec([sys.executable, "-c", SINGLE_IMAGE_PROVIDER])) as client:
+        with pytest.raises(ProviderError, match="malformed grad_result for request 0: 'losses'"):
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
+
+
+def test_readme_protocol_examples_match_the_wire(wire):
+    section = README.read_text().split("## Gradient provider protocol", 1)[1].split("\n## ", 1)[0]
+    examples = [json.loads(line) for block in re.findall(r"```json\n(.*?)```", section, re.S)
+                for line in block.splitlines() if line.strip()]
+    with spawn() as client:
+        client(np.zeros((2, SIDE, SIDE, 3)), [0, 1])
+    with spawn("error") as client, pytest.raises(ProviderError):
+        client(np.zeros((1, SIDE, SIDE, 3)), [0])
+    on_wire = {m["type"]: sorted(m) for m in wire.sent + wire.received}
+    assert {m["type"]: sorted(m) for m in examples} == on_wire
+    assert len(examples) == len(on_wire)
 
 
 def test_close_is_idempotent():
