@@ -20,11 +20,11 @@ from .model import (GradFn, LossGrads, Scorer, ScorerModel, TrainConfig, backwar
                     gradient_check, load_model, new_scorer, save_model, train)
 from .provider import ProviderClient, ProviderError, ProviderSpec, provider_connect
 from .tensor import SeededRng, Tensor, argmax
-from .viz import ChartSpec, OverlaySpec, emit_chart_svg, emit_table, render_overlay
+from .viz import emit_chart_svg, emit_table, render_overlay
 
 __all__ = [
-    "AttributionBatch", "AttributionMap", "AttributionRecord", "ChartSpec",
-    "Dataset", "DatasetItem", "GradFn", "LossGrads", "ORIGINAL", "OverlaySpec",
+    "AttributionBatch", "AttributionMap", "AttributionRecord",
+    "Dataset", "DatasetItem", "GradFn", "LossGrads", "ORIGINAL",
     "PathSpec", "PolarityMaps", "PrecisionRow", "PrecisionTable", "ProviderClient",
     "ProviderError", "ProviderSpec", "QualityLevel", "Scorer", "ScorerModel", "SeededRng",
     "Tensor", "TrainConfig", "accuracy", "argmax", "attribute_batch", "backward",

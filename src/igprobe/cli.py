@@ -29,7 +29,7 @@ from .model import (ScorerModel, TrainConfig, load_model, mean_loss, new_scorer,
                     train)
 from .provider import ProviderSpec, provider_connect
 from .verify import CHECKS, format_results, run_checks
-from .viz import ChartSpec, OverlaySpec, POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
+from .viz import POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
 
 ENV_OUTPUT_DIR = "IGPROBE_OUTPUT_DIR"
 DEFAULT_QUALITIES = (ORIGINAL, 75, 50, 25)
@@ -222,7 +222,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def _write_table_and_chart(cfg: RunConfig, table, out_dir: Path) -> None:
     (out_dir / "table.csv").write_text(emit_table(table, "csv"))
     (out_dir / "table.md").write_text(emit_table(table, "markdown"))
-    chart = emit_chart_svg(table, ChartSpec(y_label=cfg.metric.replace("_", " ")))
+    chart = emit_chart_svg(table, cfg.metric.replace("_", " "))
     (out_dir / "chart.svg").write_text(chart)
 
 
@@ -230,7 +230,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     dataset = _load_data(cfg)
     name, scorer, close = _resolve_scorer(cfg, dataset)
     try:
-        table = sweep_precision({name: scorer}, dataset, cfg.qualities, metric=cfg.metric)
+        table = sweep_precision(scorer, dataset, cfg.qualities, metric=cfg.metric, name=name)
     finally:
         close()
     out_dir = _out_dir(cfg)
@@ -240,6 +240,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
     print(emit_table(table, "csv"), end="")
     print(f"wrote precision.csv, table.csv, table.md, chart.svg to {out_dir}")
     return 0
+
+
+def _write_overlays(out_dir: Path, stem: str, base, pol) -> dict:
+    """Write one ``<stem>_<mode>.ppm`` per polarity mode; returns mode -> file name."""
+    files = {}
+    for mode in POLARITY_MODES:
+        fname = f"{stem}_{mode}.ppm"
+        write_image(out_dir / fname, render_overlay(base, pol, mode))
+        files[mode] = fname
+    return files
 
 
 def _default_overlay_quality(cfg: RunConfig):
@@ -268,12 +278,7 @@ def cmd_attribute(cfg: RunConfig) -> int:
             for item, rec, maps in zip(dataset.items, batch.records, batch.maps):
                 base = prepare_input(item.image, ORIGINAL, hw)
                 pol = split_polarity(maps[overlay_q])
-                files = {}
-                for mode in POLARITY_MODES:
-                    fname = f"{_safe_id(rec.id)}_q{overlay_q}_{mode}.ppm"
-                    write_image(out_dir / fname,
-                                render_overlay(base, pol, OverlaySpec(polarity=mode)))
-                    files[mode] = fname
+                files = _write_overlays(out_dir, f"{_safe_id(rec.id)}_q{overlay_q}", base, pol)
                 overlay_meta.append({"id": rec.id, "quality": overlay_q,
                                      "ig_scale": pol.scale, "files": files})
             (out_dir / "overlays.json").write_text(
@@ -302,11 +307,7 @@ def cmd_overlay(cfg: RunConfig) -> int:
         close()
     pol = split_polarity(att)
     out_dir = _out_dir(cfg)
-    files = {}
-    for mode in POLARITY_MODES:
-        fname = f"overlay_{mode}.ppm"
-        write_image(out_dir / fname, render_overlay(base, pol, OverlaySpec(polarity=mode)))
-        files[mode] = fname
+    files = _write_overlays(out_dir, "overlay", base, pol)
     meta = {"quality": quality_key(cfg.quality), "label": cfg.label,
             "ig_sum": att.sum, "completeness_gap": att.completeness_gap,
             "ig_scale": pol.scale, "files": files}

@@ -18,6 +18,9 @@ import numpy as np
 ORIGINAL = "original"
 QualityLevel = Union[int, str]
 
+SUBSAMPLE_BELOW = 95  # 4:2:0 chroma below this quality, 4:4:4 at or above it
+CUBIC_A = -0.75  # Keys kernel parameter, the common convolutional-resizer choice
+
 # Base luminance/chrominance quantization tables (ITU T.81 Annex K).
 LUMA_BASE = np.array([
     [16, 11, 10, 16, 24, 40, 51, 61],
@@ -150,11 +153,11 @@ def _pad_to_multiple(plane: np.ndarray, m: int) -> np.ndarray:
     return np.pad(plane, ((0, -h % m), (0, -w % m)), mode="edge")
 
 
-def degrade_jpeg(img: np.ndarray, q: QualityLevel, subsample_below: int = 95) -> np.ndarray:
+def degrade_jpeg(img: np.ndarray, q: QualityLevel) -> np.ndarray:
     """JPEG-style lossy round trip at quality ``q``; ORIGINAL passes through.
 
     Chroma is 4:2:0 subsampled (2x2 box average down, nearest-neighbor
-    up) for q < ``subsample_below``, 4:4:4 otherwise, mirroring common
+    up) for q < ``SUBSAMPLE_BELOW``, 4:4:4 otherwise, mirroring common
     encoder behavior.
     """
     img = check_image(img)
@@ -163,7 +166,7 @@ def degrade_jpeg(img: np.ndarray, q: QualityLevel, subsample_below: int = 95) ->
         return img
 
     tables = quant_table(q)
-    subsample = q < subsample_below
+    subsample = q < SUBSAMPLE_BELOW
     pad = 16 if subsample else 8
 
     h, w = img.shape[0], img.shape[1]
@@ -189,18 +192,18 @@ def degrade_jpeg(img: np.ndarray, q: QualityLevel, subsample_below: int = 95) ->
     return np.clip(rgb / 255.0, 0.0, 1.0)
 
 
-def cubic_kernel(t: np.ndarray, a: float = -0.75) -> np.ndarray:
-    """Keys cubic convolution kernel with free parameter ``a``."""
+def cubic_kernel(t: np.ndarray) -> np.ndarray:
+    """Keys cubic convolution kernel with parameter ``CUBIC_A``."""
     at = np.abs(np.asarray(t, dtype=np.float64))
     out = np.zeros_like(at)
     near = at <= 1.0
     far = (at > 1.0) & (at < 2.0)
-    out[near] = ((a + 2.0) * at[near] - (a + 3.0)) * at[near] ** 2 + 1.0
-    out[far] = a * (((at[far] - 5.0) * at[far] + 8.0) * at[far] - 4.0)
+    out[near] = ((CUBIC_A + 2.0) * at[near] - (CUBIC_A + 3.0)) * at[near] ** 2 + 1.0
+    out[far] = CUBIC_A * (((at[far] - 5.0) * at[far] + 8.0) * at[far] - 4.0)
     return out
 
 
-def _axis_taps(in_len: int, out_len: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+def _axis_taps(in_len: int, out_len: int) -> tuple[np.ndarray, np.ndarray]:
     # Half-pixel alignment: dst center i maps to (i + 0.5) * scale - 0.5.
     scale = in_len / out_len
     src = (np.arange(out_len, dtype=np.float64) + 0.5) * scale - 0.5
@@ -209,12 +212,12 @@ def _axis_taps(in_len: int, out_len: int, a: float) -> tuple[np.ndarray, np.ndar
     taps = base[:, None].astype(np.int64) + np.arange(-1, 3)[None, :]
     taps = np.clip(taps, 0, in_len - 1)
     offsets = frac[:, None] - np.arange(-1, 3)[None, :]
-    return taps, cubic_kernel(offsets, a)
+    return taps, cubic_kernel(offsets)
 
 
-def _resize_axis(arr: np.ndarray, out_len: int, axis: int, a: float) -> np.ndarray:
+def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     arr = np.moveaxis(arr, axis, 0)
-    taps, weights = _axis_taps(arr.shape[0], out_len, a)
+    taps, weights = _axis_taps(arr.shape[0], out_len)
     p = arr[taps]  # (out_len, 4, ...)
     wshape = (out_len, 4) + (1,) * (arr.ndim - 1)
     w = weights.reshape(wshape)
@@ -228,18 +231,17 @@ def _resize_axis(arr: np.ndarray, out_len: int, axis: int, a: float) -> np.ndarr
     return np.moveaxis(out, 0, axis)
 
 
-def resize_bicubic(img: np.ndarray, out_h: int, out_w: int, a: float = -0.75) -> np.ndarray:
+def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Separable cubic-convolution resize with edge clamping.
 
-    Uses half-pixel center alignment and kernel parameter ``a`` (default
-    -0.75, the common convolutional-resizer choice).  Output is clamped
-    to [0, 1].
+    Uses half-pixel center alignment and the Keys kernel at ``CUBIC_A``.
+    Output is clamped to [0, 1].
     """
     img = check_image(img)
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be >= 1, got {out_h} x {out_w}")
-    out = _resize_axis(img, out_h, axis=0, a=a)
-    out = _resize_axis(out, out_w, axis=1, a=a)
+    out = _resize_axis(img, out_h, axis=0)
+    out = _resize_axis(out, out_w, axis=1)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -10,7 +10,6 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -109,48 +108,43 @@ def _check_classes(scorer: Scorer, dataset: Dataset) -> None:
 
 
 def prepare_input(image: np.ndarray, quality: QualityLevel,
-                  resize_to: tuple[int, int] | None = None) -> np.ndarray:
+                  resize_to: tuple[int, int]) -> np.ndarray:
     """Degrade at native resolution, then resize to the scorer input."""
     out = degrade_jpeg(image, quality)
-    if resize_to is not None and out.shape[:2] != tuple(resize_to):
+    if out.shape[:2] != tuple(resize_to):
         out = resize_bicubic(out, resize_to[0], resize_to[1])
     return out
 
 
-def sweep_precision(scorers: Scorer | Mapping[str, Scorer], dataset: Dataset, qualities,
-                    metric: str = "macro_precision") -> PrecisionTable:
+def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
+                    metric: str = "macro_precision", name: str = "model") -> PrecisionTable:
     """Degrade, resize, classify and score the whole dataset per quality.
 
-    ``scorers`` is one scorer (row named "model") or a name -> scorer map;
-    each produces one table row.  Each image is scored on its own call to
-    ``logits``: a batch of rows may round differently from one row.
+    The table has one row, called ``name``.  Each image is scored on its
+    own call to ``logits``: a batch of rows may round differently from
+    one row.
     """
     qualities = _check_qualities(qualities)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     score_fn = METRICS[metric]
-    if not isinstance(scorers, Mapping):
-        scorers = {"model": scorers}
-
-    rows = []
-    for name, scorer in scorers.items():
-        _check_classes(scorer, dataset)
-        hw = scorer.input_shape[:2]
-        scores: dict[QualityLevel, float] = {}
-        for q in qualities:
-            preds = []
-            for item in dataset.items:
-                try:
-                    prepared = prepare_input(item.image, q, hw)
-                    preds.append(argmax(scorer.logits(prepared[None])[0]))
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"scoring failed on image {item.id!r} at quality "
-                        f"{quality_key(q)}: {exc}") from exc
-            truths = [it.label for it in dataset.items]
-            scores[q] = score_fn(preds, truths, dataset.num_classes)
-        rows.append(PrecisionRow(model_name=name, scores=scores))
-    return PrecisionTable(rows=rows, qualities=qualities)
+    _check_classes(scorer, dataset)
+    hw = scorer.input_shape[:2]
+    truths = [it.label for it in dataset.items]
+    scores: dict[QualityLevel, float] = {}
+    for q in qualities:
+        preds = []
+        for item in dataset.items:
+            try:
+                prepared = prepare_input(item.image, q, hw)
+                preds.append(argmax(scorer.logits(prepared[None])[0]))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"scoring failed on image {item.id!r} at quality "
+                    f"{quality_key(q)}: {exc}") from exc
+        scores[q] = score_fn(preds, truths, dataset.num_classes)
+    return PrecisionTable(rows=[PrecisionRow(model_name=name, scores=scores)],
+                          qualities=qualities)
 
 
 def attribute_batch(scorer: Scorer, dataset: Dataset, qualities,
@@ -211,18 +205,23 @@ def write_precision_csv(table: PrecisionTable, path) -> None:
 
 
 def read_precision_csv(path) -> PrecisionTable:
+    qualities: list[QualityLevel] = []
+    by_model: dict[str, dict[QualityLevel, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["model", "quality", "score"]:
             raise ValueError(f"{path}: expected header model,quality,score, got {header}")
-        cells = [(row[0], parse_quality(row[1]), float(row[2])) for row in reader if row]
-    qualities: list[QualityLevel] = []
-    by_model: dict[str, dict[QualityLevel, float]] = {}
-    for model, q, score in cells:
-        if q not in qualities:
-            qualities.append(q)
-        by_model.setdefault(model, {})[q] = score
+        for row in filter(None, reader):
+            if len(row) != 3:
+                raise ValueError(f"{path} line {reader.line_num}: expected 3 cells, got {row}")
+            model, q, score = row[0], parse_quality(row[1]), float(row[2])
+            if not 0.0 <= score <= 1.0:  # nan, inf or 1.7 would be drawn off the chart
+                raise ValueError(f"{path} line {reader.line_num}: score {row[2]!r} for model "
+                                 f"{model!r} at quality {quality_key(q)} is not in [0, 1]")
+            if q not in qualities:
+                qualities.append(q)
+            by_model.setdefault(model, {})[q] = score
     rows = [PrecisionRow(model_name=m, scores=s) for m, s in by_model.items()]
     return PrecisionTable(rows=rows, qualities=qualities)
 

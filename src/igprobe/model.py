@@ -406,26 +406,56 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def _unpack(obj: dict) -> Tensor:
-    return np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _field(obj, key: str, kind, where: str):
+    """``obj[key]``, checked to be of JSON ``kind``; ``where`` names ``obj``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where} field {key!r} must be {_JSON_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _unpack(doc: dict, key: str, where: str) -> Tensor:
+    obj = _field(doc, key, dict, where)
+    where = f"{where} field {key!r}"
+    data, shape = _field(obj, "data", list, where), _field(obj, "shape", list, where)
+    try:
+        return np.array(data, dtype=np.float64).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_model(path: str | Path) -> ScorerModel:
+    """Read a checkpoint, naming the first missing or mistyped field."""
     doc = json.loads(Path(path).read_text())
+    where = f"checkpoint {path}"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a scorer checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
     layers = []
-    for i, l in enumerate(doc["layers"]):
+    for i, l in enumerate(_field(doc, "layers", list, where)):
+        at = f"{where} layer {i}"
+        weights, bias = _unpack(l, "weights", at), _unpack(l, "bias", at)
+        activation = _field(l, "activation", str, at)
         try:
-            layers.append(Layer(_unpack(l["weights"]), _unpack(l["bias"]), l["activation"]))
+            layers.append(Layer(weights, bias, activation))
         except ValueError as exc:
             raise ValueError(f"layer {i}: {exc}") from None
+    input_shape = _field(doc, "input_shape", list, where)
+    if len(input_shape) != 3 or not all(type(s) is int and s >= 1 for s in input_shape):
+        raise ValueError(f"{where} field 'input_shape' must be [H, W, C], got {input_shape}")
     return ScorerModel(
         layers=layers,
-        class_embeddings=_unpack(doc["class_embeddings"]),
-        temperature=float(doc["temperature"]),
-        input_shape=tuple(doc["input_shape"]),
-        class_names=list(doc.get("class_names", [])),
+        class_embeddings=_unpack(doc, "class_embeddings", where),
+        temperature=float(_field(doc, "temperature", (int, float), where)),
+        input_shape=tuple(input_shape),
+        class_names=(_field(doc, "class_names", list, where) if "class_names" in doc else []),
     )

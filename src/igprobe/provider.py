@@ -22,6 +22,7 @@ from .model import LossGrads, check_batch, cross_entropy
 
 DEFAULT_TIMEOUT = 30.0
 LOSS_TOLERANCE = 1e-4
+EXIT_WAIT = 2.0  # seconds a closed provider gets to exit before it is killed
 
 
 class ProviderError(RuntimeError):
@@ -31,8 +32,6 @@ class ProviderError(RuntimeError):
 @dataclass
 class ProviderSpec:
     command: list[str]
-    input_shape: tuple[int, int, int] | None = None  # validated against hello
-    class_names: list[str] | None = None
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
@@ -76,8 +75,10 @@ class ProviderClient:
                 stderr=subprocess.PIPE, text=True, bufsize=1)
         except OSError as exc:
             raise ProviderError(f"cannot spawn provider {spec.command}: {exc}") from exc
-        threading.Thread(target=self._pump_stdout, daemon=True).start()
-        threading.Thread(target=self._pump_stderr, daemon=True).start()
+        self._pumps = [threading.Thread(target=self._pump_stdout, daemon=True),
+                       threading.Thread(target=self._pump_stderr, daemon=True)]
+        for pump in self._pumps:
+            pump.start()
 
         hello = self._read_object("handshake", spec.timeout)
         if hello.get("type") != "hello":
@@ -91,10 +92,6 @@ class ProviderClient:
             raise self._fail(f"hello input_shape must be [H, W, 3], got {list(shape)}")
         if not self.class_names:
             raise self._fail("hello lists no classes")
-        if spec.input_shape is not None and tuple(spec.input_shape) != shape:
-            raise self._fail(f"input shape {list(shape)} != expected {list(spec.input_shape)}")
-        if spec.class_names is not None and spec.class_names != self.class_names:
-            raise self._fail(f"classes {self.class_names} != expected {spec.class_names}")
         self.input_shape = shape
         self.num_classes = len(self.class_names)
 
@@ -114,7 +111,9 @@ class ProviderClient:
         captured = self.stderr_text().strip()
         if captured:
             message = f"{message}\nprovider stderr:\n{captured}"
-        self.close()
+        # A provider past its deadline may never read stdin again: kill it
+        # now rather than wait for it to exit.
+        self._shutdown(kill=True)
         return ProviderError(message)
 
     def _read_object(self, what: str, timeout: float) -> dict:
@@ -125,7 +124,7 @@ class ProviderClient:
         if line is None:
             # stdout EOF can beat process teardown; wait for the real code
             try:
-                code = self._proc.wait(timeout=2.0)
+                code = self._proc.wait(timeout=EXIT_WAIT)
             except subprocess.TimeoutExpired:
                 code = self._proc.poll()
             raise self._fail(f"provider exited (code {code}) during {what}")
@@ -186,18 +185,26 @@ class ProviderClient:
         return LossGrads(losses=losses, grads=grads.reshape(images.shape), logits=logits)
 
     def close(self) -> None:
+        """Close stdin, give the provider ``EXIT_WAIT`` s to exit, then kill it."""
+        self._shutdown(kill=False)
+
+    def _shutdown(self, kill: bool) -> None:
         proc = getattr(self, "_proc", None)
-        if proc is None or proc.poll() is not None:
+        if proc is None or proc.stdin.closed:  # never started, or shut down already
             return
         try:
             proc.stdin.close()
-        except OSError:
+        except OSError:  # unflushed request bytes to a dead child
             pass
         try:
-            proc.wait(timeout=2.0)
+            proc.wait(timeout=0 if kill else EXIT_WAIT)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        for pump, pipe in zip(self._pumps, (proc.stdout, proc.stderr)):
+            pump.join(timeout=EXIT_WAIT)
+            if not pump.is_alive():  # a grandchild may still hold the pipe open
+                pipe.close()
 
     def __enter__(self) -> "ProviderClient":
         return self

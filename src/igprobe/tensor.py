@@ -64,8 +64,7 @@ class SeededRng:
 
     Output ``k`` of the stream is a pure function of ``(seed, k)``, so
     draws vectorise and the stream is identical on every platform.  A
-    generator instance is single-owner: parallel work must ``split`` off
-    independent child streams instead of sharing one.
+    generator instance is single-owner: each draw advances its counter.
     """
 
     def __init__(self, seed: int):
@@ -80,11 +79,6 @@ class SeededRng:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         return _mix64(self._seed + idx * _GOLDEN)
-
-    def split(self, key: int) -> "SeededRng":
-        """Independent child stream; deterministic in ``(seed, key)``."""
-        child = _mix64(np.array([self._seed ^ _mix64(np.array([key], dtype=np.uint64))[0]], dtype=np.uint64))
-        return SeededRng(int(child[0]))
 
     def uniform(self, shape: Sequence[int]) -> Tensor:
         """i.i.d. draws from [0, 1) with 53-bit resolution."""
@@ -105,13 +99,6 @@ class SeededRng:
         theta = (2.0 * np.pi) * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return z.reshape(shape)
-
-    def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        """``count`` draws from {low, ..., high - 1} (rejection-free modulo draw)."""
-        if high <= low:
-            raise ValueError(f"empty integer range [{low}, {high})")
-        span = _U64(high - low)
-        return (self._raw(count) % span).astype(np.int64) + low
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic random permutation of range(n)."""

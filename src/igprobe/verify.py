@@ -22,7 +22,7 @@ from .data import gen_synthetic
 from .model import (GradFn, LossGrads, TrainConfig, gradient_check, linear_model_weights,
                     linear_softmax_gradfn, new_scorer, train)
 from .tensor import SeededRng
-from .viz import OverlaySpec, render_overlay
+from .viz import render_overlay
 
 
 def linear_loss_gradfn(w: np.ndarray, c: float = 0.0) -> GradFn:
@@ -207,7 +207,7 @@ def check_overlay_contract(seed: int) -> tuple[bool, str]:
                           loss_target=0.0, completeness_gap=0.0)
     pol_zero = split_polarity(zero)
     for mode in ("negative", "positive", "both"):
-        out = render_overlay(img, pol_zero, OverlaySpec(polarity=mode))
+        out = render_overlay(img, pol_zero, mode)
         if not np.array_equal(out, 0.7 * img):
             return False, f"zero-attribution overlay != 0.7*img in {mode} mode"
     in_bounds = blue_ok = True

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attribution import PolarityMaps
@@ -13,23 +10,12 @@ from .harness import PrecisionTable, quality_key
 
 POLARITY_MODES = ("negative", "positive", "both")
 TABLE_FORMATS = ("csv", "markdown")
+IMAGE_WEIGHT = 0.7  # overlay blend weights, see render_overlay
+IG_WEIGHT = 1.5
 
 # tab10-style line colors, cycled per series
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf")
-
-
-@dataclass
-class OverlaySpec:
-    image_weight: float = 0.7
-    ig_weight: float = 1.5
-    polarity: str = "both"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.image_weight) and math.isfinite(self.ig_weight)):
-            raise ValueError("overlay weights must be finite")
-        if self.polarity not in POLARITY_MODES:
-            raise ValueError(f"polarity must be one of {POLARITY_MODES}, got {self.polarity!r}")
 
 
 def _plane(values: np.ndarray, hw: tuple[int, int], name: str) -> np.ndarray:
@@ -45,21 +31,22 @@ def _plane(values: np.ndarray, hw: tuple[int, int], name: str) -> np.ndarray:
     return mag if mag.ndim == 2 else mag.max(axis=2)
 
 
-def render_overlay(img: np.ndarray, pol: PolarityMaps,
-                   spec: OverlaySpec | None = None) -> np.ndarray:
-    """clamp(image_weight * img + ig_weight * IGcolor) with negative
-    magnitudes on the red channel, positive on green, blue untouched."""
-    spec = spec or OverlaySpec()
+def render_overlay(img: np.ndarray, pol: PolarityMaps, polarity: str = "both") -> np.ndarray:
+    """clamp(IMAGE_WEIGHT * img + IG_WEIGHT * IGcolor) with negative
+    magnitudes on the red channel, positive on green, blue untouched;
+    ``polarity`` picks which of the two is drawn."""
+    if polarity not in POLARITY_MODES:
+        raise ValueError(f"polarity must be one of {POLARITY_MODES}, got {polarity!r}")
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"overlay base must be HxWx3, got {img.shape}")
     hw = img.shape[:2]
     ig_color = np.zeros_like(img)
-    if spec.polarity in ("negative", "both"):
+    if polarity in ("negative", "both"):
         ig_color[:, :, 0] = _plane(pol.negative, hw, "negative map")
-    if spec.polarity in ("positive", "both"):
+    if polarity in ("positive", "both"):
         ig_color[:, :, 1] = _plane(pol.positive, hw, "positive map")
-    return np.clip(spec.image_weight * img + spec.ig_weight * ig_color, 0.0, 1.0)
+    return np.clip(IMAGE_WEIGHT * img + IG_WEIGHT * ig_color, 0.0, 1.0)
 
 
 def quality_label(q: QualityLevel) -> str:
@@ -81,15 +68,6 @@ def emit_table(table: PrecisionTable, format: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ChartSpec:
-    title: str = "Precision vs JPEG quality"
-    x_label: str = "quality"
-    y_label: str = "macro precision"
-    series: list[str] | None = None  # default: every table row
-    qualities: list[QualityLevel] | None = None  # default: table order
-
-
 _VIEW_W, _VIEW_H = 800, 500
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70.0, 630.0, 50.0, 440.0
 
@@ -98,19 +76,14 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-def emit_chart_svg(table: PrecisionTable, spec: ChartSpec | None = None) -> str:
-    """Fixed 800x500 viewport, one polyline per model, y in [0, 1]."""
-    spec = spec or ChartSpec()
-    qualities = list(spec.qualities) if spec.qualities is not None else list(table.qualities)
-    names = list(spec.series) if spec.series is not None else [r.model_name for r in table.rows]
-    if not names:
+def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> str:
+    """Fixed 800x500 viewport, one polyline per table row in table order,
+    y in [0, 1]."""
+    qualities = table.qualities
+    if not table.rows:
         raise ValueError("chart needs at least one series")
     if len(qualities) < 2:
         raise ValueError("need >=2 points on the quality axis")
-    by_name = {r.model_name: r for r in table.rows}
-    missing = [n for n in names if n not in by_name]
-    if missing:
-        raise ValueError(f"series not in table: {missing}")
 
     def x_at(i: int) -> float:
         return _LEFT + (_RIGHT - _LEFT) * i / (len(qualities) - 1)
@@ -123,7 +96,7 @@ def emit_chart_svg(table: PrecisionTable, spec: ChartSpec | None = None) -> str:
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}">',
         f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="white"/>',
         f'<text x="{_f((_LEFT + _RIGHT) / 2)}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="18">{spec.title}</text>',
+        'font-family="sans-serif" font-size="18">Precision vs JPEG quality</text>',
     ]
     for i in range(5):
         frac = i / 4.0
@@ -139,14 +112,12 @@ def emit_chart_svg(table: PrecisionTable, spec: ChartSpec | None = None) -> str:
         out.append(f'<text x="{_f(x)}" y="{_f(_BOTTOM + 20)}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12">{quality_key(q)}</text>')
     out.append(f'<text x="{_f((_LEFT + _RIGHT) / 2)}" y="{_f(_BOTTOM + 42)}" '
-               f'text-anchor="middle" font-family="sans-serif" font-size="14">'
-               f'{spec.x_label}</text>')
+               'text-anchor="middle" font-family="sans-serif" font-size="14">quality</text>')
     out.append(f'<text x="18" y="{_f((_TOP + _BOTTOM) / 2)}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="14" '
-               f'transform="rotate(-90 18 {_f((_TOP + _BOTTOM) / 2)})">{spec.y_label}</text>')
+               f'transform="rotate(-90 18 {_f((_TOP + _BOTTOM) / 2)})">{y_label}</text>')
 
-    for idx, name in enumerate(names):
-        row = by_name[name]
+    for idx, row in enumerate(table.rows):
         color = PALETTE[idx % len(PALETTE)]
         points = " ".join(f"{_f(x_at(i))},{_f(y_at(row.scores[q]))}"
                           for i, q in enumerate(qualities))
@@ -156,6 +127,6 @@ def emit_chart_svg(table: PrecisionTable, spec: ChartSpec | None = None) -> str:
         out.append(f'<rect x="{_f(_RIGHT + 12)}" y="{_f(ly)}" width="12" height="12" '
                    f'fill="{color}"/>')
         out.append(f'<text x="{_f(_RIGHT + 30)}" y="{_f(ly + 10)}" '
-                   f'font-family="sans-serif" font-size="12">{name}</text>')
+                   f'font-family="sans-serif" font-size="12">{row.model_name}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -132,6 +132,19 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([], "must be an object, got list"),
+    ({"format": "igprobe-scorer", "version": 1}, "has no 'layers' field"),
+], ids=["list", "no-layers"])
+def test_malformed_checkpoint_is_exit_1(tmp_path, capsys, doc, message):
+    ckpt = tmp_path / "c.json"
+    ckpt.write_text(json.dumps(doc))
+    assert run(["sweep", *TINY, "--checkpoint", ckpt, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- sweep & report
 
 
@@ -178,6 +191,27 @@ def test_report_rerenders_from_csv(tmp_path):
     assert run(["report", "--from", sweep_out, "--out", report_out]) == 0
     assert (report_out / "chart.svg").read_bytes() == (sweep_out / "chart.svg").read_bytes()
     assert (report_out / "table.csv").read_bytes() == (sweep_out / "table.csv").read_bytes()
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.7", "-0.1"])
+def test_report_rejects_score_outside_unit_interval(tmp_path, capsys, score):
+    source = tmp_path / "precision.csv"
+    source.write_text("model,quality,score\nm,original,1.0\n"
+                      f"m,50,0.5\nm,25,{score}\n")
+    out = tmp_path / "report"
+    assert run(["report", "--from", source, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"line 4: score '{score}' for model 'm' at quality 25 is not in [0, 1]" in err
+    assert not out.exists()
+
+
+def test_report_rejects_short_row(tmp_path, capsys):
+    source = tmp_path / "precision.csv"
+    source.write_text("model,quality,score\nm,original,1.0\nm,50\n")
+    out = tmp_path / "report"
+    assert run(["report", "--from", source, "--out", out]) == 1
+    assert "line 3: expected 3 cells, got ['m', '50']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_needs_source(tmp_path, capsys):

@@ -189,12 +189,11 @@ def test_sweep_requires_original_level():
         sweep_precision(brightness_scorer(), brightness_dataset(), [75, 50])
 
 
-def test_sweep_multi_model_rows():
-    models = {"wide": brightness_scorer(), "narrow": brightness_scorer()}
-    table = sweep_precision(models, brightness_dataset(), [ORIGINAL, 50])
-    assert [r.model_name for r in table.rows] == ["wide", "narrow"]
-    for row in table.rows:
-        assert set(row.scores) == {ORIGINAL, 50}
+def test_sweep_row_is_named():
+    table = sweep_precision(brightness_scorer(), brightness_dataset(), [ORIGINAL, 50],
+                            name="wide")
+    assert [r.model_name for r in table.rows] == ["wide"]
+    assert set(table.rows[0].scores) == {ORIGINAL, 50}
 
 
 def test_sweep_class_count_mismatch():
@@ -246,8 +245,9 @@ def test_attribute_batch_completeness_against_recomputed_losses():
     batch = attribute_batch(model, data, (ORIGINAL, 50), steps=64)
     for item, rec, maps in zip(data.items, batch.records, batch.maps):
         # recompute both endpoint losses through the plain forward pass
-        l0, l1 = cross_entropy(np.stack([forward(model, prepare_input(item.image, q)[None])[0]
-                                         for q in (ORIGINAL, 50)]), [item.label] * 2)
+        logits = np.stack([forward(model, prepare_input(item.image, q, (8, 8))[None])[0]
+                           for q in (ORIGINAL, 50)])
+        l0, l1 = cross_entropy(logits, [item.label] * 2)
         att = maps[50]
         assert abs(rec.ig_values[0] - (l1 - l0)) <= att.completeness_gap + 1e-9
         assert att.loss_baseline == pytest.approx(l0, abs=1e-12)
@@ -397,8 +397,8 @@ def test_attribution_csv_bytes_deterministic(tmp_path):
 
 def test_prepare_input_original_is_identity_without_resize():
     img = gen_synthetic(2, classes=2, per_class=1, side=8).items[0].image
-    assert np.array_equal(prepare_input(img, ORIGINAL), img)
-    assert np.array_equal(prepare_input(img, 50), degrade_jpeg(img, 50))
+    assert np.array_equal(prepare_input(img, ORIGINAL, (8, 8)), img)
+    assert np.array_equal(prepare_input(img, 50, (8, 8)), degrade_jpeg(img, 50))
 
 
 def test_prepare_input_resizes_after_degrading():

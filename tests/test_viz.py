@@ -8,8 +8,6 @@ from igprobe.codec import ORIGINAL
 from igprobe.harness import PrecisionRow, PrecisionTable
 from igprobe.tensor import SeededRng
 from igprobe.viz import (
-    ChartSpec,
-    OverlaySpec,
     emit_chart_svg,
     emit_table,
     quality_label,
@@ -25,22 +23,15 @@ def zero_polarity(hw=(5, 4)) -> PolarityMaps:
 # ---------------------------------------------------------------- overlay
 
 
-def test_overlay_spec_defaults():
-    spec = OverlaySpec()
-    assert (spec.image_weight, spec.ig_weight, spec.polarity) == (0.7, 1.5, "both")
-
-
 def test_overlay_spec_validation():
     with pytest.raises(ValueError, match="polarity"):
-        OverlaySpec(polarity="all")
-    with pytest.raises(ValueError, match="finite"):
-        OverlaySpec(image_weight=float("nan"))
+        render_overlay(np.zeros((5, 4, 3)), zero_polarity(), "all")
 
 
 def test_zero_attribution_dims_image_only():
     img = SeededRng(1).uniform([5, 4, 3])
     for mode in ("negative", "positive", "both"):
-        out = render_overlay(img, zero_polarity(), OverlaySpec(polarity=mode))
+        out = render_overlay(img, zero_polarity(), mode)
         assert np.array_equal(out, 0.7 * img)
 
 
@@ -78,8 +69,8 @@ def test_polarity_mode_masks_other_channel():
     pol = zero_polarity((2, 2))
     pol.negative[:] = -0.3
     pol.positive[:] = 0.6
-    neg_only = render_overlay(img, pol, OverlaySpec(polarity="negative"))
-    pos_only = render_overlay(img, pol, OverlaySpec(polarity="positive"))
+    neg_only = render_overlay(img, pol, "negative")
+    pos_only = render_overlay(img, pol, "positive")
     assert np.all(neg_only[:, :, 1] == 0.0) and np.all(neg_only[:, :, 0] > 0.0)
     assert np.all(pos_only[:, :, 0] == 0.0) and np.all(pos_only[:, :, 1] > 0.0)
 
@@ -175,24 +166,28 @@ def test_chart_contains_axis_ticks_and_legend():
         assert token in svg
 
 
-def test_chart_series_subset():
-    table = PrecisionTable(rows=[PrecisionRow("a", {ORIGINAL: 1.0, 50: 0.5}),
-                                 PrecisionRow("b", {ORIGINAL: 0.9, 50: 0.4})],
+def test_chart_y_label():
+    svg = emit_chart_svg(EXAMPLE_TABLE, "accuracy")
+    assert ">accuracy<" in svg and ">macro precision<" not in svg
+
+
+def test_chart_draws_every_row_in_table_order():
+    table = PrecisionTable(rows=[PrecisionRow("b", {ORIGINAL: 0.9, 50: 0.4}),
+                                 PrecisionRow("a", {ORIGINAL: 1.0, 50: 0.5})],
                            qualities=[ORIGINAL, 50])
-    svg = emit_chart_svg(table, ChartSpec(series=["b"]))
-    assert ">b<" in svg and ">a<" not in svg
-    assert svg.count("<polyline") == 1
+    svg = emit_chart_svg(table)
+    assert svg.count("<polyline") == 2
+    assert svg.index(">b<") < svg.index(">a<")
+    assert 'stroke="#1f77b4" stroke-width="2" points="70.00,89.00 630.00,284.00"' in svg
 
 
 def test_chart_errors():
     with pytest.raises(ValueError, match="at least one series"):
-        emit_chart_svg(EXAMPLE_TABLE, ChartSpec(series=[]))
+        emit_chart_svg(PrecisionTable(rows=[], qualities=[ORIGINAL, 50]))
     narrow = PrecisionTable(rows=[PrecisionRow("m", {ORIGINAL: 1.0})],
                             qualities=[ORIGINAL])
     with pytest.raises(ValueError, match=">=2 points"):
         emit_chart_svg(narrow)
-    with pytest.raises(ValueError, match="series not in table"):
-        emit_chart_svg(EXAMPLE_TABLE, ChartSpec(series=["ghost"]))
 
 
 def test_chart_bytes_stable():
