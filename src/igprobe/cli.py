@@ -21,8 +21,8 @@ from . import __version__
 from .attribution import DEFAULT_STEPS, SCHEMES, PathSpec, integrated_gradients, split_polarity
 from .codec import ORIGINAL, degrade_jpeg
 from .data import Dataset, gen_synthetic, load_dataset
-from .harness import (METRICS, attribute_batch, parse_quality, prepare_input,
-                      quality_key, read_precision_csv, sweep_precision,
+from .harness import (METRICS, attribute_batch, check_qualities, parse_quality,
+                      prepare_input, quality_key, read_precision_csv, sweep_precision,
                       write_attribution_csv, write_precision_csv)
 from .imgio import read_image, write_image
 from .model import (ScorerModel, TrainConfig, load_model, mean_loss, new_scorer, save_model,
@@ -76,7 +76,7 @@ def _parse_qualities(value) -> list:
     out = [parse_quality(str(v)) for v in items if str(v).strip()]
     if not out:
         raise UsageError("empty quality list")
-    return out
+    return check_qualities(out)
 
 
 def _parse_int_list(value) -> list:
@@ -144,6 +144,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
     if cfg.metric not in METRICS:
         raise UsageError(f"metric must be one of {sorted(METRICS)}, got {cfg.metric!r}")
+    numeric = [q for q in cfg.qualities if q != ORIGINAL]
+    if cfg.overlay_quality is not None and cfg.overlay_quality not in numeric:
+        raise UsageError(f"--overlay-quality {cfg.overlay_quality} not in {numeric}")
     return cfg
 
 
@@ -253,14 +256,10 @@ def _write_overlays(out_dir: Path, stem: str, base, pol) -> dict:
 
 
 def _default_overlay_quality(cfg: RunConfig):
-    numeric = [q for q in cfg.qualities if q != ORIGINAL]
-    if cfg.overlay_quality is not None:
-        if cfg.overlay_quality not in numeric:
-            raise UsageError(f"--overlay-quality {cfg.overlay_quality} not in {numeric}")
+    if cfg.overlay_quality is not None:  # resolve_config checked it against the sweep
         return cfg.overlay_quality
-    if not numeric:
-        return None
-    return min(numeric)
+    numeric = [q for q in cfg.qualities if q != ORIGINAL]
+    return min(numeric) if numeric else None
 
 
 def cmd_attribute(cfg: RunConfig) -> int:

@@ -94,8 +94,12 @@ class AttributionBatch:
     qualities: list[QualityLevel]
 
 
-def _check_qualities(qualities) -> list[QualityLevel]:
+def check_qualities(qualities) -> list[QualityLevel]:
+    """A quality sweep: the original level included, no level twice."""
     qualities = list(qualities)
+    for i, q in enumerate(qualities):
+        if q in qualities[:i]:
+            raise ValueError(f"quality {quality_key(q)} is listed twice")
     if ORIGINAL not in qualities:
         raise ValueError("quality list must include the original level")
     return qualities
@@ -124,7 +128,7 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
     own call to ``logits``: a batch of rows may round differently from
     one row.
     """
-    qualities = _check_qualities(qualities)
+    qualities = check_qualities(qualities)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     score_fn = METRICS[metric]
@@ -155,7 +159,7 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities,
     Each map costs one batched gradient call over its path nodes; the
     predicted labels and scores are read from that call's endpoint rows.
     """
-    qualities = _check_qualities(qualities)
+    qualities = check_qualities(qualities)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_classes(scorer, dataset)
@@ -219,9 +223,13 @@ def read_precision_csv(path) -> PrecisionTable:
             if not 0.0 <= score <= 1.0:  # nan, inf or 1.7 would be drawn off the chart
                 raise ValueError(f"{path} line {reader.line_num}: score {row[2]!r} for model "
                                  f"{model!r} at quality {quality_key(q)} is not in [0, 1]")
+            scores = by_model.setdefault(model, {})
+            if q in scores:
+                raise ValueError(f"{path} line {reader.line_num}: model {model!r} at quality "
+                                 f"{quality_key(q)} is listed twice")
             if q not in qualities:
                 qualities.append(q)
-            by_model.setdefault(model, {})[q] = score
+            scores[q] = score
     rows = [PrecisionRow(model_name=m, scores=s) for m, s in by_model.items()]
     return PrecisionTable(rows=rows, qualities=qualities)
 

@@ -20,7 +20,8 @@ from .model import linear_model_weights, linear_softmax_gradfn
 from .provider import decode_f32, encode_f32
 
 MISBEHAVE_MODES = ("none", "no-hello", "bad-hello", "wrong-grad-len",
-                   "bad-loss", "nan-grad", "error", "exit", "garbage", "slow")
+                   "bad-loss", "nan-grad", "error", "exit", "garbage", "slow",
+                   "deaf", "partial-line", "wrong-id")
 SLOW_ROW_S = 0.7  # --misbehave slow: sleep per batch row before replying
 
 
@@ -46,6 +47,9 @@ def serve(seed: int, classes: int, side: int, misbehave: str = "none") -> int:
     _emit({"type": "hello",
            "classes": [f"class_{i}" for i in range(classes)],
            "input_shape": list(shape)})
+    if misbehave == "deaf":  # never reads a request
+        time.sleep(3600.0)
+        return 0
 
     for line in sys.stdin:
         if not line.strip():
@@ -83,8 +87,15 @@ def serve(seed: int, classes: int, side: int, misbehave: str = "none") -> int:
             grads = grads.ravel()[:-1]
         if misbehave == "nan-grad":
             losses, logits, grads = losses * np.nan, logits * np.nan, grads * np.nan
-        _emit({"type": "grad_result", "id": rid, "losses": losses.tolist(),
-               "logits": logits.tolist(), "grads": encode_f32(grads)})
+        if misbehave == "wrong-id":
+            rid += 1
+        reply = json.dumps({"type": "grad_result", "id": rid, "losses": losses.tolist(),
+                            "logits": logits.tolist(), "grads": encode_f32(grads)})
+        if misbehave == "partial-line":
+            print(reply[:len(reply) // 2], end="", flush=True)
+            time.sleep(3600.0)
+            return 0
+        print(reply, flush=True)
     return 0
 
 

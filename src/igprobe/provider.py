@@ -5,15 +5,22 @@ with a grad_result (or error) object on its own line.  One request carries
 a whole batch: B images and B labels in, B losses, B logit rows and B
 gradients out.  Image and gradient payloads are base64-encoded
 little-endian float32, row-major BxHxWxC.
+
+The client starts no thread: one ``selectors`` loop writes each request
+to the child's non-blocking stdin and reads its stdout under one deadline,
+so it needs POSIX pipes (Linux, macOS).  The child's stderr goes to a
+temporary file, which never fills, so the child cannot block on it.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import queue
+import os
+import selectors
 import subprocess
-import threading
+import tempfile
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,7 @@ from .model import LossGrads, check_batch, cross_entropy
 DEFAULT_TIMEOUT = 30.0
 LOSS_TOLERANCE = 1e-4
 EXIT_WAIT = 2.0  # seconds a closed provider gets to exit before it is killed
+READ_SIZE = 1 << 16  # bytes per read from the child's stdout, one Linux pipe buffer
 
 
 class ProviderError(RuntimeError):
@@ -61,77 +69,93 @@ class ProviderClient:
     ``input_shape``, ``num_classes`` and ``logits``.
 
     A call sends the whole batch as one ``grad`` request and checks the
-    whole reply.  The reply's deadline is ``spec.timeout`` per row.
+    whole reply.  Writing the request and reading the reply share one
+    deadline, ``spec.timeout`` per row; the handshake gets ``spec.timeout``.
+    A provider that misses a deadline or breaks the protocol is killed,
+    and the ``ProviderError`` carries everything it wrote to stderr.
     """
 
     def __init__(self, spec: ProviderSpec):
         self.spec = spec
         self._next_id = 0
-        self._stderr_chunks: list[str] = []
-        self._lines: "queue.Queue[str | None]" = queue.Queue()
+        self._unread = bytearray()  # stdout bytes past the last line read
+        self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
                 spec.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True, bufsize=1)
+                stderr=self._stderr, bufsize=0)
         except OSError as exc:
+            self._stderr.close()
             raise ProviderError(f"cannot spawn provider {spec.command}: {exc}") from exc
-        self._pumps = [threading.Thread(target=self._pump_stdout, daemon=True),
-                       threading.Thread(target=self._pump_stderr, daemon=True)]
-        for pump in self._pumps:
-            pump.start()
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
-        hello = self._read_object("handshake", spec.timeout)
+        hello = self._exchange(b"", "handshake", spec.timeout)
         if hello.get("type") != "hello":
-            raise self._fail(f"expected hello, got {hello.get('type')!r}")
+            raise self._fail(f"handshake: expected hello, got {hello.get('type')!r}")
         try:
             self.class_names = [str(c) for c in hello["classes"]]
             shape = tuple(int(v) for v in hello["input_shape"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise self._fail(f"malformed hello: {exc}")
+            raise self._fail(f"handshake: malformed hello: {exc}")
         if len(shape) != 3 or shape[2] != 3:
-            raise self._fail(f"hello input_shape must be [H, W, 3], got {list(shape)}")
+            raise self._fail(f"handshake: hello input_shape must be [H, W, 3], got {list(shape)}")
         if not self.class_names:
-            raise self._fail("hello lists no classes")
+            raise self._fail("handshake: hello lists no classes")
         self.input_shape = shape
         self.num_classes = len(self.class_names)
 
-    def _pump_stdout(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
-
-    def _pump_stderr(self):
-        for line in self._proc.stderr:
-            self._stderr_chunks.append(line)
-
-    def stderr_text(self) -> str:
-        return "".join(self._stderr_chunks)
-
     def _fail(self, message: str) -> ProviderError:
-        captured = self.stderr_text().strip()
-        if captured:
-            message = f"{message}\nprovider stderr:\n{captured}"
         # A provider past its deadline may never read stdin again: kill it
         # now rather than wait for it to exit.
-        self._shutdown(kill=True)
+        captured = self._shutdown(kill=True).strip()
+        if captured:
+            message = f"{message}\nprovider stderr:\n{captured}"
         return ProviderError(message)
 
-    def _read_object(self, what: str, timeout: float) -> dict:
+    def _exchange(self, request: bytes, what: str, timeout: float) -> dict:
+        """Write ``request`` (empty for the handshake) and read one reply
+        line; both must finish within ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
         try:
-            line = self._lines.get(timeout=timeout)
-        except queue.Empty:
-            raise self._fail(f"{what} timed out after {timeout:g}s")
-        if line is None:
-            # stdout EOF can beat process teardown; wait for the real code
-            try:
-                code = self._proc.wait(timeout=EXIT_WAIT)
-            except subprocess.TimeoutExpired:
-                code = self._proc.poll()
-            raise self._fail(f"provider exited (code {code}) during {what}")
+            stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        except ValueError as exc:  # the pipes were closed by an earlier failure
+            raise self._fail(f"provider write failed: {exc}") from exc
+        pending = memoryview(request)
+        with selectors.DefaultSelector() as selector:
+            selector.register(stdout, selectors.EVENT_READ)
+            if pending:
+                selector.register(stdin, selectors.EVENT_WRITE)
+            while pending or b"\n" not in self._unread:
+                remaining = deadline - time.monotonic()
+                events = selector.select(remaining) if remaining > 0 else []
+                if not events:
+                    raise self._fail(f"{what} timed out after {timeout:g}s")
+                for key, _ in events:
+                    if key.fd == stdin:
+                        try:
+                            pending = pending[os.write(stdin, pending):]
+                        except BlockingIOError:
+                            continue
+                        except OSError as exc:
+                            raise self._fail(f"provider write failed: {exc}") from exc
+                        if not pending:
+                            selector.unregister(stdin)
+                    elif chunk := os.read(stdout, READ_SIZE):
+                        self._unread += chunk
+                    else:  # stdout EOF can beat process teardown; wait for the real code
+                        try:
+                            code = self._proc.wait(timeout=EXIT_WAIT)
+                        except subprocess.TimeoutExpired:
+                            code = self._proc.poll()
+                        raise self._fail(f"provider exited (code {code}) during {what}")
+        end = self._unread.index(b"\n") + 1
+        line = bytes(self._unread[:end])
+        del self._unread[:end]
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise self._fail(f"unparseable {what} line {line!r}: {exc}")
+            # The newline stays in the text: ``json`` is the hook that counts wire bytes.
+            obj = json.loads(line.decode())
+        except ValueError as exc:  # invalid UTF-8 or invalid JSON
+            raise self._fail(f"unparseable {what} line {line.decode(errors='replace')!r}: {exc}")
         if not isinstance(obj, dict):
             raise self._fail(f"{what} is not a JSON object: {obj!r}")
         return obj
@@ -146,19 +170,16 @@ class ProviderClient:
         self._next_id += 1
         payload = json.dumps({"type": "grad", "id": request_id, "images": encode_f32(images),
                               "labels": labels.tolist()})
-        try:
-            self._proc.stdin.write(payload + "\n")
-            self._proc.stdin.flush()
-        except (OSError, ValueError) as exc:
-            raise self._fail(f"provider write failed: {exc}") from exc
-        reply = self._read_object(f"grad request {request_id}", self.spec.timeout * len(images))
+        reply = self._exchange((payload + "\n").encode(), f"grad request {request_id}",
+                               self.spec.timeout * len(images))
         if reply.get("type") == "error":
             raise ProviderError(f"provider error for request {request_id}: "
                                 f"{reply.get('message', '<no message>')}")
         if reply.get("type") != "grad_result":
-            raise self._fail(f"expected grad_result, got {reply.get('type')!r}")
+            raise self._fail(f"expected grad_result for request {request_id}, "
+                             f"got {reply.get('type')!r}")
         if reply.get("id") != request_id:
-            raise self._fail(f"response id {reply.get('id')} != request id {request_id}")
+            raise self._fail(f"reply to request {request_id} has id {reply.get('id')!r}")
         try:
             losses = np.asarray(reply["losses"], dtype=np.float64)
             logits = np.asarray(reply["logits"], dtype=np.float64)
@@ -188,23 +209,23 @@ class ProviderClient:
         """Close stdin, give the provider ``EXIT_WAIT`` s to exit, then kill it."""
         self._shutdown(kill=False)
 
-    def _shutdown(self, kill: bool) -> None:
+    def _shutdown(self, kill: bool) -> str:
+        """Stop the child, close its pipes and its stderr file, and return
+        what it wrote to stderr ("" once shut down)."""
         proc = getattr(self, "_proc", None)
         if proc is None or proc.stdin.closed:  # never started, or shut down already
-            return
-        try:
-            proc.stdin.close()
-        except OSError:  # unflushed request bytes to a dead child
-            pass
+            return ""
+        proc.stdin.close()
         try:
             proc.wait(timeout=0 if kill else EXIT_WAIT)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        for pump, pipe in zip(self._pumps, (proc.stdout, proc.stderr)):
-            pump.join(timeout=EXIT_WAIT)
-            if not pump.is_alive():  # a grandchild may still hold the pipe open
-                pipe.close()
+        proc.stdout.close()
+        self._stderr.seek(0)
+        captured = self._stderr.read().decode(errors="replace")
+        self._stderr.close()
+        return captured
 
     def __enter__(self) -> "ProviderClient":
         return self

@@ -205,6 +205,15 @@ def test_report_rejects_score_outside_unit_interval(tmp_path, capsys, score):
     assert not out.exists()
 
 
+def test_report_rejects_repeated_cell(tmp_path, capsys):
+    source = tmp_path / "precision.csv"
+    source.write_text("model,quality,score\nm,original,1.0\nm,25,0.5\nm,original,0.5\n")
+    out = tmp_path / "report"
+    assert run(["report", "--from", source, "--out", out]) == 1
+    assert "line 4: model 'm' at quality original is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_rejects_short_row(tmp_path, capsys):
     source = tmp_path / "precision.csv"
     source.write_text("model,quality,score\nm,original,1.0\nm,50\n")
@@ -247,6 +256,20 @@ def test_attribute_rejects_overlay_quality_outside_sweep(tmp_path, capsys):
                 "--steps", "2", "--out", tmp_path / "o"])
     assert code == 2
     assert "--overlay-quality 25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["attribute", "--qualities", "original,25", "--overlay-quality", "50"],
+     "--overlay-quality 50 not in [25]"),
+    (["sweep", "--qualities", "25,50"], "quality list must include the original level"),
+    (["attribute", "--qualities", "original,25,25"], "quality 25 is listed twice"),
+    (["sweep", "--qualities", "original,25,original"], "quality original is listed twice"),
+])
+def test_bad_quality_list_is_usage_error_before_any_work(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run([*argv, *TINY, "--train-fresh", "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overlay_single_image(tmp_path, sample_ppm):

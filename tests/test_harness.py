@@ -189,6 +189,14 @@ def test_sweep_requires_original_level():
         sweep_precision(brightness_scorer(), brightness_dataset(), [75, 50])
 
 
+def test_repeated_quality_rejected():
+    data = brightness_dataset()
+    with pytest.raises(ValueError, match="quality 25 is listed twice"):
+        sweep_precision(brightness_scorer(), data, [ORIGINAL, 25, 25])
+    with pytest.raises(ValueError, match="quality original is listed twice"):
+        attribute_batch(brightness_scorer(), data, (ORIGINAL, 50, ORIGINAL))
+
+
 def test_sweep_row_is_named():
     table = sweep_precision(brightness_scorer(), brightness_dataset(), [ORIGINAL, 50],
                             name="wide")
@@ -369,6 +377,13 @@ def test_precision_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("model,q,value\nm,50,1.0\n")
     with pytest.raises(ValueError, match="expected header"):
+        read_precision_csv(path)
+
+
+def test_precision_csv_rejects_repeated_cell(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_text("model,quality,score\na,original,1.0\nb,original,0.5\na,original,0.5\n")
+    with pytest.raises(ValueError, match="line 4: model 'a' at quality original is listed twice"):
         read_precision_csv(path)
 
 

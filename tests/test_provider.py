@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from igprobe.attribution import PathSpec, integrated_gradients
 from igprobe.codec import ORIGINAL
 from igprobe.data import gen_synthetic
 from igprobe.harness import sweep_precision
-from igprobe.mock_provider import SLOW_ROW_S
+from igprobe.mock_provider import MISBEHAVE_MODES, SLOW_ROW_S
 from igprobe.model import linear_model_weights, linear_softmax_gradfn
 from igprobe.provider import (
     ProviderError,
@@ -33,10 +34,10 @@ CLASSES = 3
 N_INPUTS = SIDE * SIDE * 3
 
 
-def mock_command(misbehave: str = "none", seed: int = 3) -> list[str]:
+def mock_command(misbehave: str = "none", seed: int = 3, side: int = SIDE) -> list[str]:
     return [sys.executable, "-m", "igprobe.mock_provider",
             "--seed", str(seed), "--classes", str(CLASSES),
-            "--side", str(SIDE), "--misbehave", misbehave]
+            "--side", str(side), "--misbehave", misbehave]
 
 
 def spawn(misbehave: str = "none", **kwargs):
@@ -50,6 +51,7 @@ class WireLog:
     def __init__(self):
         self.sent: list[dict] = []
         self.received: list[dict] = []
+        self.texts: list[str] = []  # what loads was given, one text per received object
 
     def __getattr__(self, name):
         return getattr(json, name)
@@ -59,6 +61,7 @@ class WireLog:
         return json.dumps(obj, *args, **kwargs)
 
     def loads(self, text, *args, **kwargs):
+        self.texts.append(text)
         obj = json.loads(text, *args, **kwargs)
         self.received.append(obj)
         return obj
@@ -146,6 +149,34 @@ def test_ig_path_is_one_grad_message(wire):
     assert [m["type"] for m in wire.received] == ["hello", "grad_result"]
 
 
+def test_json_hook_sees_every_byte_on_the_wire(wire):
+    # The benchmark's tracer counts received bytes as the lengths of the texts
+    # given to loads; the mock prints each object as json.dumps and a newline.
+    with spawn() as client:
+        client(np.zeros((2, SIDE, SIDE, 3)), [0, 1])
+    assert [m["type"] for m in wire.received] == ["hello", "grad_result"]
+    assert [len(t) for t in wire.texts] == [len(json.dumps(m)) + 1 for m in wire.received]
+
+
+def test_client_starts_no_thread(monkeypatch):
+    during = []
+
+    class CountingJson(WireLog):
+        def loads(self, text, *args, **kwargs):
+            during.append(threading.active_count())
+            return super().loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(provider, "json", CountingJson())
+    before = threading.active_count()
+    client = spawn("error")
+    with pytest.raises(ProviderError, match="request 0"):
+        client(np.zeros((1, SIDE, SIDE, 3)), [0])
+    after_failure = threading.active_count()
+    client.close()
+    assert during == [before, before]  # in the handshake and in the call
+    assert after_failure == threading.active_count() == before
+
+
 def test_sweep_sends_one_message_per_image_per_quality(wire):
     data = gen_synthetic(5, classes=CLASSES, per_class=2, side=8)  # resized to SIDE
     with spawn() as client:
@@ -221,13 +252,9 @@ def test_provider_error_object_forwarded():
 
 def test_provider_exit_reported_with_stderr():
     client = spawn("exit")
-    with pytest.raises(ProviderError, match=r"provider exited \(code 3\)"):
+    with pytest.raises(ProviderError, match=r"provider exited \(code 3\)") as exc:
         client(np.zeros((1, SIDE, SIDE, 3)), [0])
-    # the stderr pump is asynchronous; give it a moment to drain
-    deadline = time.time() + 5.0
-    while time.time() < deadline and "synthetic crash" not in client.stderr_text():
-        time.sleep(0.05)
-    assert "synthetic crash" in client.stderr_text()
+    assert "synthetic crash" in str(exc.value)
 
 
 def test_reply_deadline_is_timeout_per_row():
@@ -248,6 +275,65 @@ def test_reply_past_deadline_names_request():
         client.spec.timeout = 0.1
         with pytest.raises(ProviderError, match=r"grad request 0 timed out after 0\.1s"):
             client(np.zeros((1, SIDE, SIDE, 3)), [0])
+
+
+# Every --misbehave mode but "none": (rows sent, timeout in seconds, message).
+# Rows 0 means the mode fails the handshake, and the timeout is the
+# handshake's; otherwise the timeout is per row of the request.
+MISBEHAVIOUR = {
+    "no-hello": (0, 0.5, r"handshake timed out after 0\.5s"),
+    "bad-hello": (0, 10.0, "handshake: expected hello, got 'surprise'"),
+    "garbage": (0, 10.0, "unparseable handshake line"),
+    "wrong-grad-len": (1, 10.0, "grads of request 0 length mismatch"),
+    "bad-loss": (1, 10.0, "reply to request 0, row 0"),
+    "nan-grad": (1, 10.0, "non-finite loss, logits, grad in reply to request 0"),
+    "error": (1, 10.0, "provider error for request 0"),
+    "exit": (1, 10.0, r"provider exited \(code 3\) during grad request 0"),
+    "slow": (1, 0.05, r"grad request 0 timed out after 0\.05s"),
+    # 51 rows of 32x32 (835 KB of JSON) fill the pipe to a child that never reads.
+    "deaf": (51, 0.05, r"grad request 0 timed out after 2\.55s"),
+    "partial-line": (1, 0.05, r"grad request 0 timed out after 0\.05s"),
+    "wrong-id": (1, 10.0, "reply to request 0 has id 1"),
+}
+HELLO_TIMEOUT = 10.0
+
+
+@pytest.mark.parametrize("mode", [m for m in MISBEHAVE_MODES if m != "none"])
+def test_every_misbehaviour_fails_within_its_deadline(mode):
+    assert mode in MISBEHAVIOUR, f"no expected failure for --misbehave {mode}"
+    rows, timeout, message = MISBEHAVIOUR[mode]
+    command = mock_command(mode, side=32)
+    client = None
+    if rows:
+        client = provider_connect(ProviderSpec(command, timeout=HELLO_TIMEOUT))
+        client.spec.timeout = timeout
+    outcome = []
+
+    def fail():
+        start = time.monotonic()
+        try:
+            if client is None:
+                provider_connect(ProviderSpec(command, timeout=timeout))
+            else:
+                client(np.zeros((rows, 32, 32, 3)), [0] * rows)
+        except ProviderError as exc:
+            outcome.append((exc, time.monotonic() - start))
+
+    # A daemon thread joined with a bound, so a client that blocks cannot hang the suite.
+    limit = timeout * max(rows, 1) + 1.0
+    caller = threading.Thread(target=fail, daemon=True)
+    caller.start()
+    try:
+        caller.join(limit)
+        assert not caller.is_alive(), f"{mode}: no ProviderError within {limit:g}s"
+    finally:
+        if caller.is_alive():
+            client._proc.kill()  # lets the blocked call end
+        elif client is not None:
+            client.close()
+    [(exc, elapsed)] = outcome
+    assert re.search(message, str(exc)), str(exc)
+    assert elapsed < limit
 
 
 # A provider that still speaks the single-image form of the protocol.
@@ -282,11 +368,12 @@ def test_readme_protocol_examples_match_the_wire(wire):
 
 
 def test_close_releases_pipes(monkeypatch):
-    procs = []
+    procs, stderr_files = [], []
     popen = subprocess.Popen
 
     def recording_popen(*args, **kwargs):
         procs.append(popen(*args, **kwargs))
+        stderr_files.append(kwargs["stderr"])
         return procs[-1]
 
     monkeypatch.setattr(subprocess, "Popen", recording_popen)
@@ -299,9 +386,9 @@ def test_close_releases_pipes(monkeypatch):
         client(np.zeros((1, SIDE, SIDE, 3)), [0])
     client.close()  # the child has exited already
     assert len(procs) == 3
-    for proc in procs:
+    for proc, stderr_file in zip(procs, stderr_files):
         assert proc.returncode is not None
-        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
+        assert proc.stdin.closed and proc.stdout.closed and stderr_file.closed
 
 
 def test_close_is_idempotent():
