@@ -383,6 +383,9 @@ def _add_train_params(p: argparse.ArgumentParser) -> None:
 def _add_path_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, help="quadrature step count N")
     p.add_argument("--scheme", choices=SCHEMES)
+
+
+def _add_qualities(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qualities", help="comma list, e.g. original,75,50,25")
 
 
@@ -411,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_source(p)
     _add_train_params(p)
     _add_path_params(p)
+    _add_qualities(p)
     p.add_argument("--metric", choices=sorted(METRICS))
 
     p = sub.add_parser("attribute", help="per-image attributions and overlays")
@@ -419,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_source(p)
     _add_train_params(p)
     _add_path_params(p)
+    _add_qualities(p)
     p.add_argument("--overlay-quality", dest="overlay_quality", type=int,
                    help="quality whose attribution is rendered (default: lowest)")
 

@@ -11,6 +11,7 @@ degradation.  Images are H x W x 3 float64 arrays with RGB values in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -52,10 +53,13 @@ def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
         raise ValueError(f"{name} must be H x W x 3, got shape {img.shape}")
     if img.shape[0] < 1 or img.shape[1] < 1:
         raise ValueError(f"{name} has empty dimensions: {img.shape}")
-    if not np.all(np.isfinite(img)):
+    # Two reductions cover the finiteness check too: a NaN reaches both
+    # the min and the max, and an infinity reaches one of them.
+    lo, hi = img.min(), img.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{name} contains non-finite values")
-    if img.min() < 0.0 or img.max() > 1.0:
-        raise ValueError(f"{name} values outside [0, 1]: min={img.min()}, max={img.max()}")
+    if lo < 0.0 or hi > 1.0:
+        raise ValueError(f"{name} values outside [0, 1]: min={lo}, max={hi}")
     return img
 
 
@@ -150,6 +154,8 @@ def _ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
 
 def _pad_to_multiple(plane: np.ndarray, m: int) -> np.ndarray:
     h, w = plane.shape
+    if h % m == 0 and w % m == 0:
+        return plane
     return np.pad(plane, ((0, -h % m), (0, -w % m)), mode="edge")
 
 
@@ -203,7 +209,10 @@ def cubic_kernel(t: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def _axis_taps(in_len: int, out_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source indices and kernel weights, ``(out_len, 4)`` each, read-only
+    because every resize along the same axis lengths shares them."""
     # Half-pixel alignment: dst center i maps to (i + 0.5) * scale - 0.5.
     scale = in_len / out_len
     src = (np.arange(out_len, dtype=np.float64) + 0.5) * scale - 0.5
@@ -212,7 +221,10 @@ def _axis_taps(in_len: int, out_len: int) -> tuple[np.ndarray, np.ndarray]:
     taps = base[:, None].astype(np.int64) + np.arange(-1, 3)[None, :]
     taps = np.clip(taps, 0, in_len - 1)
     offsets = frac[:, None] - np.arange(-1, 3)[None, :]
-    return taps, cubic_kernel(offsets)
+    weights = cubic_kernel(offsets)
+    taps.flags.writeable = False
+    weights.flags.writeable = False
+    return taps, weights
 
 
 def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:

@@ -8,16 +8,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import check_image
-from .imgio import read_image
+from .imgio import read_pixels
 from .tensor import SeededRng
 
 
 @dataclass
 class DatasetItem:
-    image: np.ndarray
+    """One labelled image.  ``pixels`` holds it as stored: H x W x 3 uint8
+    as read from a file (an eighth of the float64 size), or float64 in
+    [0, 1] where the values are not 8-bit, as for synthetic data."""
+
+    pixels: np.ndarray
     label: int
     id: str
+
+    @property
+    def image(self) -> np.ndarray:
+        """The image as H x W x 3 float64 in [0, 1]: a fresh copy of 8-bit
+        pixels on each access, the ``pixels`` object itself otherwise."""
+        if self.pixels.dtype == np.uint8:
+            return self.pixels.astype(np.float64) / 255.0
+        return self.pixels
 
 
 @dataclass
@@ -31,7 +42,7 @@ class Dataset:
 
     @property
     def image_shape(self) -> tuple[int, int, int]:
-        return self.items[0].image.shape
+        return self.items[0].pixels.shape
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -72,19 +83,19 @@ def load_dataset(directory: str | Path) -> Dataset:
             problems.append(f"row {line_no}: missing image file {filename!r}")
             continue
         try:
-            image = check_image(read_image(path), filename)
+            pixels = read_pixels(path)
         except ValueError as exc:
             problems.append(f"row {line_no}: {exc}")
             continue
-        items.append(DatasetItem(image=image, label=class_names.index(class_name), id=filename))
+        items.append(DatasetItem(pixels=pixels, label=class_names.index(class_name), id=filename))
 
-    shapes = {it.image.shape for it in items}
+    shapes = {it.pixels.shape for it in items}
     if len(shapes) > 1:
-        counts = sorted(shapes, key=lambda s: sum(1 for it in items if it.image.shape == s))
+        counts = sorted(shapes, key=lambda s: sum(1 for it in items if it.pixels.shape == s))
         majority = counts[-1]
         for it in items:
-            if it.image.shape != majority:
-                problems.append(f"{it.id}: shape {it.image.shape} != {majority}")
+            if it.pixels.shape != majority:
+                problems.append(f"{it.id}: shape {it.pixels.shape} != {majority}")
     if problems:
         raise ValueError("dataset errors:\n  " + "\n  ".join(problems))
     if not items:
@@ -166,5 +177,5 @@ def gen_synthetic(seed: int, classes: int, per_class: int, side: int) -> Dataset
                 pattern = _ramp(side, angle, offset)
             noise = 0.05 * rng.normal([side, side, 3])
             image = np.clip(pattern[:, :, None] + noise, 0.0, 1.0)
-            items.append(DatasetItem(image=image, label=c, id=f"{class_names[c]}_{i:04d}"))
+            items.append(DatasetItem(pixels=image, label=c, id=f"{class_names[c]}_{i:04d}"))
     return Dataset(items=items, class_names=class_names)

@@ -124,9 +124,10 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
                     metric: str = "macro_precision", name: str = "model") -> PrecisionTable:
     """Degrade, resize, classify and score the whole dataset per quality.
 
-    The table has one row, called ``name``.  Each image is scored on its
-    own call to ``logits``: a batch of rows may round differently from
-    one row.
+    The table has one row, called ``name``.  Images are the outer loop,
+    so each is converted to float once and only one is held at a time.
+    Each prepared image is scored on its own call to ``logits``: a batch
+    of rows may round differently from one row.
     """
     qualities = check_qualities(qualities)
     if metric not in METRICS:
@@ -134,19 +135,19 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
     score_fn = METRICS[metric]
     _check_classes(scorer, dataset)
     hw = scorer.input_shape[:2]
-    truths = [it.label for it in dataset.items]
-    scores: dict[QualityLevel, float] = {}
-    for q in qualities:
-        preds = []
-        for item in dataset.items:
+    preds: dict[QualityLevel, list[int]] = {q: [] for q in qualities}
+    for item in dataset.items:
+        image = item.image  # converted once, then degraded at every quality
+        for q in qualities:
             try:
-                prepared = prepare_input(item.image, q, hw)
-                preds.append(argmax(scorer.logits(prepared[None])[0]))
+                prepared = prepare_input(image, q, hw)
+                preds[q].append(argmax(scorer.logits(prepared[None])[0]))
             except Exception as exc:
                 raise RuntimeError(
                     f"scoring failed on image {item.id!r} at quality "
                     f"{quality_key(q)}: {exc}") from exc
-        scores[q] = score_fn(preds, truths, dataset.num_classes)
+    truths = [it.label for it in dataset.items]
+    scores = {q: score_fn(preds[q], truths, dataset.num_classes) for q in qualities}
     return PrecisionTable(rows=[PrecisionRow(model_name=name, scores=scores)],
                           qualities=qualities)
 
@@ -168,14 +169,15 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities,
     degraded = [q for q in qualities if q != ORIGINAL]
     records, all_maps = [], []
     for item in dataset.items:
+        image = item.image
         q: QualityLevel = ORIGINAL
         try:
-            baseline = prepare_input(item.image, ORIGINAL, hw)
+            baseline = prepare_input(image, ORIGINAL, hw)
             maps: dict[QualityLevel, AttributionMap] = {}
             for q in degraded:
                 maps[q] = integrated_gradients(
                     scorer,
-                    PathSpec(baseline=baseline, target=prepare_input(item.image, q, hw),
+                    PathSpec(baseline=baseline, target=prepare_input(image, q, hw),
                              steps=steps, scheme=scheme),
                     item.label)
             # Every map starts at the same baseline row; with no degraded

@@ -50,9 +50,8 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1
 
 
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary PPM (P6, maxval 255) into a [0, 1] float image."""
-    data = Path(path).read_bytes()
+def _read_ppm_pixels(path: Path) -> np.ndarray:
+    data = path.read_bytes()
     tokens, offset = _read_header_tokens(data, 4)
     if tokens[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (magic {tokens[0]!r})")
@@ -65,8 +64,12 @@ def read_ppm(path: str | Path) -> np.ndarray:
     pixels = data[offset:offset + need]
     if len(pixels) < need:
         raise ValueError(f"{path}: expected {need} pixel bytes, found {len(pixels)}")
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
-    return arr.astype(np.float64) / 255.0
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
+
+
+def read_ppm(path: str | Path) -> np.ndarray:
+    """Read a binary PPM (P6, maxval 255) into a [0, 1] float image."""
+    return _read_ppm_pixels(Path(path)).astype(np.float64) / 255.0
 
 
 def write_image(path: str | Path, img: np.ndarray) -> None:
@@ -83,15 +86,19 @@ def write_image(path: str | Path, img: np.ndarray) -> None:
         raise ValueError(f"unsupported image format {suffix!r} (use .ppm or .png)")
 
 
-def read_image(path: str | Path) -> np.ndarray:
-    """Read PPM or PNG depending on the file suffix."""
+def read_pixels(path: str | Path) -> np.ndarray:
+    """Read PPM or PNG, by file suffix, as the file's H x W x 3 uint8 pixels."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ppm":
-        return read_ppm(path)
+        return _read_ppm_pixels(path)
     if suffix == ".png":
         if not HAS_PNG:
             raise ValueError("PNG support needs Pillow (install the 'png' extra)")
-        arr = np.asarray(_PILImage.open(path).convert("RGB"))
-        return arr.astype(np.float64) / 255.0
+        return np.asarray(_PILImage.open(path).convert("RGB"))
     raise ValueError(f"unsupported image format {suffix!r} (use .ppm or .png)")
+
+
+def read_image(path: str | Path) -> np.ndarray:
+    """Read PPM or PNG, by file suffix, into a [0, 1] float image."""
+    return read_pixels(path).astype(np.float64) / 255.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from igprobe import verify
-from igprobe.cli import main
+from igprobe.cli import build_parser, main
 from igprobe.codec import degrade_jpeg
 from igprobe.data import gen_synthetic
 from igprobe.imgio import read_image, write_image
@@ -286,6 +286,18 @@ def test_overlay_single_image(tmp_path, sample_ppm):
         img = read_image(out / fname)
         assert img.shape == (8, 8, 3)
     assert "ig_sum" in meta and "completeness_gap" in meta
+
+
+def test_overlay_takes_no_quality_list(tmp_path, sample_ppm, capsys):
+    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    overlay = sub.choices["overlay"]
+    assert "--qualities" not in overlay._option_string_actions
+    assert {"--steps", "--scheme"} <= set(overlay._option_string_actions)
+    with pytest.raises(SystemExit) as exc:
+        run(["overlay", "--in", sample_ppm, "--label", "0", "--train-fresh",
+             "--quality", "25", "--qualities", "25", "--out", tmp_path / "ov"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --qualities 25" in capsys.readouterr().err
 
 
 def test_sweep_over_provider(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igprobe.codec import (CHROMA_BASE, LUMA_BASE, ORIGINAL, check_quality,
-                           cubic_kernel, dct8x8, degrade_jpeg, idct8x8, psnr,
-                           quant_table, resize_bicubic)
+from igprobe.codec import (CHROMA_BASE, LUMA_BASE, ORIGINAL, _axis_taps, _pad_to_multiple,
+                           check_image, check_quality, cubic_kernel, dct8x8, degrade_jpeg,
+                           idct8x8, psnr, quant_table, resize_bicubic)
 from igprobe.data import gen_synthetic
 from igprobe.tensor import SeededRng
 
@@ -37,6 +37,32 @@ REFERENCE_Q25_CHROMA = np.array([
     [198, 198, 198, 198, 198, 198, 198, 198],
     [198, 198, 198, 198, 198, 198, 198, 198],
 ])
+
+
+# ---------------------------------------------------------------- image check
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "image contains non-finite values"),
+    (np.inf, "image contains non-finite values"),
+    (-np.inf, "image contains non-finite values"),
+    (-0.1, "image values outside [0, 1]: min=-0.1, max=0.5"),
+    (1.1, "image values outside [0, 1]: min=0.5, max=1.1"),
+])
+def test_check_image_messages(bad, message):
+    img = np.full((4, 4, 3), 0.5)
+    img[1, 2, 0] = bad
+    with pytest.raises(ValueError) as exc:
+        check_image(img)
+    assert str(exc.value) == message
+
+
+def test_check_image_reports_non_finite_before_range():
+    img = np.full((4, 4, 3), 0.5)
+    img[0, 0, 0] = np.nan
+    img[3, 3, 2] = 2.0
+    with pytest.raises(ValueError) as exc:
+        check_image(img, "photo")
+    assert str(exc.value) == "photo contains non-finite values"
 
 
 # ---------------------------------------------------------------- quant tables
@@ -218,6 +244,52 @@ def test_resize_32_to_224_pinned_checksum():
     assert float(out.mean()) == pytest.approx(0.502742951085898, abs=1e-12)
     digest = hashlib.sha256(np.ascontiguousarray(np.round(out, 9)).tobytes()).hexdigest()
     assert digest == "d0a8903738c1e92428ac32fe9bd0c5f4afb53a907888c1cbb015dd45a0d8d782"
+
+
+def test_axis_taps_are_cached_read_only_and_unchanged():
+    taps, weights = _axis_taps(96, 32)
+    again = _axis_taps(96, 32)
+    assert again[0] is taps and again[1] is weights
+    assert not taps.flags.writeable and not weights.flags.writeable
+    fresh_taps, fresh_weights = _axis_taps.__wrapped__(96, 32)
+    assert np.array_equal(taps, fresh_taps)
+    assert weights.tobytes() == fresh_weights.tobytes()
+
+
+def test_pad_to_multiple_returns_an_aligned_plane_itself():
+    plane = np.zeros((96, 32))
+    assert _pad_to_multiple(plane, 16) is plane
+    ragged = np.arange(20.0 * 20).reshape(20, 20)
+    padded = _pad_to_multiple(ragged, 16)
+    assert padded.shape == (32, 32)
+    assert np.array_equal(padded[:20, :20], ragged)
+    assert np.array_equal(padded[20:, :20], np.repeat(ragged[-1:], 12, axis=0))
+
+
+# sha256 of the raw float64 output bytes.  Side 20 is a multiple of
+# neither 8 nor 16, so its planes go through the edge padding.
+CODEC_DIGESTS = {
+    96: {95: "d5b98ba0aeaf226cbbffc1fa0653cffb8c6f57f06ce28519538759a68eb42679",
+         75: "adcfc1ea832270e590a095640e49388f24e8284c33e61f7810370c0a6dee937a",
+         25: "64b9d965d64fd240f7aad85d724f1842789d281bdfa1c3d19263b710129a09f5",
+         "resize": "97f8e9b4bdca1ef7e17e3b9256989a6e1dc500859b918cbc0dbe8a68e1f9eaf9"},
+    32: {95: "d0184889ec8ec35335a3dbb0d8f0af5eb9a63339fde08e2d597a9d435cfb91b0",
+         75: "30ed547a8ca6e633b545840ea6b5fcef06001fdbe3b48052ae340f777947a3ab",
+         25: "051e6bfcae3ccfea8ca892bf7fabee447af0faf53da8d0d8103f2120b4dd1fbb",
+         "resize": "ae52d5543f70c8e4dc081186103685da4ddad9be7601a347bf1cdf05000b4011"},
+    20: {95: "3d0d8799a8e5647d834cc4e638a3b0e6afc2661c09df1ce2d900f18e0b0b27e7",
+         75: "b2e4668e5fc2906fec16f366ffb4bc25bdfd6d680dda8c86161101205ccfc1f9",
+         25: "2f20953a157e3decba3f603ddb7195fe660a6d01b6b794c7bc59c74d4a4a94d2",
+         "resize": "1a6b5d8887d871c7ac40bfb5a5c9dc11b6a92f2b56e188815fb31cb403ce5295"},
+}
+
+
+@pytest.mark.parametrize("side", sorted(CODEC_DIGESTS))
+def test_codec_outputs_match_pinned_digests(side):
+    img = gen_synthetic(4, classes=4, per_class=1, side=side).items[0].image
+    got = {q: hashlib.sha256(degrade_jpeg(img, q).tobytes()).hexdigest() for q in (95, 75, 25)}
+    got["resize"] = hashlib.sha256(resize_bicubic(img, 32, 32).tobytes()).hexdigest()
+    assert got == CODEC_DIGESTS[side]
 
 
 def test_resize_clamps_overshoot_into_unit_range():

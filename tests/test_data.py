@@ -1,12 +1,13 @@
 """Dataset directory ingestion and the seeded synthetic corpus."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from igprobe.data import Dataset, gen_synthetic, load_dataset
-from igprobe.imgio import write_ppm
+from igprobe.imgio import read_image, write_ppm
 from igprobe.tensor import SeededRng
 
 
@@ -75,6 +76,34 @@ def test_load_aggregates_multiple_problems(tmp_path):
 
 
 # ------------------------------------------------------------------- synthetic
+
+def test_loaded_dataset_stays_8_bit(tmp_path):
+    names = [f"{i:02d}.ppm" for i in range(50)]
+    for i, name in enumerate(names):
+        put_image(tmp_path, name, seed=i, side=96)
+    (tmp_path / "labels.csv").write_text(
+        "filename,class_name\n" + "".join(f"{n},c{i % 2}\n" for i, n in enumerate(names)))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pixels are 1.38 MB as uint8 and would be 11.06 MB as float64
+    assert held < 2.5e6
+    assert ds.image_shape == (96, 96, 3)
+    for it in ds.items:
+        assert it.pixels.dtype == np.uint8
+        image = it.image
+        assert image.dtype == np.float64
+        assert image.tobytes() == read_image(tmp_path / it.id).tobytes()
+
+
+def test_synthetic_image_is_its_float_pixels():
+    item = gen_synthetic(1, classes=2, per_class=1, side=8).items[0]
+    assert item.pixels.dtype == np.float64
+    assert item.image is item.pixels
+
 
 def test_synthetic_counts_and_balance():
     ds = gen_synthetic(1, classes=4, per_class=25, side=32)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igprobe import harness
 from igprobe import model as model_module
 from igprobe.codec import ORIGINAL, degrade_jpeg
-from igprobe.data import Dataset, DatasetItem, gen_synthetic
+from igprobe.data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from igprobe.harness import (
     AttributionBatch,
     AttributionRecord,
@@ -33,6 +34,7 @@ from igprobe.model import (
     new_scorer,
     train,
 )
+from igprobe.imgio import write_ppm
 from igprobe.tensor import argmax
 
 
@@ -136,8 +138,8 @@ def brightness_scorer(side: int = 8) -> ScorerModel:
 def brightness_dataset(side: int = 8) -> Dataset:
     bright = np.full((side, side, 3), 0.9)
     dark = np.full((side, side, 3), 0.1)
-    return Dataset(items=[DatasetItem(image=bright, label=0, id="bright_0"),
-                          DatasetItem(image=dark, label=1, id="dark_0")],
+    return Dataset(items=[DatasetItem(pixels=bright, label=0, id="bright_0"),
+                          DatasetItem(pixels=dark, label=1, id="dark_0")],
                    class_names=["bright", "dark"])
 
 
@@ -170,6 +172,37 @@ def test_sweep_computes_no_gradient_rows(monkeypatch):
     monkeypatch.setattr(model_module, "backward", no_backward)
     got = sweep_precision(model, data, [ORIGINAL, 50])
     assert got.rows[0].scores == want.rows[0].scores
+
+
+def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatch):
+    # 12x12 files for an 8x8 scorer, so every prepared image is resized too
+    source = gen_synthetic(6, classes=2, per_class=3, side=12)
+    for it in source.items:
+        write_ppm(tmp_path / f"{it.id}.ppm", it.image)
+    (tmp_path / "labels.csv").write_text("filename,class_name\n" + "".join(
+        f"{it.id}.ppm,{source.class_names[it.label]}\n" for it in source.items))
+    data = load_dataset(tmp_path)
+    as_float = Dataset(items=[DatasetItem(pixels=it.image, label=it.label, id=it.id)
+                              for it in data.items], class_names=data.class_names)
+    model = new_scorer(12, (8, 8, 3), (16,), 8, 2)
+    qualities = [ORIGINAL, 75, 25]
+
+    calls = {"degrade_jpeg": 0, "resize_bicubic": 0}
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    table = sweep_precision(model, data, qualities)
+    n = len(data.items) * len(qualities)
+    assert calls == {"degrade_jpeg": n, "resize_bicubic": n}
+    assert sweep_precision(model, as_float, qualities) == table
 
 
 def test_sweep_accuracy_metric():
