@@ -1,10 +1,11 @@
 """Command line: degrade, train, sweep, attribute, overlay, verify, report.
 
-Config resolution order per value: CLI flag, then the IGPROBE_OUTPUT_DIR
-environment variable (output dir only), then the --config JSON file,
-then built-in defaults.  Every resolved value is echoed to
-``manifest.json`` in the output directory, and identical configs
-produce byte-identical artifacts.
+Each subcommand declares its own flags, with their types and defaults, in
+``build_parser``.  Resolution order per value: CLI flag, then the
+IGPROBE_OUTPUT_DIR environment variable (output dir only), then the
+--config JSON file, then the declared default.  A subcommand that writes an
+output directory echoes its own resolved settings to ``manifest.json`` there,
+and identical settings produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import shlex
 import sys
 import os
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -32,138 +32,87 @@ from .verify import CHECKS, format_results, run_checks
 from .viz import POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
 
 ENV_OUTPUT_DIR = "IGPROBE_OUTPUT_DIR"
-DEFAULT_QUALITIES = (ORIGINAL, 75, 50, 25)
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int = 1
-    steps: int = DEFAULT_STEPS
-    scheme: str = "trapezoid"
-    qualities: list = field(default_factory=lambda: list(DEFAULT_QUALITIES))
-    metric: str = "macro_precision"
-    checkpoint: str | None = None
-    provider: str | None = None
-    train_fresh: bool = False
-    data: str | None = None
-    synthetic: bool = False
-    classes: int = 4
-    per_class: int = 50
-    side: int = 32
-    hidden: list = field(default_factory=lambda: [64])
-    embed_dim: int = 32
-    temperature: float = 100.0
-    lr: float = 0.05
-    epochs: int = 30
-    batch: int = 16
-    out: str = "igprobe_out"
-    quality: object = 25
-    overlay_quality: int | None = None
-    label: int | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    source: str | None = None
-    checks: list | None = None
+def _comma_list(convert):
+    """A flag type for a comma list, each item through ``convert``."""
+    return lambda text: [convert(v) for v in text.split(",") if v.strip()]
 
 
-def _parse_qualities(value) -> list:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    out = [parse_quality(str(v)) for v in items if str(v).strip()]
+def _parse_qualities(text: str) -> list:
+    out = _comma_list(parse_quality)(text)
     if not out:
         raise UsageError("empty quality list")
     return check_qualities(out)
 
 
-def _parse_int_list(value) -> list:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    return [int(v) for v in items if str(v).strip()]
-
-
-def _parse_name_list(value) -> list:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    return [str(v).strip() for v in items if str(v).strip()]
-
-
-def _opt_str(v):
-    return None if v is None else str(v)
-
-
-_COERCE = {
-    "seed": int, "steps": int, "classes": int, "per_class": int, "side": int,
-    "embed_dim": int, "epochs": int, "batch": int, "label": int,
-    "overlay_quality": int,
-    "temperature": float, "lr": float,
-    "scheme": str, "metric": str, "out": str,
-    "checkpoint": _opt_str, "provider": _opt_str, "data": _opt_str,
-    "input_path": _opt_str, "output_path": _opt_str, "source": _opt_str,
-    "train_fresh": bool, "synthetic": bool,
-    "qualities": _parse_qualities,
-    "hidden": _parse_int_list,
-    "checks": _parse_name_list,
-    "quality": lambda v: parse_quality(str(v)),
-}
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over env over config-file over defaults."""
-    file_values = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _usage_type(name: str, convert):
+    """``convert`` as an argparse type whose bad values are usage errors naming ``name``."""
+    def parse(text: str):
         try:
-            file_values = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path}: {exc}")
-        if not isinstance(file_values, dict):
-            raise UsageError(f"config {config_path} must hold a JSON object")
+            return convert(text)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad value for {name}: {text!r} ({exc})")
+    return parse
 
-    cfg = RunConfig(subcommand=args.subcommand)
-    unknown = [k for k in file_values if not hasattr(cfg, k) or k == "subcommand"]
+
+def _outside_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
+    """The --config file's values, as flag text, then IGPROBE_OUTPUT_DIR, for this subcommand.
+
+    A key that no subcommand takes is a usage error; a key that only other
+    subcommands take is ignored, so one file can drive train, sweep and attribute.
+    """
+    values = {}
+    if getattr(args, "config", None):
+        try:
+            values = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(values, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
+    known = {a.dest for p in subparsers.values() for a in p._actions} - {"help", "config"}
+    unknown = [k for k in values if k not in known]
     if unknown:
         raise UsageError(f"unknown config keys {unknown}")
 
-    for name in vars(cfg):
-        if name == "subcommand":
+    actions = {a.dest: a for a in subparsers[args.subcommand]._actions}
+    defaults = {}
+    for name, value in values.items():
+        action = actions.get(name)
+        if action is None or value is None:
             continue
-        value = getattr(args, name, None)
-        if value is None and name == "out" and os.environ.get(ENV_OUTPUT_DIR):
-            value = os.environ[ENV_OUTPUT_DIR]
-        if value is None and name in file_values:
-            value = file_values[name]
-        if value is None:
+        if action.nargs == 0:  # a bare flag: true sets it
+            if not isinstance(value, bool):
+                raise UsageError(f"bad value for {name}: {value!r} (expected true or false)")
+            defaults[name] = value
             continue
-        try:
-            setattr(cfg, name, _COERCE[name](value))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for {name}: {value!r} ({exc})")
-    if cfg.scheme not in SCHEMES:
-        raise UsageError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
-    if cfg.metric not in METRICS:
-        raise UsageError(f"metric must be one of {sorted(METRICS)}, got {cfg.metric!r}")
-    numeric = [q for q in cfg.qualities if q != ORIGINAL]
-    if cfg.overlay_quality is not None and cfg.overlay_quality not in numeric:
-        raise UsageError(f"--overlay-quality {cfg.overlay_quality} not in {numeric}")
-    return cfg
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        # argparse converts a string default with the flag's type but checks no choices
+        if action.choices and text not in action.choices:
+            raise UsageError(f"{name} must be one of {action.choices}, got {text!r}")
+        defaults[name] = text
+    if "out" in actions and os.environ.get(ENV_OUTPUT_DIR):
+        defaults["out"] = os.environ[ENV_OUTPUT_DIR]
+    return defaults
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: argparse.Namespace) -> Path:
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_manifest(cfg: RunConfig, out_dir: Path, extra: dict | None = None) -> None:
-    manifest = {"version": __version__, **asdict(cfg)}
-    if extra:
-        manifest.update(extra)
+def _write_manifest(cfg: argparse.Namespace, out_dir: Path) -> None:
+    manifest = {"version": __version__, **vars(cfg)}
+    del manifest["config"]
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_data(cfg: RunConfig) -> Dataset:
+def _load_data(cfg: argparse.Namespace) -> Dataset:
     if cfg.data and cfg.synthetic:
         raise UsageError("choose one dataset source: --data DIR or --synthetic")
     if cfg.data:
@@ -173,35 +122,39 @@ def _load_data(cfg: RunConfig) -> Dataset:
     raise UsageError("need a dataset: --data DIR or --synthetic")
 
 
-def _train_fresh(cfg: RunConfig, dataset: Dataset) -> ScorerModel:
+def _train_fresh(cfg: argparse.Namespace, dataset: Dataset) -> ScorerModel:
     model = new_scorer(cfg.seed, dataset.image_shape, cfg.hidden, cfg.embed_dim,
                        dataset.num_classes, cfg.temperature, dataset.class_names)
     return train(model, dataset, TrainConfig(lr=cfg.lr, epochs=cfg.epochs,
                                              batch=cfg.batch, seed=cfg.seed))
 
 
-def _resolve_scorer(cfg: RunConfig, dataset: Dataset | None):
+def _resolve_scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
     """One of checkpoint / provider / train-fresh; returns (name, scorer, close)."""
-    chosen = [n for n, v in (("checkpoint", cfg.checkpoint), ("provider", cfg.provider),
-                             ("train_fresh", cfg.train_fresh)) if v]
+    chosen = [v for v in (cfg.checkpoint, cfg.provider, getattr(cfg, "train_fresh", False)) if v]
     if len(chosen) != 1:
-        raise UsageError("exactly one model source required: "
-                         "--checkpoint PATH, --provider CMD, or --train-fresh")
+        raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD"
+                         + (", or --train-fresh" if hasattr(cfg, "train_fresh") else ""))
     if cfg.checkpoint:
         return Path(cfg.checkpoint).stem, load_model(cfg.checkpoint), lambda: None
     if cfg.provider:
         client = provider_connect(ProviderSpec(shlex.split(cfg.provider)))
         return "provider", client, client.close
-    if dataset is None:
-        raise UsageError("--train-fresh needs a dataset")
     return "scorer", _train_fresh(cfg, dataset), lambda: None
 
 
-def _safe_id(item_id: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in item_id)
+def _overlay_stems(dataset: Dataset) -> list:
+    """One overlay file-name stem per image; two ids with one stem are refused."""
+    owners = {}
+    for item in dataset.items:
+        stem = "".join(c if c.isalnum() or c in "-_." else "_" for c in item.id)
+        if owners.setdefault(stem, item.id) != item.id:
+            raise ValueError(f"images {owners[stem]!r} and {item.id!r} would write the same "
+                             f"overlay files {stem}_q*")
+    return list(owners)
 
 
-def cmd_degrade(cfg: RunConfig) -> int:
+def cmd_degrade(cfg: argparse.Namespace) -> int:
     img = read_image(cfg.input_path)
     out = degrade_jpeg(img, cfg.quality)
     write_image(cfg.output_path, out)
@@ -209,7 +162,7 @@ def cmd_degrade(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
     model = _train_fresh(cfg, dataset)
     out_dir = _out_dir(cfg)
@@ -222,14 +175,14 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _write_table_and_chart(cfg: RunConfig, table, out_dir: Path) -> None:
+def _write_table_and_chart(cfg: argparse.Namespace, table, out_dir: Path) -> None:
     (out_dir / "table.csv").write_text(emit_table(table, "csv"))
     (out_dir / "table.md").write_text(emit_table(table, "markdown"))
     chart = emit_chart_svg(table, cfg.metric.replace("_", " "))
     (out_dir / "chart.svg").write_text(chart)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
     name, scorer, close = _resolve_scorer(cfg, dataset)
     try:
@@ -255,15 +208,19 @@ def _write_overlays(out_dir: Path, stem: str, base, pol) -> dict:
     return files
 
 
-def _default_overlay_quality(cfg: RunConfig):
-    if cfg.overlay_quality is not None:  # resolve_config checked it against the sweep
-        return cfg.overlay_quality
+def _overlay_quality(cfg: argparse.Namespace):
     numeric = [q for q in cfg.qualities if q != ORIGINAL]
-    return min(numeric) if numeric else None
+    if cfg.overlay_quality is None:
+        return min(numeric) if numeric else None
+    if cfg.overlay_quality not in numeric:
+        raise UsageError(f"--overlay-quality {cfg.overlay_quality} not in {numeric}")
+    return cfg.overlay_quality
 
 
-def cmd_attribute(cfg: RunConfig) -> int:
+def cmd_attribute(cfg: argparse.Namespace) -> int:
+    overlay_q = _overlay_quality(cfg)
     dataset = _load_data(cfg)
+    stems = _overlay_stems(dataset) if overlay_q is not None else []
     name, scorer, close = _resolve_scorer(cfg, dataset)
     try:
         batch = attribute_batch(scorer, dataset, cfg.qualities,
@@ -271,13 +228,12 @@ def cmd_attribute(cfg: RunConfig) -> int:
         hw = scorer.input_shape[:2]
         out_dir = _out_dir(cfg)
         write_attribution_csv(batch, out_dir / "attributions.csv")
-        overlay_q = _default_overlay_quality(cfg)
         overlay_meta = []
         if overlay_q is not None:
-            for item, rec, maps in zip(dataset.items, batch.records, batch.maps):
+            for item, stem, rec, maps in zip(dataset.items, stems, batch.records, batch.maps):
                 base = prepare_input(item.image, ORIGINAL, hw)
                 pol = split_polarity(maps[overlay_q])
-                files = _write_overlays(out_dir, f"{_safe_id(rec.id)}_q{overlay_q}", base, pol)
+                files = _write_overlays(out_dir, f"{stem}_q{overlay_q}", base, pol)
                 overlay_meta.append({"id": rec.id, "quality": overlay_q,
                                      "ig_scale": pol.scale, "files": files})
             (out_dir / "overlays.json").write_text(
@@ -291,11 +247,11 @@ def cmd_attribute(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_overlay(cfg: RunConfig) -> int:
+def cmd_overlay(cfg: argparse.Namespace) -> int:
     img = read_image(cfg.input_path)
     if cfg.label is None:
         raise UsageError("overlay needs --label")
-    name, scorer, close = _resolve_scorer(cfg, None)
+    name, scorer, close = _resolve_scorer(cfg)
     try:
         hw = scorer.input_shape[:2]
         base = prepare_input(img, ORIGINAL, hw)
@@ -317,13 +273,13 @@ def cmd_overlay(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     results = run_checks(cfg.seed, names=cfg.checks)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: argparse.Namespace) -> int:
     if not cfg.source:
         raise UsageError("report needs --from (precision.csv or a directory holding one)")
     source = Path(cfg.source)
@@ -349,44 +305,59 @@ COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", "-o", help="output directory")
+def _add_config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON file of defaults for this subcommand's flags")
 
 
-def _add_dataset(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=1)
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", "-o", default="igprobe_out", help="output directory")
+
+
+def _add_training(p: argparse.ArgumentParser) -> None:
+    """The dataset and the scorer trained on it: train, and sweep/attribute's --train-fresh."""
+    _add_config(p)
+    _add_seed(p)
+    _add_out(p)
     p.add_argument("--data", help="dataset directory with labels.csv")
-    p.add_argument("--synthetic", action="store_const", const=True,
+    p.add_argument("--synthetic", action="store_true",
                    help="generate the seeded synthetic dataset")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--side", type=int)
+    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--per-class", type=int, default=50)
+    p.add_argument("--side", type=int, default=32)
+    p.add_argument("--hidden", type=_comma_list(int), default=[64],
+                   help="comma list of hidden widths")
+    p.add_argument("--embed-dim", type=int, default=32)
+    p.add_argument("--temperature", type=float, default=100.0)
+    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--batch", type=int, default=16)
 
 
 def _add_model_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", help="scorer checkpoint JSON")
     p.add_argument("--provider", help="gradient provider command line")
-    p.add_argument("--train-fresh", dest="train_fresh", action="store_const", const=True,
+
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
+    _add_training(p)
+    _add_model_source(p)
+    p.add_argument("--train-fresh", action="store_true",
                    help="train a scorer on the dataset first")
-
-
-def _add_train_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", help="comma list of hidden widths")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--qualities", type=_parse_qualities, default="original,75,50,25",
+                   help="comma list (default %(default)s)")
 
 
 def _add_path_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--steps", type=int, help="quadrature step count N")
-    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="quadrature step count N")
+    p.add_argument("--scheme", choices=SCHEMES, default="trapezoid")
 
 
-def _add_qualities(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--qualities", help="comma list, e.g. original,75,50,25")
+def _add_metric(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--metric", choices=sorted(METRICS), default="macro_precision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,61 +369,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("degrade", help="JPEG-degrade one image file")
-    p.add_argument("--quality", required=True)
+    p.add_argument("--quality", type=parse_quality, required=True)
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--out", dest="output_path", required=True)
-    p.add_argument("--config")
 
     p = sub.add_parser("train", help="train the scorer on a dataset")
-    _add_common(p)
-    _add_dataset(p)
-    _add_train_params(p)
+    _add_training(p)
 
     p = sub.add_parser("sweep", help="precision over a quality sweep")
-    _add_common(p)
-    _add_dataset(p)
-    _add_model_source(p)
-    _add_train_params(p)
-    _add_path_params(p)
-    _add_qualities(p)
-    p.add_argument("--metric", choices=sorted(METRICS))
+    _add_sweep(p)
+    _add_metric(p)
 
     p = sub.add_parser("attribute", help="per-image attributions and overlays")
-    _add_common(p)
-    _add_dataset(p)
-    _add_model_source(p)
-    _add_train_params(p)
+    _add_sweep(p)
     _add_path_params(p)
-    _add_qualities(p)
-    p.add_argument("--overlay-quality", dest="overlay_quality", type=int,
+    p.add_argument("--overlay-quality", type=int,
                    help="quality whose attribution is rendered (default: lowest)")
 
     p = sub.add_parser("overlay", help="polarity overlays for one image")
-    _add_common(p)
+    _add_config(p)
+    _add_out(p)
     _add_model_source(p)
     _add_path_params(p)
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--label", type=int)
-    p.add_argument("--quality")
+    p.add_argument("--quality", type=parse_quality, default=25)
 
     p = sub.add_parser("verify", help="run the numerical verification suite")
-    _add_common(p)
-    p.add_argument("--checks", help="comma list; available: "
+    _add_config(p)
+    _add_seed(p)
+    p.add_argument("--checks", type=_comma_list(str.strip), help="comma list; available: "
                    + ",".join(name for name, _ in CHECKS))
 
     p = sub.add_parser("report", help="re-render tables and chart from stored CSV")
-    _add_common(p)
+    _add_config(p)
+    _add_out(p)
     p.add_argument("--from", dest="source", help="precision.csv or its directory")
-    p.add_argument("--metric")
+    _add_metric(p)
+
+    for p in sub.choices.values():
+        for action in p._actions:
+            if action.type is not None:
+                action.type = _usage_type(action.dest, action.type)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return COMMANDS[cfg.subcommand](cfg)
+        args = parser.parse_args(argv)
+        subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
+        subparsers[args.subcommand].set_defaults(**_outside_defaults(args, subparsers))
+        args = parser.parse_args(argv)
+        return COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

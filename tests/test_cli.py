@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: exit codes, config precedence, artifacts."""
 
 import json
+import re
 import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,15 @@ TINY = ["--synthetic", "--classes", "2", "--per-class", "1", "--side", "8",
 # The mock gradient provider, scoring TINY's 8x8 two-class images over the wire.
 MOCK = ["--provider", f"{shlex.quote(sys.executable)} -m igprobe.mock_provider "
                       "--side 8 --classes 2 --seed 1"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def subparsers():
+    return next(a for a in build_parser()._actions if a.dest == "subcommand").choices
 
 
 @pytest.fixture
@@ -85,6 +92,23 @@ def test_missing_input_file_is_exit_1(tmp_path, capsys):
     code = run(["degrade", "--quality", "50", "--in", tmp_path / "ghost.ppm",
                 "--out", tmp_path / "out.ppm"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, removed", [
+    (["degrade", "--quality", "50", "--in", "a.ppm", "--out", "b.ppm"], ["--config", "c.json"]),
+    (["sweep", *TINY, "--train-fresh"], ["--steps", "-5"]),
+    (["sweep", *TINY, "--train-fresh"], ["--scheme", "trapezoid"]),
+    (["overlay", "--in", "a.ppm", "--label", "0"], ["--train-fresh"]),
+    (["overlay", "--in", "a.ppm", "--label", "0", "--checkpoint", "c.json"], ["--seed", "1"]),
+    (["verify"], ["--out", "v"]),
+    (["report", "--from", "p.csv"], ["--seed", "1"]),
+], ids=["degrade-config", "sweep-steps", "sweep-scheme", "overlay-train-fresh",
+        "overlay-seed", "verify-out", "report-seed"])
+def test_flag_the_subcommand_never_reads_is_rejected(capsys, argv, removed):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *removed])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- degrade
@@ -258,6 +282,25 @@ def test_attribute_rejects_overlay_quality_outside_sweep(tmp_path, capsys):
     assert "--overlay-quality 25" in capsys.readouterr().err
 
 
+def test_attribute_refuses_ids_that_share_an_overlay_file(tmp_path, capsys):
+    # "a b.ppm" and "a_b.ppm" both become the file-name stem "a_b.ppm"
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, item in zip(["a b.ppm", "a_b.ppm"], gen_synthetic(3, 2, 1, 8).items):
+        write_image(data / name, item.image)
+    (data / "labels.csv").write_text("filename,class_name\na b.ppm,x\na_b.ppm,y\n")
+    assert run(["train", *TINY, "--seed", "4", "--out", tmp_path / "t"]) == 0
+    argv = ["attribute", "--data", data, "--checkpoint", tmp_path / "t" / "checkpoint.json",
+            "--steps", "2"]
+    out = tmp_path / "o"
+    assert run([*argv, "--qualities", "original,50", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'a b.ppm'" in err and "'a_b.ppm'" in err
+    assert not out.exists()
+    # without overlays there is nothing to overwrite
+    assert run([*argv, "--qualities", "original", "--out", out]) == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["attribute", "--qualities", "original,25", "--overlay-quality", "50"],
      "--overlay-quality 50 not in [25]"),
@@ -294,7 +337,7 @@ def test_overlay_takes_no_quality_list(tmp_path, sample_ppm, capsys):
     assert "--qualities" not in overlay._option_string_actions
     assert {"--steps", "--scheme"} <= set(overlay._option_string_actions)
     with pytest.raises(SystemExit) as exc:
-        run(["overlay", "--in", sample_ppm, "--label", "0", "--train-fresh",
+        run(["overlay", "--in", sample_ppm, "--label", "0", "--checkpoint", tmp_path / "c.json",
              "--quality", "25", "--qualities", "25", "--out", tmp_path / "ov"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --qualities 25" in capsys.readouterr().err
@@ -332,8 +375,15 @@ def test_overlay_over_provider(tmp_path, sample_ppm):
     assert (out / "manifest.json").exists()
 
 
+def test_overlay_names_only_its_model_sources(tmp_path, sample_ppm, capsys):
+    assert run(["overlay", "--in", sample_ppm, "--label", "0", "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("exactly one model source required: "
+                                 "--checkpoint PATH, --provider CMD")
+
+
 def test_overlay_requires_label(tmp_path, sample_ppm, capsys):
-    code = run(["overlay", "--in", sample_ppm, "--train-fresh",
+    code = run(["overlay", "--in", sample_ppm, "--checkpoint", tmp_path / "c.json",
                 "--out", tmp_path / "o"])
     assert code == 2
     assert "--label" in capsys.readouterr().err
@@ -342,18 +392,17 @@ def test_overlay_requires_label(tmp_path, sample_ppm, capsys):
 # ---------------------------------------------------------------- verify
 
 
-def test_verify_subset_passes(tmp_path, capsys):
-    code = run(["verify", "--checks", "linear_exactness,polarity_bounds",
-                "--out", tmp_path / "v"])
+def test_verify_subset_passes(capsys):
+    code = run(["verify", "--checks", "linear_exactness,polarity_bounds"])
     assert code == 0
     out = capsys.readouterr().out
     assert "2/2 checks passed" in out
     assert "linear_exactness" in out
 
 
-def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", [("always_false", lambda seed: (False, "no"))])
-    code = run(["verify", "--out", tmp_path / "v"])
+    code = run(["verify"])
     assert code == 1
     out = capsys.readouterr().out
     assert any(line.startswith("always_false") and "FAIL" in line and line.endswith("no")
@@ -361,19 +410,19 @@ def test_verify_failing_check_exits_1(tmp_path, capsys, monkeypatch):
     assert "0/1 checks passed" in out
 
 
-def test_verify_raising_check_exits_1(tmp_path, capsys, monkeypatch):
+def test_verify_raising_check_exits_1(capsys, monkeypatch):
     def boom(seed):
         raise ZeroDivisionError(f"seed {seed}")
 
     monkeypatch.setattr(verify, "CHECKS", [("boom", boom)])
-    code = run(["verify", "--seed", "3", "--out", tmp_path / "v"])
+    code = run(["verify", "--seed", "3"])
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "raised ZeroDivisionError: seed 3" in out
 
 
-def test_verify_unknown_check_fails(tmp_path, capsys):
-    code = run(["verify", "--checks", "ghost_check", "--out", tmp_path / "v"])
+def test_verify_unknown_check_fails(capsys):
+    code = run(["verify", "--checks", "ghost_check"])
     assert code == 1
     assert "unknown checks" in capsys.readouterr().err
 
@@ -426,6 +475,73 @@ def test_malformed_config_value_rejected(tmp_path, capsys):
     assert run(["train", "--config", cfg, "--synthetic",
                 "--out", tmp_path / "o"]) == 2
     assert "bad value for seed" in capsys.readouterr().err
+
+
+def test_one_config_file_drives_each_subcommand(tmp_path):
+    # each subcommand takes the keys it has and ignores the others' keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 7, "seed": 4, "synthetic": True, "classes": 2,
+                               "per_class": 1, "side": 8, "hidden": [8], "embed_dim": 8,
+                               "epochs": 1, "batch": 2, "train_fresh": True,
+                               "qualities": ["original", 50], "metric": "accuracy"}))
+    manifests = {}
+    for name in ("train", "sweep", "attribute"):
+        out = tmp_path / name
+        assert run([name, "--config", cfg, "--out", out]) == 0
+        manifests[name] = json.loads((out / "manifest.json").read_text())
+    assert "steps" not in manifests["train"] and "steps" not in manifests["sweep"]
+    assert manifests["attribute"]["steps"] == 7
+    assert manifests["train"]["hidden"] == [8] and manifests["train"]["seed"] == 4
+    assert manifests["sweep"]["qualities"] == ["original", 50]
+    assert manifests["sweep"]["metric"] == "accuracy" and manifests["sweep"]["train_fresh"]
+    assert (tmp_path / "sweep" / "precision.csv").read_text().startswith(
+        "model,quality,score\nscorer,original,")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"scheme": "simpson"}, "scheme must be one of ('riemann_right', 'trapezoid'), got 'simpson'"),
+    ({"steps": 2.5}, "bad value for steps: '2.5'"),
+    ({"qualities": ["original", 25, 25]}, "bad value for qualities: 'original,25,25'"),
+    ({"synthetic": "yes"}, "bad value for synthetic: 'yes'"),
+    ({"out": "o", "config": "other.json"}, "unknown config keys ['config']"),
+], ids=["choice", "int", "quality-list", "bare-flag", "config-key"])
+def test_config_value_is_checked_as_its_flag(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["attribute", *TINY, "--train-fresh", "--config", cfg, "--out", out]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_echoes_only_the_subcommands_own_settings(tmp_path, sample_ppm):
+    ckpt = tmp_path / "train" / "checkpoint.json"
+    argvs = {
+        "train": [*TINY],
+        "sweep": [*TINY, "--checkpoint", ckpt, "--qualities", "original,50"],
+        "attribute": [*TINY, "--checkpoint", ckpt, "--qualities", "original,50", "--steps", "2"],
+        "overlay": ["--in", sample_ppm, "--label", "0", "--checkpoint", ckpt, "--steps", "2"],
+        "report": ["--from", tmp_path / "sweep"],
+    }
+    manifests = {}
+    for name, argv in argvs.items():
+        out = tmp_path / name
+        assert run([name, *argv, "--out", out]) == 0
+        manifests[name] = json.loads((out / "manifest.json").read_text())
+        dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
+        assert set(manifests[name]) == dests | {"version", "subcommand"}, name
+    assert set(manifests["report"]) == {"version", "subcommand", "out", "metric", "source"}
+    assert len(manifests["sweep"]) == 20 and "steps" not in manifests["sweep"]
+
+
+def test_readme_cli_examples_parse():
+    text = README.read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("igprobe ")]
+    assert {c[1] for c in commands} == set(subparsers())
+    for command in commands:
+        build_parser().parse_args(command[1:])
 
 
 def test_manifest_has_no_timestamps(tmp_path):
