@@ -15,6 +15,7 @@ import json
 import shlex
 import sys
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -25,8 +26,7 @@ from .harness import (METRICS, attribute_batch, check_qualities, parse_quality,
                       prepare_input, quality_key, read_precision_csv, sweep_precision,
                       write_attribution_csv, write_precision_csv)
 from .imgio import read_image, write_image
-from .model import (ScorerModel, TrainConfig, load_model, mean_loss, new_scorer, save_model,
-                    train)
+from .model import TrainConfig, load_model, mean_loss, new_scorer, save_model, train
 from .provider import ProviderSpec, provider_connect
 from .verify import CHECKS, format_results, run_checks
 from .viz import POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
@@ -122,25 +122,16 @@ def _load_data(cfg: argparse.Namespace) -> Dataset:
     raise UsageError("need a dataset: --data DIR or --synthetic")
 
 
-def _train_fresh(cfg: argparse.Namespace, dataset: Dataset) -> ScorerModel:
-    model = new_scorer(cfg.seed, dataset.image_shape, cfg.hidden, cfg.embed_dim,
-                       dataset.num_classes, cfg.temperature, dataset.class_names)
-    return train(model, dataset, TrainConfig(lr=cfg.lr, epochs=cfg.epochs,
-                                             batch=cfg.batch, seed=cfg.seed))
-
-
-def _resolve_scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
-    """One of checkpoint / provider / train-fresh; returns (name, scorer, close)."""
-    chosen = [v for v in (cfg.checkpoint, cfg.provider, getattr(cfg, "train_fresh", False)) if v]
-    if len(chosen) != 1:
-        raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD"
-                         + (", or --train-fresh" if hasattr(cfg, "train_fresh") else ""))
+@contextmanager
+def _scorer(cfg: argparse.Namespace):
+    """Yield (row name, scorer) from --checkpoint or --provider; a provider is closed on exit."""
+    if bool(cfg.checkpoint) == bool(cfg.provider):
+        raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD")
     if cfg.checkpoint:
-        return Path(cfg.checkpoint).stem, load_model(cfg.checkpoint), lambda: None
-    if cfg.provider:
-        client = provider_connect(ProviderSpec(shlex.split(cfg.provider)))
-        return "provider", client, client.close
-    return "scorer", _train_fresh(cfg, dataset), lambda: None
+        yield Path(cfg.checkpoint).stem, load_model(cfg.checkpoint)
+        return
+    with provider_connect(ProviderSpec(shlex.split(cfg.provider))) as client:
+        yield "provider", client
 
 
 def _overlay_stems(dataset: Dataset) -> list:
@@ -164,7 +155,10 @@ def cmd_degrade(cfg: argparse.Namespace) -> int:
 
 def cmd_train(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
-    model = _train_fresh(cfg, dataset)
+    model = new_scorer(cfg.seed, dataset.image_shape, cfg.hidden, cfg.embed_dim,
+                       dataset.num_classes, cfg.temperature, dataset.class_names)
+    model = train(model, dataset, TrainConfig(lr=cfg.lr, epochs=cfg.epochs,
+                                              batch=cfg.batch, seed=cfg.seed))
     out_dir = _out_dir(cfg)
     path = out_dir / "checkpoint.json"
     save_model(model, path)
@@ -184,11 +178,8 @@ def _write_table_and_chart(cfg: argparse.Namespace, table, out_dir: Path) -> Non
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
-    name, scorer, close = _resolve_scorer(cfg, dataset)
-    try:
+    with _scorer(cfg) as (name, scorer):
         table = sweep_precision(scorer, dataset, cfg.qualities, metric=cfg.metric, name=name)
-    finally:
-        close()
     out_dir = _out_dir(cfg)
     write_precision_csv(table, out_dir / "precision.csv")
     _write_table_and_chart(cfg, table, out_dir)
@@ -221,8 +212,7 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
     overlay_q = _overlay_quality(cfg)
     dataset = _load_data(cfg)
     stems = _overlay_stems(dataset) if overlay_q is not None else []
-    name, scorer, close = _resolve_scorer(cfg, dataset)
-    try:
+    with _scorer(cfg) as (_, scorer):
         batch = attribute_batch(scorer, dataset, cfg.qualities,
                                 steps=cfg.steps, scheme=cfg.scheme)
         hw = scorer.input_shape[:2]
@@ -238,8 +228,6 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
                                      "ig_scale": pol.scale, "files": files})
             (out_dir / "overlays.json").write_text(
                 json.dumps(overlay_meta, indent=2, sort_keys=True) + "\n")
-    finally:
-        close()
     _write_manifest(cfg, out_dir)
     n_files = 3 * len(overlay_meta)
     print(f"attributed {len(batch.records)} images at steps={cfg.steps} "
@@ -251,15 +239,12 @@ def cmd_overlay(cfg: argparse.Namespace) -> int:
     img = read_image(cfg.input_path)
     if cfg.label is None:
         raise UsageError("overlay needs --label")
-    name, scorer, close = _resolve_scorer(cfg)
-    try:
+    with _scorer(cfg) as (_, scorer):
         hw = scorer.input_shape[:2]
         base = prepare_input(img, ORIGINAL, hw)
         target = prepare_input(img, cfg.quality, hw)
         att = integrated_gradients(scorer, PathSpec(base, target, cfg.steps, cfg.scheme),
                                    cfg.label)
-    finally:
-        close()
     pol = split_polarity(att)
     out_dir = _out_dir(cfg)
     files = _write_overlays(out_dir, "overlay", base, pol)
@@ -279,6 +264,21 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _sweep_metric(source: Path) -> str:
+    """The metric recorded by a sweep manifest beside ``source``, else macro_precision."""
+    path = source.parent / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text()) if path.is_file() else {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
+    if not isinstance(manifest, dict) or manifest.get("subcommand") != "sweep":
+        return "macro_precision"
+    if manifest.get("metric") not in METRICS:
+        raise ValueError(f"{path}: metric {manifest.get('metric')!r} is not one of "
+                         f"{sorted(METRICS)}")
+    return manifest["metric"]
+
+
 def cmd_report(cfg: argparse.Namespace) -> int:
     if not cfg.source:
         raise UsageError("report needs --from (precision.csv or a directory holding one)")
@@ -286,6 +286,7 @@ def cmd_report(cfg: argparse.Namespace) -> int:
     if source.is_dir():
         source = source / "precision.csv"
     table = read_precision_csv(source)
+    cfg.metric = cfg.metric or _sweep_metric(source)
     out_dir = _out_dir(cfg)
     _write_table_and_chart(cfg, table, out_dir)
     _write_manifest(cfg, out_dir)
@@ -317,8 +318,8 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", "-o", default="igprobe_out", help="output directory")
 
 
-def _add_training(p: argparse.ArgumentParser) -> None:
-    """The dataset and the scorer trained on it: train, and sweep/attribute's --train-fresh."""
+def _add_dataset(p: argparse.ArgumentParser) -> None:
+    """The dataset flags of train, sweep and attribute."""
     _add_config(p)
     _add_seed(p)
     _add_out(p)
@@ -328,13 +329,6 @@ def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--per-class", type=int, default=50)
     p.add_argument("--side", type=int, default=32)
-    p.add_argument("--hidden", type=_comma_list(int), default=[64],
-                   help="comma list of hidden widths")
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--temperature", type=float, default=100.0)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=16)
 
 
 def _add_model_source(p: argparse.ArgumentParser) -> None:
@@ -343,10 +337,8 @@ def _add_model_source(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep(p: argparse.ArgumentParser) -> None:
-    _add_training(p)
+    _add_dataset(p)
     _add_model_source(p)
-    p.add_argument("--train-fresh", action="store_true",
-                   help="train a scorer on the dataset first")
     p.add_argument("--qualities", type=_parse_qualities, default="original,75,50,25",
                    help="comma list (default %(default)s)")
 
@@ -356,8 +348,8 @@ def _add_path_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=SCHEMES, default="trapezoid")
 
 
-def _add_metric(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", choices=sorted(METRICS), default="macro_precision")
+def _add_metric(p: argparse.ArgumentParser, default) -> None:
+    p.add_argument("--metric", choices=sorted(METRICS), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,11 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output_path", required=True)
 
     p = sub.add_parser("train", help="train the scorer on a dataset")
-    _add_training(p)
+    _add_dataset(p)
+    p.add_argument("--hidden", type=_comma_list(int), default=[64],
+                   help="comma list of hidden widths")
+    p.add_argument("--embed-dim", type=int, default=32)
+    p.add_argument("--temperature", type=float, default=100.0)
+    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--batch", type=int, default=16)
 
     p = sub.add_parser("sweep", help="precision over a quality sweep")
     _add_sweep(p)
-    _add_metric(p)
+    _add_metric(p, "macro_precision")
 
     p = sub.add_parser("attribute", help="per-image attributions and overlays")
     _add_sweep(p)
@@ -405,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p)
     _add_out(p)
     p.add_argument("--from", dest="source", help="precision.csv or its directory")
-    _add_metric(p)
+    _add_metric(p, None)  # None: the sweep's own metric, see _sweep_metric
 
     for p in sub.choices.values():
         for action in p._actions:

@@ -254,13 +254,10 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
     items = dataset.items
     if len(items) == 0:
         raise ValueError("cannot train on an empty dataset")
-    for it in items:
-        if not 0 <= it.label < model.num_classes:
-            raise ValueError(f"label {it.label} out of range for {model.num_classes} classes")
+    y_all = check_labels([it.label for it in items], len(items), model.num_classes)
 
     out = model.copy()
     x_all = np.stack([it.image.reshape(-1) for it in items])
-    y_all = np.array([it.label for it in items])
     rng = SeededRng(cfg.seed)
 
     for epoch in range(1, cfg.epochs + 1):

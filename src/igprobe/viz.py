@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
+from html import escape
+
 import numpy as np
 
 from .attribution import PolarityMaps
@@ -54,17 +58,21 @@ def quality_label(q: QualityLevel) -> str:
 
 
 def emit_table(table: PrecisionTable, format: str = "csv") -> str:
-    """Scores fixed to 4 decimals, one row per model."""
+    """Scores fixed to 4 decimals, one row per model; a model name is quoted
+    as CSV needs it, and a ``|`` in it is written ``\\|`` in markdown."""
     if format not in TABLE_FORMATS:
         raise ValueError(f"format must be one of {TABLE_FORMATS}, got {format!r}")
     header = ["model"] + [quality_label(q) for q in table.qualities]
     rows = [[row.model_name] + [f"{row.scores[q]:.4f}" for q in table.qualities]
             for row in table.rows]
     if format == "csv":
-        return "\n".join(",".join(cells) for cells in [header] + rows) + "\n"
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([header] + rows)
+        return text.getvalue()
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
-    lines += ["| " + " | ".join(cells) + " |" for cells in rows]
+    lines += ["| " + " | ".join([name.replace("|", "\\|"), *scores]) + " |"
+              for name, *scores in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -115,7 +123,8 @@ def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> s
                'text-anchor="middle" font-family="sans-serif" font-size="14">quality</text>')
     out.append(f'<text x="18" y="{_f((_TOP + _BOTTOM) / 2)}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="14" '
-               f'transform="rotate(-90 18 {_f((_TOP + _BOTTOM) / 2)})">{y_label}</text>')
+               f'transform="rotate(-90 18 {_f((_TOP + _BOTTOM) / 2)})">'
+               f'{escape(y_label, quote=False)}</text>')
 
     for idx, row in enumerate(table.rows):
         color = PALETTE[idx % len(PALETTE)]
@@ -126,7 +135,7 @@ def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> s
         ly = _TOP + 18 * idx
         out.append(f'<rect x="{_f(_RIGHT + 12)}" y="{_f(ly)}" width="12" height="12" '
                    f'fill="{color}"/>')
-        out.append(f'<text x="{_f(_RIGHT + 30)}" y="{_f(ly + 10)}" '
-                   f'font-family="sans-serif" font-size="12">{row.model_name}</text>')
+        out.append(f'<text x="{_f(_RIGHT + 30)}" y="{_f(ly + 10)}" font-family="sans-serif" '
+                   f'font-size="12">{escape(row.model_name, quote=False)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: exit codes, config precedence, artifacts."""
 
+import csv
 import json
 import re
 import shlex
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from igprobe.data import gen_synthetic
 from igprobe.imgio import read_image, write_image
 from igprobe.model import load_model
 
-TINY = ["--synthetic", "--classes", "2", "--per-class", "1", "--side", "8",
-        "--hidden", "8", "--embed-dim", "8", "--epochs", "1", "--batch", "2"]
+TINY = ["--synthetic", "--classes", "2", "--per-class", "1", "--side", "8"]
+# train's scorer flags for TINY's data
+SCORER = ["--hidden", "8", "--embed-dim", "8", "--epochs", "1", "--batch", "2"]
 # The mock gradient provider, scoring TINY's 8x8 two-class images over the wire.
 MOCK = ["--provider", f"{shlex.quote(sys.executable)} -m igprobe.mock_provider "
                       "--side 8 --classes 2 --seed 1"]
@@ -30,6 +33,14 @@ def run(argv):
 
 def subparsers():
     return next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+
+
+@pytest.fixture(scope="module")
+def ckpt(tmp_path_factory):
+    """A checkpoint trained on TINY's data at seed 4, for the commands that score."""
+    out = tmp_path_factory.mktemp("train")
+    assert run(["train", *TINY, *SCORER, "--seed", "4", "--out", out]) == 0
+    return out / "checkpoint.json"
 
 
 @pytest.fixture
@@ -49,9 +60,9 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_usage_error_is_exit_2(tmp_path, capsys):
+def test_usage_error_is_exit_2(tmp_path, capsys, ckpt):
     # two dataset sources at once
-    code = run(["sweep", "--synthetic", "--data", str(tmp_path), "--train-fresh",
+    code = run(["sweep", "--synthetic", "--data", str(tmp_path), "--checkpoint", ckpt,
                 "--out", str(tmp_path / "o")])
     assert code == 2
     assert "usage error" in capsys.readouterr().err
@@ -60,7 +71,8 @@ def test_usage_error_is_exit_2(tmp_path, capsys):
 def test_missing_model_source_is_exit_2(tmp_path, capsys):
     code = run(["sweep", *TINY, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "exactly one model source" in capsys.readouterr().err
+    assert capsys.readouterr().err.rstrip().endswith(
+        "exactly one model source required: --checkpoint PATH, --provider CMD")
 
 
 def test_value_error_is_exit_1(tmp_path, capsys):
@@ -75,10 +87,10 @@ def test_value_error_is_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["degrade", "--quality", "0"],
     ["degrade", "--quality", "101"],
-    ["sweep", *TINY, "--train-fresh", "--qualities", "original,0"],
+    ["sweep", *TINY, "--checkpoint", "c.json", "--qualities", "original,0"],
 ])
 def test_out_of_range_quality_is_usage_error(tmp_path, sample_ppm, capsys, argv):
-    # rejected while the config is read, before any image is degraded or model trained
+    # rejected while the config is read, before any image is degraded or model loaded
     if argv[0] == "degrade":
         argv = [*argv, "--in", sample_ppm]
     code = run([*argv, "--out", tmp_path / "o"])
@@ -96,14 +108,19 @@ def test_missing_input_file_is_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, removed", [
     (["degrade", "--quality", "50", "--in", "a.ppm", "--out", "b.ppm"], ["--config", "c.json"]),
-    (["sweep", *TINY, "--train-fresh"], ["--steps", "-5"]),
-    (["sweep", *TINY, "--train-fresh"], ["--scheme", "trapezoid"]),
+    (["sweep", *TINY, "--checkpoint", "c.json"], ["--steps", "-5"]),
+    (["sweep", *TINY, "--checkpoint", "c.json"], ["--scheme", "trapezoid"]),
     (["overlay", "--in", "a.ppm", "--label", "0"], ["--train-fresh"]),
     (["overlay", "--in", "a.ppm", "--label", "0", "--checkpoint", "c.json"], ["--seed", "1"]),
     (["verify"], ["--out", "v"]),
     (["report", "--from", "p.csv"], ["--seed", "1"]),
+    (["sweep", *TINY], ["--train-fresh"]),
+    (["attribute", *TINY], ["--train-fresh"]),
+    (["sweep", *TINY, "--checkpoint", "c.json"], ["--hidden", "8"]),
+    (["attribute", *TINY, "--checkpoint", "c.json"], ["--epochs", "1"]),
 ], ids=["degrade-config", "sweep-steps", "sweep-scheme", "overlay-train-fresh",
-        "overlay-seed", "verify-out", "report-seed"])
+        "overlay-seed", "verify-out", "report-seed", "sweep-train-fresh",
+        "attribute-train-fresh", "sweep-hidden", "attribute-epochs"])
 def test_flag_the_subcommand_never_reads_is_rejected(capsys, argv, removed):
     with pytest.raises(SystemExit) as exc:
         run([*argv, *removed])
@@ -134,7 +151,7 @@ def test_degrade_original_is_lossless_roundtrip(tmp_path, sample_ppm):
 
 def test_train_writes_loadable_checkpoint(tmp_path, capsys):
     out = tmp_path / "run"
-    assert run(["train", *TINY, "--seed", "4", "--out", out]) == 0
+    assert run(["train", *TINY, *SCORER, "--seed", "4", "--out", out]) == 0
     model = load_model(out / "checkpoint.json")
     assert model.input_shape == (8, 8, 3)
     assert model.num_classes == 2
@@ -172,9 +189,9 @@ def test_malformed_checkpoint_is_exit_1(tmp_path, capsys, doc, message):
 # ---------------------------------------------------------------- sweep & report
 
 
-def test_sweep_train_fresh_artifacts(tmp_path, capsys):
+def test_sweep_artifacts(tmp_path, capsys, ckpt):
     out = tmp_path / "sweep"
-    assert run(["sweep", *TINY, "--train-fresh", "--seed", "4",
+    assert run(["sweep", *TINY, "--checkpoint", ckpt, "--seed", "4",
                 "--qualities", "original,50", "--out", out]) == 0
     for name in ("precision.csv", "table.csv", "table.md", "chart.svg",
                  "manifest.json"):
@@ -184,18 +201,16 @@ def test_sweep_train_fresh_artifacts(tmp_path, capsys):
     assert (out / "precision.csv").read_text().startswith("model,quality,score\n")
 
 
-def test_sweep_from_checkpoint_row_named_after_file(tmp_path):
-    ckpt_dir = tmp_path / "t"
-    assert run(["train", *TINY, "--seed", "4", "--out", ckpt_dir]) == 0
+def test_sweep_from_checkpoint_row_named_after_file(tmp_path, ckpt):
     out = tmp_path / "s"
-    assert run(["sweep", *TINY, "--checkpoint", ckpt_dir / "checkpoint.json",
+    assert run(["sweep", *TINY, "--checkpoint", ckpt,
                 "--qualities", "original,50", "--out", out]) == 0
     assert "checkpoint,original," in (out / "precision.csv").read_text()
 
 
-def test_sweep_byte_identical_across_runs(tmp_path):
+def test_sweep_byte_identical_across_runs(tmp_path, ckpt):
     out = tmp_path / "rep"
-    argv = ["sweep", *TINY, "--train-fresh", "--seed", "4",
+    argv = ["sweep", *TINY, "--checkpoint", ckpt, "--seed", "4",
             "--qualities", "original,50", "--out", out]
     assert run(argv) == 0
     first = {n: (out / n).read_bytes()
@@ -206,15 +221,60 @@ def test_sweep_byte_identical_across_runs(tmp_path):
         assert (out / name).read_bytes() == blob, name
 
 
-def test_report_rerenders_from_csv(tmp_path):
+def test_report_rerenders_from_csv(tmp_path, ckpt):
     sweep_out = tmp_path / "sweep"
-    assert run(["sweep", *TINY, "--train-fresh", "--seed", "4",
+    assert run(["sweep", *TINY, "--checkpoint", ckpt, "--seed", "4",
                 "--qualities", "original,50",
                 "--out", sweep_out]) == 0
     report_out = tmp_path / "report"
     assert run(["report", "--from", sweep_out, "--out", report_out]) == 0
     assert (report_out / "chart.svg").read_bytes() == (sweep_out / "chart.svg").read_bytes()
     assert (report_out / "table.csv").read_bytes() == (sweep_out / "table.csv").read_bytes()
+
+
+def test_model_name_is_escaped_in_table_and_chart(tmp_path, ckpt):
+    named = tmp_path / "a&b,v2|<x>.json"
+    named.write_bytes(ckpt.read_bytes())
+    out = tmp_path / "s"
+    assert run(["sweep", *TINY, "--checkpoint", named, "--qualities", "original,50",
+                "--out", out]) == 0
+    with open(out / "table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [3, 3] and rows[1][0] == "a&b,v2|<x>"
+    md_row = (out / "table.md").read_text().splitlines()[2]
+    assert md_row.startswith("| a&b,v2\\|<x> | ")
+    assert len(re.split(r"(?<!\\)\|", md_row)) == 5  # 3 cells between 4 unescaped pipes
+    svg = ElementTree.parse(out / "chart.svg").getroot()
+    assert "a&b,v2|<x>" in [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_report_labels_chart_with_the_sweeps_metric(tmp_path, ckpt):
+    sweep_out = tmp_path / "sweep"
+    assert run(["sweep", *TINY, "--checkpoint", ckpt, "--metric", "accuracy",
+                "--qualities", "original,50", "--out", sweep_out]) == 0
+    report_out = tmp_path / "report"
+    assert run(["report", "--from", sweep_out / "precision.csv", "--out", report_out]) == 0
+    assert (report_out / "chart.svg").read_bytes() == (sweep_out / "chart.svg").read_bytes()
+    assert json.loads((report_out / "manifest.json").read_text())["metric"] == "accuracy"
+    # an explicit --metric wins over the sweep's
+    assert run(["report", "--from", sweep_out, "--metric", "macro_precision",
+                "--out", report_out]) == 0
+    assert ">macro precision</text>" in (report_out / "chart.svg").read_text()
+    assert json.loads((report_out / "manifest.json").read_text())["metric"] == "macro_precision"
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("{", "cannot read"),
+    ('{"subcommand": "sweep", "metric": "bogus"}', "metric 'bogus' is not one of"),
+], ids=["not-json", "unknown-metric"])
+def test_report_refuses_a_bad_sweep_manifest(tmp_path, capsys, manifest, message):
+    source = tmp_path / "precision.csv"
+    source.write_text("model,quality,score\nm,original,1.0\nm,50,0.5\n")
+    (tmp_path / "manifest.json").write_text(manifest)
+    out = tmp_path / "report"
+    assert run(["report", "--from", source, "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1.7", "-0.1"])
@@ -255,9 +315,9 @@ def test_report_needs_source(tmp_path, capsys):
 # ---------------------------------------------------------------- attribute & overlay
 
 
-def test_attribute_writes_csv_and_overlays(tmp_path):
+def test_attribute_writes_csv_and_overlays(tmp_path, ckpt):
     out = tmp_path / "att"
-    assert run(["attribute", *TINY, "--train-fresh", "--seed", "4",
+    assert run(["attribute", *TINY, "--checkpoint", ckpt, "--seed", "4",
                 "--qualities", "original,75,50", "--steps", "4",
                 "--out", out]) == 0
     text = (out / "attributions.csv").read_text()
@@ -274,24 +334,22 @@ def test_attribute_writes_csv_and_overlays(tmp_path):
             assert (out / fname).exists()
 
 
-def test_attribute_rejects_overlay_quality_outside_sweep(tmp_path, capsys):
-    code = run(["attribute", *TINY, "--train-fresh",
+def test_attribute_rejects_overlay_quality_outside_sweep(tmp_path, capsys, ckpt):
+    code = run(["attribute", *TINY, "--checkpoint", ckpt,
                 "--qualities", "original,50", "--overlay-quality", "25",
                 "--steps", "2", "--out", tmp_path / "o"])
     assert code == 2
     assert "--overlay-quality 25" in capsys.readouterr().err
 
 
-def test_attribute_refuses_ids_that_share_an_overlay_file(tmp_path, capsys):
+def test_attribute_refuses_ids_that_share_an_overlay_file(tmp_path, capsys, ckpt):
     # "a b.ppm" and "a_b.ppm" both become the file-name stem "a_b.ppm"
     data = tmp_path / "data"
     data.mkdir()
     for name, item in zip(["a b.ppm", "a_b.ppm"], gen_synthetic(3, 2, 1, 8).items):
         write_image(data / name, item.image)
     (data / "labels.csv").write_text("filename,class_name\na b.ppm,x\na_b.ppm,y\n")
-    assert run(["train", *TINY, "--seed", "4", "--out", tmp_path / "t"]) == 0
-    argv = ["attribute", "--data", data, "--checkpoint", tmp_path / "t" / "checkpoint.json",
-            "--steps", "2"]
+    argv = ["attribute", "--data", data, "--checkpoint", ckpt, "--steps", "2"]
     out = tmp_path / "o"
     assert run([*argv, "--qualities", "original,50", "--out", out]) == 1
     err = capsys.readouterr().err
@@ -308,19 +366,16 @@ def test_attribute_refuses_ids_that_share_an_overlay_file(tmp_path, capsys):
     (["attribute", "--qualities", "original,25,25"], "quality 25 is listed twice"),
     (["sweep", "--qualities", "original,25,original"], "quality original is listed twice"),
 ])
-def test_bad_quality_list_is_usage_error_before_any_work(tmp_path, capsys, argv, message):
+def test_bad_quality_list_is_usage_error_before_any_work(tmp_path, capsys, ckpt, argv, message):
     out = tmp_path / "o"
-    assert run([*argv, *TINY, "--train-fresh", "--out", out]) == 2
+    assert run([*argv, *TINY, "--checkpoint", ckpt, "--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_overlay_single_image(tmp_path, sample_ppm):
-    ckpt_dir = tmp_path / "t"
-    assert run(["train", *TINY, "--seed", "4", "--out", ckpt_dir]) == 0
+def test_overlay_single_image(tmp_path, sample_ppm, ckpt):
     out = tmp_path / "ov"
-    assert run(["overlay", "--in", sample_ppm, "--label", "0",
-                "--checkpoint", ckpt_dir / "checkpoint.json",
+    assert run(["overlay", "--in", sample_ppm, "--label", "0", "--checkpoint", ckpt,
                 "--quality", "25", "--steps", "4", "--out", out]) == 0
     meta = json.loads((out / "overlay.json").read_text())
     assert meta["quality"] == "25"
@@ -460,9 +515,10 @@ def test_env_output_dir_between_flag_and_config(tmp_path, monkeypatch):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    # "jobs" set the removed worker-thread count; an old config must fail loudly
+    # "jobs" set the removed worker-thread count and "train_fresh" the removed in-process
+    # training of sweep and attribute; an old config must fail loudly
     cfg = tmp_path / "cfg.json"
-    for key in ("sedd", "jobs"):
+    for key in ("sedd", "jobs", "train_fresh"):
         cfg.write_text(json.dumps({key: 1}))
         assert run(["train", "--config", cfg, "--synthetic",
                     "--out", tmp_path / "o"]) == 2
@@ -480,9 +536,10 @@ def test_malformed_config_value_rejected(tmp_path, capsys):
 def test_one_config_file_drives_each_subcommand(tmp_path):
     # each subcommand takes the keys it has and ignores the others' keys
     cfg = tmp_path / "cfg.json"
+    ckpt = tmp_path / "train" / "checkpoint.json"
     cfg.write_text(json.dumps({"steps": 7, "seed": 4, "synthetic": True, "classes": 2,
                                "per_class": 1, "side": 8, "hidden": [8], "embed_dim": 8,
-                               "epochs": 1, "batch": 2, "train_fresh": True,
+                               "epochs": 1, "batch": 2, "checkpoint": str(ckpt),
                                "qualities": ["original", 50], "metric": "accuracy"}))
     manifests = {}
     for name in ("train", "sweep", "attribute"):
@@ -493,9 +550,11 @@ def test_one_config_file_drives_each_subcommand(tmp_path):
     assert manifests["attribute"]["steps"] == 7
     assert manifests["train"]["hidden"] == [8] and manifests["train"]["seed"] == 4
     assert manifests["sweep"]["qualities"] == ["original", 50]
-    assert manifests["sweep"]["metric"] == "accuracy" and manifests["sweep"]["train_fresh"]
+    assert manifests["sweep"]["metric"] == "accuracy" and "hidden" not in manifests["sweep"]
+    assert manifests["attribute"]["checkpoint"] == str(ckpt)
+    assert "checkpoint" not in manifests["train"]
     assert (tmp_path / "sweep" / "precision.csv").read_text().startswith(
-        "model,quality,score\nscorer,original,")
+        "model,quality,score\ncheckpoint,original,")
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -505,11 +564,11 @@ def test_one_config_file_drives_each_subcommand(tmp_path):
     ({"synthetic": "yes"}, "bad value for synthetic: 'yes'"),
     ({"out": "o", "config": "other.json"}, "unknown config keys ['config']"),
 ], ids=["choice", "int", "quality-list", "bare-flag", "config-key"])
-def test_config_value_is_checked_as_its_flag(tmp_path, capsys, doc, message):
+def test_config_value_is_checked_as_its_flag(tmp_path, capsys, ckpt, doc, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "o"
-    assert run(["attribute", *TINY, "--train-fresh", "--config", cfg, "--out", out]) == 2
+    assert run(["attribute", *TINY, "--checkpoint", ckpt, "--config", cfg, "--out", out]) == 2
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -517,7 +576,7 @@ def test_config_value_is_checked_as_its_flag(tmp_path, capsys, doc, message):
 def test_manifest_echoes_only_the_subcommands_own_settings(tmp_path, sample_ppm):
     ckpt = tmp_path / "train" / "checkpoint.json"
     argvs = {
-        "train": [*TINY],
+        "train": [*TINY, *SCORER],
         "sweep": [*TINY, "--checkpoint", ckpt, "--qualities", "original,50"],
         "attribute": [*TINY, "--checkpoint", ckpt, "--qualities", "original,50", "--steps", "2"],
         "overlay": ["--in", sample_ppm, "--label", "0", "--checkpoint", ckpt, "--steps", "2"],
@@ -531,7 +590,8 @@ def test_manifest_echoes_only_the_subcommands_own_settings(tmp_path, sample_ppm)
         dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
         assert set(manifests[name]) == dests | {"version", "subcommand"}, name
     assert set(manifests["report"]) == {"version", "subcommand", "out", "metric", "source"}
-    assert len(manifests["sweep"]) == 20 and "steps" not in manifests["sweep"]
+    assert len(manifests["sweep"]) == 13 and "steps" not in manifests["sweep"]
+    assert len(manifests["attribute"]) == 15 and len(manifests["train"]) == 15
 
 
 def test_readme_cli_examples_parse():
@@ -544,9 +604,22 @@ def test_readme_cli_examples_parse():
         build_parser().parse_args(command[1:])
 
 
+def test_readme_flag_table_matches_parser():
+    text = README.read_text()
+    table = re.search(r"^\| subcommand \| flags \|\n\|[-|]+\|\n((?:\|.*\n)+)", text, re.M).group(1)
+    rows = {}
+    for line in table.splitlines():
+        name, flags = re.match(r"\| `(\w+)` \| (.*) \|$", line).groups()
+        rows[name] = set(re.findall(r"`(--[\w-]+)", flags))
+    assert set(rows) == set(subparsers())
+    for name, parser in subparsers().items():
+        options = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert rows[name] == options - {"--help"}, name
+
+
 def test_manifest_has_no_timestamps(tmp_path):
     out = tmp_path / "run"
-    argv = ["train", *TINY, "--seed", "4", "--out", out]
+    argv = ["train", *TINY, *SCORER, "--seed", "4", "--out", out]
     assert run(argv) == 0
     first = (out / "manifest.json").read_bytes()
     assert run(argv) == 0
