@@ -356,16 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="igprobe",
         description="Probe classifier degradation under JPEG compression "
-                    "with integrated-gradients attributions.")
+                    "with integrated-gradients attributions.",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"igprobe {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("degrade", help="JPEG-degrade one image file")
+    p = sub.add_parser("degrade", help="JPEG-degrade one image file", allow_abbrev=False)
     p.add_argument("--quality", type=parse_quality, required=True)
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--out", dest="output_path", required=True)
 
-    p = sub.add_parser("train", help="train the scorer on a dataset")
+    p = sub.add_parser("train", help="train the scorer on a dataset", allow_abbrev=False)
     _add_dataset(p)
     p.add_argument("--hidden", type=_comma_list(int), default=[64],
                    help="comma list of hidden widths")
@@ -375,17 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch", type=int, default=16)
 
-    p = sub.add_parser("sweep", help="precision over a quality sweep")
+    p = sub.add_parser("sweep", help="precision over a quality sweep", allow_abbrev=False)
     _add_sweep(p)
     _add_metric(p, "macro_precision")
 
-    p = sub.add_parser("attribute", help="per-image attributions and overlays")
+    p = sub.add_parser("attribute", help="per-image attributions and overlays", allow_abbrev=False)
     _add_sweep(p)
     _add_path_params(p)
     p.add_argument("--overlay-quality", type=int,
                    help="quality whose attribution is rendered (default: lowest)")
 
-    p = sub.add_parser("overlay", help="polarity overlays for one image")
+    p = sub.add_parser("overlay", help="polarity overlays for one image", allow_abbrev=False)
     _add_config(p)
     _add_out(p)
     _add_model_source(p)
@@ -394,13 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", type=int)
     p.add_argument("--quality", type=parse_quality, default=25)
 
-    p = sub.add_parser("verify", help="run the numerical verification suite")
+    p = sub.add_parser("verify", help="run the numerical verification suite", allow_abbrev=False)
     _add_config(p)
     _add_seed(p)
     p.add_argument("--checks", type=_comma_list(str.strip), help="comma list; available: "
                    + ",".join(name for name, _ in CHECKS))
 
-    p = sub.add_parser("report", help="re-render tables and chart from stored CSV")
+    p = sub.add_parser("report", help="re-render tables and chart from stored CSV",
+                       allow_abbrev=False)
     _add_config(p)
     _add_out(p)
     p.add_argument("--from", dest="source", help="precision.csv or its directory")

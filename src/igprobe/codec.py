@@ -78,12 +78,14 @@ class QuantTable:
     chroma: np.ndarray
 
 
+@lru_cache(maxsize=128)
 def quant_table(q: int) -> QuantTable:
     """IJG-convention scaled quantization tables for quality ``q`` in [1, 100].
 
     Integer arithmetic throughout, matching libjpeg: scale 5000/q below
     50 else 200 - 2q, entries floor((base * scale + 50) / 100) clamped
     to [1, 255].  q=50 reproduces the base tables; q=100 is all ones.
+    The tables are read-only, because every call at ``q`` shares them.
     """
     q = check_quality(q)
     if q == ORIGINAL:
@@ -91,6 +93,8 @@ def quant_table(q: int) -> QuantTable:
     scale = 5000 // q if q < 50 else 200 - 2 * q
     luma = np.clip((LUMA_BASE * scale + 50) // 100, 1, 255)
     chroma = np.clip((CHROMA_BASE * scale + 50) // 100, 1, 255)
+    luma.flags.writeable = False
+    chroma.flags.writeable = False
     return QuantTable(luma=luma, chroma=chroma)
 
 
@@ -137,8 +141,8 @@ def _quantize_plane(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _rgb_to_ycbcr(rgb255: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # BT.601 full-range JPEG matrix.
-    r, g, b = rgb255[..., 0], rgb255[..., 1], rgb255[..., 2]
+    # BT.601 full-range JPEG matrix, on contiguous R, G and B planes.
+    r, g, b = np.ascontiguousarray(np.moveaxis(rgb255, -1, 0))
     y = 0.299 * r + 0.587 * g + 0.114 * b
     cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
@@ -146,10 +150,11 @@ def _rgb_to_ycbcr(rgb255: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    r = y + 1.402 * (cr - 128.0)
-    g = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0)
-    b = y + 1.772 * (cb - 128.0)
-    return np.stack([r, g, b], axis=-1)
+    rgb = np.empty(y.shape + (3,))
+    rgb[..., 0] = y + 1.402 * (cr - 128.0)
+    rgb[..., 1] = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0)
+    rgb[..., 2] = y + 1.772 * (cb - 128.0)
+    return rgb
 
 
 def _pad_to_multiple(plane: np.ndarray, m: int) -> np.ndarray:
@@ -157,6 +162,14 @@ def _pad_to_multiple(plane: np.ndarray, m: int) -> np.ndarray:
     if h % m == 0 and w % m == 0:
         return plane
     return np.pad(plane, ((0, -h % m), (0, -w % m)), mode="edge")
+
+
+def _subsample_420(plane: np.ndarray) -> np.ndarray:
+    """2x2 box average of an even-sided plane.  Pairing the sums as
+    ``(a + b) + (c + d)`` matches ``mean`` over each 2x2 block bit for
+    bit; the running order ``((a + b) + c) + d`` does not."""
+    return ((plane[0::2, 0::2] + plane[0::2, 1::2])
+            + (plane[1::2, 0::2] + plane[1::2, 1::2])) / 4
 
 
 def degrade_jpeg(img: np.ndarray, q: QualityLevel) -> np.ndarray:
@@ -182,9 +195,8 @@ def degrade_jpeg(img: np.ndarray, q: QualityLevel) -> np.ndarray:
     cr = _pad_to_multiple(cr, pad)
 
     if subsample:
-        ph, pw = cb.shape
-        cb = cb.reshape(ph // 2, 2, pw // 2, 2).mean(axis=(1, 3))
-        cr = cr.reshape(ph // 2, 2, pw // 2, 2).mean(axis=(1, 3))
+        cb = _subsample_420(cb)
+        cr = _subsample_420(cr)
 
     y = _quantize_plane(y - 128.0, tables.luma) + 128.0
     cb = _quantize_plane(cb - 128.0, tables.chroma) + 128.0
@@ -228,19 +240,18 @@ def _axis_taps(in_len: int, out_len: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
-    arr = np.moveaxis(arr, axis, 0)
-    taps, weights = _axis_taps(arr.shape[0], out_len)
-    p = arr[taps]  # (out_len, 4, ...)
-    wshape = (out_len, 4) + (1,) * (arr.ndim - 1)
-    w = weights.reshape(wshape)
+    taps, weights = _axis_taps(arr.shape[axis], out_len)
+    # Tap k of every output position, gathered along ``axis`` itself.
+    p = [arr.take(taps[:, k], axis=axis) for k in range(4)]
+    wshape = (out_len,) + (1,) * (arr.ndim - 1 - axis)
+    w = [weights[:, k].reshape(wshape) for k in range(4)]
     # Anchored form of the 4-tap dot product: the floor tap carries the
     # residual kernel mass, so constants survive bit-exactly whatever
     # the rounding of the individual weights.
-    anchor = p[:, 1]
-    out = anchor + (w[:, 0] * (p[:, 0] - anchor)
-                    + w[:, 2] * (p[:, 2] - anchor)
-                    + w[:, 3] * (p[:, 3] - anchor))
-    return np.moveaxis(out, 0, axis)
+    anchor = p[1]
+    return anchor + (w[0] * (p[0] - anchor)
+                     + w[2] * (p[2] - anchor)
+                     + w[3] * (p[3] - anchor))
 
 
 def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -99,12 +99,15 @@ def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> s
     def y_at(score: float) -> float:
         return _BOTTOM - (_BOTTOM - _TOP) * score
 
+    # The title names the y axis's metric, without its averaging qualifier.
+    metric = y_label.removeprefix("macro ")
+    title = f"{metric[:1].upper()}{metric[1:]} vs JPEG quality"
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW_W}" height="{_VIEW_H}" '
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}">',
         f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="white"/>',
         f'<text x="{_f((_LEFT + _RIGHT) / 2)}" y="28" text-anchor="middle" '
-        'font-family="sans-serif" font-size="18">Precision vs JPEG quality</text>',
+        f'font-family="sans-serif" font-size="18">{escape(title, quote=False)}</text>',
     ]
     for i in range(5):
         frac = i / 4.0

@@ -128,6 +128,19 @@ def test_flag_the_subcommand_never_reads_is_rejected(capsys, argv, removed):
     assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
 
+def test_abbreviated_flag_is_rejected(capsys, tmp_path, ckpt):
+    base = ["sweep", *TINY, "--out", tmp_path / "o"]
+    for flags, rejected in ((["--check", ckpt, "--qualities", "original,50"], f"--check {ckpt}"),
+                            (["--checkpoint", ckpt, "--qual", "original,50"],
+                             "--qual original,50")):
+        with pytest.raises(SystemExit) as exc:
+            run([*base, *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {rejected}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run([*base, "--checkpoint", ckpt, "--qualities", "original,50"]) == 0
+
+
 # ---------------------------------------------------------------- degrade
 
 

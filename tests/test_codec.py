@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igprobe.codec import (CHROMA_BASE, LUMA_BASE, ORIGINAL, _axis_taps, _pad_to_multiple,
-                           check_image, check_quality, cubic_kernel, dct8x8, degrade_jpeg,
-                           idct8x8, psnr, quant_table, resize_bicubic)
+                           _resize_axis, _subsample_420, check_image, check_quality,
+                           cubic_kernel, dct8x8, degrade_jpeg, idct8x8, psnr, quant_table,
+                           resize_bicubic)
 from igprobe.data import gen_synthetic
 from igprobe.tensor import SeededRng
 
@@ -90,6 +91,25 @@ def test_quant_table_rejects_out_of_range():
             quant_table(q)
     with pytest.raises(ValueError):
         quant_table(ORIGINAL)
+
+
+def test_quant_table_is_cached_and_read_only():
+    t = quant_table(30)
+    assert quant_table(30) is t
+    for table in (t.luma, t.chroma):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_quant_table_values_unchanged():
+    # sha256 of every table at q = 1..100, luma then chroma, as int64
+    h = hashlib.sha256()
+    for q in range(1, 101):
+        t = quant_table(q)
+        h.update(t.luma.astype(np.int64).tobytes())
+        h.update(t.chroma.astype(np.int64).tobytes())
+    assert h.hexdigest() == "42f35afbfb0850f55a87780b9fcef8a4ae8a5d83426285483768682386567fca"
 
 
 @settings(max_examples=50, deadline=None)
@@ -266,30 +286,86 @@ def test_pad_to_multiple_returns_an_aligned_plane_itself():
     assert np.array_equal(padded[20:, :20], np.repeat(ragged[-1:], 12, axis=0))
 
 
-# sha256 of the raw float64 output bytes.  Side 20 is a multiple of
-# neither 8 nor 16, so its planes go through the edge padding.
+def _block_mean(plane):
+    ph, pw = plane.shape
+    return plane.reshape(ph // 2, 2, pw // 2, 2).mean(axis=(1, 3))
+
+
+def test_subsample_420_equals_block_mean_bit_for_bit():
+    rng = SeededRng(7)
+    planes = [rng.uniform([96, 96]) * 255.0 for _ in range(20)]
+    planes += [2.0 * np.floor(rng.uniform([32, 48]) * 128.0) + 1.0 for _ in range(5)]
+    planes += [_pad_to_multiple(rng.uniform([side, side]) * 255.0, 16) for side in (20, 33)]
+    for plane in planes:
+        assert _subsample_420(plane).tobytes() == _block_mean(plane).tobytes()
+
+
+def _resize_axis_reference(arr, out_len, axis):
+    # The former formulation: move the axis first and gather all four
+    # taps into one (out_len, 4, ...) array.
+    arr = np.moveaxis(arr, axis, 0)
+    taps, weights = _axis_taps(arr.shape[0], out_len)
+    p = arr[taps]
+    w = weights.reshape((out_len, 4) + (1,) * (arr.ndim - 1))
+    anchor = p[:, 1]
+    out = anchor + (w[:, 0] * (p[:, 0] - anchor)
+                    + w[:, 2] * (p[:, 2] - anchor)
+                    + w[:, 3] * (p[:, 3] - anchor))
+    return np.moveaxis(out, 0, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 20), st.integers(1, 20), st.integers(1, 24),
+       st.sampled_from([0, 1]), st.booleans())
+def test_resize_axis_equals_moveaxis_gather(seed, h, w, out_len, axis, strided):
+    arr = SeededRng(seed).uniform([h, 2 * w if strided else w, 3])
+    if strided:
+        arr = arr[:, ::2]
+    got = _resize_axis(arr, out_len, axis)
+    want = _resize_axis_reference(arr, out_len, axis)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# sha256 of the raw float64 output bytes, per image shape: an int key is
+# a quality for degrade_jpeg, a pair is a resize_bicubic target.  Side 20
+# is a multiple of neither 8 nor 16, so its planes go through the edge
+# padding.  The 33x50 image is neither square nor aligned, and its resize
+# to 13x41 shrinks one axis and enlarges the other.
 CODEC_DIGESTS = {
-    96: {95: "d5b98ba0aeaf226cbbffc1fa0653cffb8c6f57f06ce28519538759a68eb42679",
-         75: "adcfc1ea832270e590a095640e49388f24e8284c33e61f7810370c0a6dee937a",
-         25: "64b9d965d64fd240f7aad85d724f1842789d281bdfa1c3d19263b710129a09f5",
-         "resize": "97f8e9b4bdca1ef7e17e3b9256989a6e1dc500859b918cbc0dbe8a68e1f9eaf9"},
-    32: {95: "d0184889ec8ec35335a3dbb0d8f0af5eb9a63339fde08e2d597a9d435cfb91b0",
-         75: "30ed547a8ca6e633b545840ea6b5fcef06001fdbe3b48052ae340f777947a3ab",
-         25: "051e6bfcae3ccfea8ca892bf7fabee447af0faf53da8d0d8103f2120b4dd1fbb",
-         "resize": "ae52d5543f70c8e4dc081186103685da4ddad9be7601a347bf1cdf05000b4011"},
-    20: {95: "3d0d8799a8e5647d834cc4e638a3b0e6afc2661c09df1ce2d900f18e0b0b27e7",
-         75: "b2e4668e5fc2906fec16f366ffb4bc25bdfd6d680dda8c86161101205ccfc1f9",
-         25: "2f20953a157e3decba3f603ddb7195fe660a6d01b6b794c7bc59c74d4a4a94d2",
-         "resize": "1a6b5d8887d871c7ac40bfb5a5c9dc11b6a92f2b56e188815fb31cb403ce5295"},
+    (96, 96): {95: "d5b98ba0aeaf226cbbffc1fa0653cffb8c6f57f06ce28519538759a68eb42679",
+               75: "adcfc1ea832270e590a095640e49388f24e8284c33e61f7810370c0a6dee937a",
+               25: "64b9d965d64fd240f7aad85d724f1842789d281bdfa1c3d19263b710129a09f5",
+               (32, 32): "97f8e9b4bdca1ef7e17e3b9256989a6e1dc500859b918cbc0dbe8a68e1f9eaf9"},
+    (32, 32): {95: "d0184889ec8ec35335a3dbb0d8f0af5eb9a63339fde08e2d597a9d435cfb91b0",
+               75: "30ed547a8ca6e633b545840ea6b5fcef06001fdbe3b48052ae340f777947a3ab",
+               25: "051e6bfcae3ccfea8ca892bf7fabee447af0faf53da8d0d8103f2120b4dd1fbb",
+               (32, 32): "ae52d5543f70c8e4dc081186103685da4ddad9be7601a347bf1cdf05000b4011"},
+    (20, 20): {95: "3d0d8799a8e5647d834cc4e638a3b0e6afc2661c09df1ce2d900f18e0b0b27e7",
+               75: "b2e4668e5fc2906fec16f366ffb4bc25bdfd6d680dda8c86161101205ccfc1f9",
+               25: "2f20953a157e3decba3f603ddb7195fe660a6d01b6b794c7bc59c74d4a4a94d2",
+               (32, 32): "1a6b5d8887d871c7ac40bfb5a5c9dc11b6a92f2b56e188815fb31cb403ce5295"},
+    (33, 50): {95: "7efe3a80b3a7639a26eab219bcf138a54cea3da0caa237940841116eb784261a",
+               50: "c9cd2235a0837e01d3d10a9e3ab9fe8b70db949ad101b94de0b73a0dbe85b266",
+               (13, 41): "37d66b5a3f549a13ef47078bb23e683719cea5778202987c000cb66f03e7fa9c"},
 }
 
 
-@pytest.mark.parametrize("side", sorted(CODEC_DIGESTS))
-def test_codec_outputs_match_pinned_digests(side):
-    img = gen_synthetic(4, classes=4, per_class=1, side=side).items[0].image
-    got = {q: hashlib.sha256(degrade_jpeg(img, q).tobytes()).hexdigest() for q in (95, 75, 25)}
-    got["resize"] = hashlib.sha256(resize_bicubic(img, 32, 32).tobytes()).hexdigest()
-    assert got == CODEC_DIGESTS[side]
+def _pinned_image(h, w):
+    if h == w:
+        return gen_synthetic(4, classes=4, per_class=1, side=h).items[0].image
+    return SeededRng(33).uniform([h, w, 3])
+
+
+@pytest.mark.parametrize("shape", sorted(CODEC_DIGESTS),
+                         ids=lambda s: str(s[0]) if s[0] == s[1] else f"{s[0]}x{s[1]}")
+def test_codec_outputs_match_pinned_digests(shape):
+    img = _pinned_image(*shape)
+    got = {}
+    for key in CODEC_DIGESTS[shape]:
+        out = resize_bicubic(img, *key) if isinstance(key, tuple) else degrade_jpeg(img, key)
+        got[key] = hashlib.sha256(out.tobytes()).hexdigest()
+    assert got == CODEC_DIGESTS[shape]
 
 
 def test_resize_clamps_overshoot_into_unit_range():

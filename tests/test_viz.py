@@ -1,5 +1,7 @@
 """Overlay compositing, table emission, and SVG chart layout."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,16 @@ def test_chart_contains_axis_ticks_and_legend():
 def test_chart_y_label():
     svg = emit_chart_svg(EXAMPLE_TABLE, "accuracy")
     assert ">accuracy<" in svg and ">macro precision<" not in svg
+
+
+def test_chart_title_names_the_y_label_metric():
+    svg = emit_chart_svg(EXAMPLE_TABLE, "accuracy")
+    assert ">Accuracy vs JPEG quality<" in svg and "Precision" not in svg
+    default = emit_chart_svg(EXAMPLE_TABLE)
+    assert ">Precision vs JPEG quality<" in default
+    # the macro-precision chart keeps its bytes
+    assert (hashlib.sha256(default.encode()).hexdigest()
+            == "51705bb7e298b82dad49b82d3f9d59e3dae9e71fee6a7e0859c34f454a3df887")
 
 
 def test_chart_draws_every_row_in_table_order():
