@@ -9,8 +9,8 @@ against independent oracles.
 
 __version__ = "0.1.0"
 
-from .attribution import (AttributionMap, PathSpec, PolarityMaps, completeness_report,
-                          integrated_gradients, interpolate_path, split_polarity)
+from .attribution import (AttributionMap, PathSpec, PolarityMaps, integrated_gradients,
+                          split_polarity)
 from .codec import (ORIGINAL, QualityLevel, degrade_jpeg, psnr, quant_table,
                     resize_bicubic)
 from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
@@ -28,9 +28,9 @@ __all__ = [
     "PathSpec", "PolarityMaps", "PrecisionRow", "PrecisionTable", "ProviderClient",
     "ProviderError", "ProviderSpec", "QualityLevel", "Scorer", "ScorerModel", "SeededRng",
     "Tensor", "TrainConfig", "accuracy", "argmax", "attribute_batch", "backward",
-    "completeness_report", "degrade_jpeg", "emit_chart_svg", "emit_table", "forward",
-    "gen_synthetic", "gradient_check", "integrated_gradients", "interpolate_path",
-    "load_dataset", "load_model", "macro_precision", "new_scorer",
-    "provider_connect", "psnr", "quant_table", "render_overlay", "resize_bicubic",
-    "save_model", "split_polarity", "sweep_precision", "train", "__version__",
+    "degrade_jpeg", "emit_chart_svg", "emit_table", "forward", "gen_synthetic",
+    "gradient_check", "integrated_gradients", "load_dataset", "load_model",
+    "macro_precision", "new_scorer", "provider_connect", "psnr", "quant_table",
+    "render_overlay", "resize_bicubic", "save_model", "split_polarity", "sweep_precision",
+    "train", "__version__",
 ]

@@ -4,9 +4,10 @@ The attribution of pixel ``i`` is ``(target_i - baseline_i)`` times the
 quadrature-weighted mean of the loss gradient along the line path, with
 the sign fixed so the attributions sum to ``loss(target) -
 loss(baseline)`` in the infinite-step limit (the completeness
-identity).  Endpoint losses are evaluated at the endpoint rows of the
-same batch (right-Riemann's target row is ``baseline + 1 * delta``, one
-rounding away from the target), so the reported completeness gap
+identity).  Both quadrature schemes evaluate the gradient at the same
+N+1 nodes and differ only in their weights.  Endpoint losses are
+evaluated at the endpoint rows of the same batch, which hold the
+baseline and the target exactly, so the reported completeness gap
 measures quadrature error and nothing else.
 """
 
@@ -44,19 +45,18 @@ class PathSpec:
 
 
 def path_nodes(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes t in [0, 1] and weights summing to 1.
+    """Quadrature nodes t = s/N for s = 0..N and weights summing to 1.
 
-    riemann_right samples s/N for s = 1..N with uniform weights;
-    trapezoid samples s/N for s = 0..N with the endpoints at half
-    weight.
+    The scheme picks only the weights: riemann_right gives the baseline
+    node weight 0 and every other node 1/N; trapezoid gives the two
+    endpoints half weight.
     """
     n = spec.steps
+    ts = np.arange(0, n + 1, dtype=np.float64) / n
+    ws = np.full(n + 1, 1.0 / n)
     if spec.scheme == "riemann_right":
-        ts = np.arange(1, n + 1, dtype=np.float64) / n
-        ws = np.full(n, 1.0 / n)
+        ws[0] = 0.0
     else:
-        ts = np.arange(0, n + 1, dtype=np.float64) / n
-        ws = np.full(n + 1, 1.0 / n)
         ws[0] *= 0.5
         ws[-1] *= 0.5
     return ts, ws
@@ -65,22 +65,19 @@ def path_nodes(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
 def _fill_path(spec: PathSpec, ts: np.ndarray, out: np.ndarray) -> None:
     """Write the image at node ``s`` of the discretized path into ``out[s]``.
 
-    Trapezoid nodes are built mirror-symmetrically: the upper half is
-    anchored at the target with the lower half's coefficients, and an
-    even-N midpoint averages the endpoints.  Swapping baseline and
-    target then reproduces the identical point set (reversed) down to
-    the last bit, which is what makes attribution antisymmetry exact
-    rather than approximate.  Each element is the same two IEEE
-    operations as ``baseline + t * delta``, so filling all rows at once
-    changes no bit.
+    Nodes are built mirror-symmetrically: the upper half is anchored at
+    the target with the lower half's coefficients, and an even-N midpoint
+    averages the endpoints.  Row 0 is the baseline and row N the target,
+    bit for bit.  Swapping baseline and target then reproduces the
+    identical point set (reversed) down to the last bit, which is what
+    makes attribution antisymmetry exact rather than approximate.  Each
+    element is the same two IEEE operations as ``baseline + t * delta``,
+    so filling all rows at once changes no bit.
     """
     delta = spec.target - spec.baseline
     last = len(ts) - 1
     s = np.arange(len(ts))
-    if spec.scheme == "riemann_right":
-        lower, upper = s, s[:0]
-    else:
-        lower, upper = s[2 * s < last], s[2 * s > last]
+    lower, upper = s[2 * s < last], s[2 * s > last]
     shape = (-1,) + (1,) * delta.ndim
     low, up = out[:len(lower)], out[last - len(upper) + 1:last + 1]
     np.multiply(ts[lower].reshape(shape), delta, out=low)
@@ -91,40 +88,41 @@ def _fill_path(spec: PathSpec, ts: np.ndarray, out: np.ndarray) -> None:
         out[last // 2] = 0.5 * spec.baseline + 0.5 * spec.target
 
 
-def interpolate_path(spec: PathSpec) -> list[np.ndarray]:
-    """The images at the quadrature nodes, baseline end first."""
-    ts, _ = path_nodes(spec)
-    out = np.empty((len(ts),) + spec.baseline.shape)
-    _fill_path(spec, ts, out)
-    return list(out)
-
-
 @dataclass
 class AttributionMap:
     values: np.ndarray  # per-pixel signed attribution, input-shaped
-    sum: float
     loss_baseline: float
     loss_target: float
-    completeness_gap: float
-    logits_baseline: np.ndarray | None = None  # (num_classes,)
-    logits_target: np.ndarray | None = None
+    logits_baseline: np.ndarray  # (num_classes,)
+    logits_target: np.ndarray
+
+    @property
+    def sum(self) -> float:
+        return float(self.values.sum())
+
+    @property
+    def completeness_gap(self) -> float:
+        """Quadrature gap |sum - (loss(target) - loss(baseline))|."""
+        return abs(self.sum - (self.loss_target - self.loss_baseline))
+
+    @property
+    def rel_gap(self) -> float:
+        """The gap over |loss(target) - loss(baseline)|, floored at 1e-12."""
+        return self.completeness_gap / max(abs(self.loss_target - self.loss_baseline), 1e-12)
 
 
 def integrated_gradients(gradfn: GradFn, spec: PathSpec, label: int) -> AttributionMap:
     """Quadrature approximation of the path integral of the loss gradient.
 
-    All path nodes go to ``gradfn`` as one batch.  The endpoint losses and
-    logits come from the endpoint rows of that batch: trapezoid nodes
-    include both endpoints, and right-Riemann gets one baseline row
-    appended after its nodes.
+    All N+1 path nodes go to ``gradfn`` as one batch.  The endpoint
+    losses and logits come from that batch's rows 0 (baseline) and N
+    (target).
     """
     ts, ws = path_nodes(spec)
-    last = len(ts) - 1
-    rows = len(ts) + (spec.scheme == "riemann_right")
+    rows = len(ts)
+    last = rows - 1
     batch = np.empty((rows,) + spec.baseline.shape)
     _fill_path(spec, ts, batch)
-    if spec.scheme == "riemann_right":
-        batch[-1] = spec.baseline
     try:
         result = gradfn(batch, np.full(rows, label))
         if (np.shape(result.losses) != (rows,) or np.shape(result.grads) != batch.shape
@@ -147,29 +145,13 @@ def integrated_gradients(gradfn: GradFn, spec: PathSpec, label: int) -> Attribut
         if m != s:
             term = term + ws[m] * grads[m]
         acc = acc + term
-    values = (spec.target - spec.baseline) * acc
-
-    i0 = rows - 1 if spec.scheme == "riemann_right" else 0
-    loss0, loss1 = float(result.losses[i0]), float(result.losses[last])
-    total = float(values.sum())
     return AttributionMap(
-        values=values,
-        sum=total,
-        loss_baseline=loss0,
-        loss_target=loss1,
-        completeness_gap=abs(total - (loss1 - loss0)),
-        logits_baseline=result.logits[i0],
+        values=(spec.target - spec.baseline) * acc,
+        loss_baseline=float(result.losses[0]),
+        loss_target=float(result.losses[last]),
+        logits_baseline=result.logits[0],
         logits_target=result.logits[last],
     )
-
-
-def completeness_report(att: AttributionMap) -> dict:
-    """Absolute and relative quadrature gap of an attribution."""
-    delta = abs(att.loss_target - att.loss_baseline)
-    return {
-        "gap": att.completeness_gap,
-        "rel_gap": att.completeness_gap / max(delta, 1e-12),
-    }
 
 
 @dataclass
@@ -179,11 +161,11 @@ class PolarityMaps:
     scale: float  # max-abs normalizer applied before clipping
 
 
-def split_polarity(att: AttributionMap) -> PolarityMaps:
+def split_polarity(values: np.ndarray) -> PolarityMaps:
     """Normalize by the max magnitude, then clip into [-1,0] and [0,1]."""
-    peak = float(np.max(np.abs(att.values))) if att.values.size else 0.0
+    peak = float(np.max(np.abs(values))) if values.size else 0.0
     scale = peak if peak > 0.0 else 1.0
-    scaled = att.values / scale
+    scaled = values / scale
     return PolarityMaps(
         negative=np.clip(scaled, -1.0, 0.0),
         positive=np.clip(scaled, 0.0, 1.0),

@@ -4,8 +4,9 @@ Each subcommand declares its own flags, with their types and defaults, in
 ``build_parser``.  Resolution order per value: CLI flag, then the
 IGPROBE_OUTPUT_DIR environment variable (output dir only), then the
 --config JSON file, then the declared default.  A subcommand that writes an
-output directory echoes its own resolved settings to ``manifest.json`` there,
-and identical settings produce byte-identical artifacts.
+output directory echoes its own resolved settings to
+``<subcommand>.manifest.json`` there, so commands sharing a directory keep
+their own records, and identical settings produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def _out_dir(cfg: argparse.Namespace) -> Path:
 def _write_manifest(cfg: argparse.Namespace, out_dir: Path) -> None:
     manifest = {"version": __version__, **vars(cfg)}
     del manifest["config"]
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / f"{cfg.subcommand}.manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_data(cfg: argparse.Namespace) -> Dataset:
@@ -123,12 +125,21 @@ def _load_data(cfg: argparse.Namespace) -> Dataset:
 
 
 @contextmanager
-def _scorer(cfg: argparse.Namespace):
-    """Yield (row name, scorer) from --checkpoint or --provider; a provider is closed on exit."""
+def _scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
+    """Yield (row name, scorer) from --checkpoint or --provider; a provider is closed on exit.
+
+    A checkpoint that names its classes must name ``dataset``'s, in the same
+    order: label indices mean nothing otherwise.  A provider's class names
+    are its own labels and are not compared.
+    """
     if bool(cfg.checkpoint) == bool(cfg.provider):
         raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD")
     if cfg.checkpoint:
-        yield Path(cfg.checkpoint).stem, load_model(cfg.checkpoint)
+        model = load_model(cfg.checkpoint)
+        if dataset is not None and model.class_names and model.class_names != dataset.class_names:
+            raise ValueError(f"checkpoint {cfg.checkpoint} scores classes {model.class_names}, "
+                             f"but the dataset lists classes {dataset.class_names}")
+        yield Path(cfg.checkpoint).stem, model
         return
     with provider_connect(ProviderSpec(shlex.split(cfg.provider))) as client:
         yield "provider", client
@@ -178,7 +189,7 @@ def _write_table_and_chart(cfg: argparse.Namespace, table, out_dir: Path) -> Non
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
-    with _scorer(cfg) as (name, scorer):
+    with _scorer(cfg, dataset) as (name, scorer):
         table = sweep_precision(scorer, dataset, cfg.qualities, metric=cfg.metric, name=name)
     out_dir = _out_dir(cfg)
     write_precision_csv(table, out_dir / "precision.csv")
@@ -212,7 +223,7 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
     overlay_q = _overlay_quality(cfg)
     dataset = _load_data(cfg)
     stems = _overlay_stems(dataset) if overlay_q is not None else []
-    with _scorer(cfg) as (_, scorer):
+    with _scorer(cfg, dataset) as (_, scorer):
         batch = attribute_batch(scorer, dataset, cfg.qualities,
                                 steps=cfg.steps, scheme=cfg.scheme)
         hw = scorer.input_shape[:2]
@@ -222,7 +233,7 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
         if overlay_q is not None:
             for item, stem, rec, maps in zip(dataset.items, stems, batch.records, batch.maps):
                 base = prepare_input(item.image, ORIGINAL, hw)
-                pol = split_polarity(maps[overlay_q])
+                pol = split_polarity(maps[overlay_q].values)
                 files = _write_overlays(out_dir, f"{stem}_q{overlay_q}", base, pol)
                 overlay_meta.append({"id": rec.id, "quality": overlay_q,
                                      "ig_scale": pol.scale, "files": files})
@@ -245,7 +256,7 @@ def cmd_overlay(cfg: argparse.Namespace) -> int:
         target = prepare_input(img, cfg.quality, hw)
         att = integrated_gradients(scorer, PathSpec(base, target, cfg.steps, cfg.scheme),
                                    cfg.label)
-    pol = split_polarity(att)
+    pol = split_polarity(att.values)
     out_dir = _out_dir(cfg)
     files = _write_overlays(out_dir, "overlay", base, pol)
     meta = {"quality": quality_key(cfg.quality), "label": cfg.label,
@@ -265,18 +276,18 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def _sweep_metric(source: Path) -> str:
-    """The metric recorded by a sweep manifest beside ``source``, else macro_precision."""
-    path = source.parent / "manifest.json"
+    """The metric recorded by the sweep manifest beside ``source``, else macro_precision."""
+    path = source.parent / "sweep.manifest.json"
+    if not path.is_file():
+        return "macro_precision"
     try:
-        manifest = json.loads(path.read_text()) if path.is_file() else {}
+        manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
-    if not isinstance(manifest, dict) or manifest.get("subcommand") != "sweep":
-        return "macro_precision"
-    if manifest.get("metric") not in METRICS:
-        raise ValueError(f"{path}: metric {manifest.get('metric')!r} is not one of "
-                         f"{sorted(METRICS)}")
-    return manifest["metric"]
+    metric = manifest.get("metric") if isinstance(manifest, dict) else None
+    if metric not in METRICS:
+        raise ValueError(f"{path}: metric {metric!r} is not one of {sorted(METRICS)}")
+    return metric
 
 
 def cmd_report(cfg: argparse.Namespace) -> int:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import (AttributionMap, PathSpec, SCHEMES, completeness_report,
-                          integrated_gradients, split_polarity)
+from .attribution import PathSpec, SCHEMES, integrated_gradients, split_polarity
 from .codec import (CHROMA_BASE, LUMA_BASE, cubic_kernel, dct8x8, degrade_jpeg,
                     idct8x8, psnr, quant_table, resize_bicubic)
 from .data import gen_synthetic
@@ -114,7 +113,7 @@ def check_micromodel_completeness(seed: int) -> tuple[bool, str]:
         target = degrade_jpeg(item.image, 25)
         a50 = integrated_gradients(model, PathSpec(item.image, target, 50), item.label)
         a300 = integrated_gradients(model, PathSpec(item.image, target, 300), item.label)
-        worst_rel = max(worst_rel, completeness_report(a50)["rel_gap"])
+        worst_rel = max(worst_rel, a50.rel_gap)
         shrank += a300.completeness_gap <= a50.completeness_gap
     ok = worst_rel < 0.02 and shrank >= len(used) - 1
     return ok, (f"worst rel_gap(N=50) = {worst_rel:.4%}, "
@@ -168,9 +167,7 @@ def check_polarity_bounds(seed: int) -> tuple[bool, str]:
         vals = rng.normal([6, 5, 3]) * 10.0 ** ((i % 7) - 3)
         if i % 100 == 0:
             vals = np.zeros_like(vals)
-        att = AttributionMap(values=vals, sum=float(vals.sum()), loss_baseline=0.0,
-                             loss_target=float(vals.sum()), completeness_gap=0.0)
-        pol = split_polarity(att)
+        pol = split_polarity(vals)
         if not (np.all(pol.negative <= 0.0) and np.all(pol.negative >= -1.0)
                 and np.all(pol.positive >= 0.0) and np.all(pol.positive <= 1.0)):
             return False, f"bounds violated on trial {i}"
@@ -203,19 +200,14 @@ def _swap_negation_exact(seed: int) -> bool:
 def check_overlay_contract(seed: int) -> tuple[bool, str]:
     rng = SeededRng(seed)
     img = rng.uniform([6, 5, 3])
-    zero = AttributionMap(values=np.zeros((6, 5, 3)), sum=0.0, loss_baseline=0.0,
-                          loss_target=0.0, completeness_gap=0.0)
-    pol_zero = split_polarity(zero)
+    pol_zero = split_polarity(np.zeros((6, 5, 3)))
     for mode in ("negative", "positive", "both"):
         out = render_overlay(img, pol_zero, mode)
         if not np.array_equal(out, 0.7 * img):
             return False, f"zero-attribution overlay != 0.7*img in {mode} mode"
     in_bounds = blue_ok = True
     for _ in range(50):
-        vals = rng.normal([6, 5, 3]) * 3.0
-        att = AttributionMap(values=vals, sum=float(vals.sum()), loss_baseline=0.0,
-                             loss_target=0.0, completeness_gap=0.0)
-        out = render_overlay(img, split_polarity(att))
+        out = render_overlay(img, split_polarity(rng.normal([6, 5, 3]) * 3.0))
         in_bounds &= bool(np.all(out >= 0.0) and np.all(out <= 1.0))
         blue_ok &= bool(np.array_equal(out[:, :, 2], np.clip(0.7 * img[:, :, 2], 0.0, 1.0)))
     return in_bounds and blue_ok, (f"zero map is 0.7*image in 3 modes; over 50 maps "

@@ -1,13 +1,14 @@
 """Path construction, quadrature exactness/convergence, symmetry, polarity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igprobe.attribution import (AttributionMap, PathSpec, SCHEMES,
-                                 completeness_report, integrated_gradients,
-                                 interpolate_path, path_nodes, split_polarity)
+from igprobe.attribution import (AttributionMap, PathSpec, SCHEMES, integrated_gradients,
+                                 path_nodes, split_polarity)
 from igprobe.model import new_scorer
 from igprobe.tensor import SeededRng
 from igprobe.verify import linear_loss_gradfn, power_loss_gradfn
@@ -17,27 +18,56 @@ def scalar(v: float) -> np.ndarray:
     return np.full((1, 1, 1), v)
 
 
+def sent_rows(spec: PathSpec) -> np.ndarray:
+    """The rows ``integrated_gradients`` sends its gradient function for ``spec``."""
+    sent = []
+
+    def recording(images, labels):
+        sent.append(np.array(images))
+        return power_loss_gradfn(2.0)(images, labels)
+
+    integrated_gradients(recording, spec, 0)
+    assert len(sent) == 1
+    return sent[0]
+
+
 # ------------------------------------------------------------------------ path
 
 def test_path_degenerate_equal_endpoints():
     x = SeededRng(1).uniform([2, 2, 3])
     for scheme in SCHEMES:
-        for pt in interpolate_path(PathSpec(x, x.copy(), 7, scheme)):
+        for pt in sent_rows(PathSpec(x, x.copy(), 7, scheme)):
             assert np.array_equal(pt, x)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("steps", [1, 2, 4, 7])
+def test_path_rows_run_from_baseline_to_target(scheme, steps):
+    rng = SeededRng(10 + steps)
+    x0, x1 = rng.uniform([3, 2, 3]), rng.uniform([3, 2, 3])
+    rows = sent_rows(PathSpec(x0, x1, steps, scheme))
+    assert rows.shape == (steps + 1, 3, 2, 3)
+    assert rows[0].tobytes() == x0.tobytes()
+    assert rows[steps].tobytes() == x1.tobytes()
+
+
+def scalar_nodes_and_weights(scheme: str) -> tuple[list, np.ndarray]:
+    spec = PathSpec(scalar(0.0), scalar(1.0), 4, scheme)
+    _, ws = path_nodes(spec)
+    assert float(ws.sum()) == pytest.approx(1.0, abs=1e-15)
+    return [float(p.reshape(())) for p in sent_rows(spec)], ws
+
+
 def test_path_riemann_scalar_nodes():
-    pts = interpolate_path(PathSpec(scalar(0.0), scalar(1.0), 4, "riemann_right"))
-    assert [float(p.reshape(())) for p in pts] == [0.25, 0.5, 0.75, 1.0]
+    pts, ws = scalar_nodes_and_weights("riemann_right")
+    assert pts == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert np.allclose(ws, [0.0, 0.25, 0.25, 0.25, 0.25])
 
 
 def test_path_trapezoid_scalar_nodes_and_weights():
-    spec = PathSpec(scalar(0.0), scalar(1.0), 4, "trapezoid")
-    pts = [float(p.reshape(())) for p in interpolate_path(spec)]
+    pts, ws = scalar_nodes_and_weights("trapezoid")
     assert pts == [0.0, 0.25, 0.5, 0.75, 1.0]
-    _, ws = path_nodes(spec)
     assert np.allclose(ws, [0.125, 0.25, 0.25, 0.25, 0.125])
-    assert float(ws.sum()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pathspec_validation():
@@ -99,6 +129,43 @@ def test_gradfn_wrong_row_count_names_step():
         integrated_gradients(short, PathSpec(scalar(0.0), scalar(1.0), 4), 0)
 
 
+# ---------------------------------------------------------------- pinned bits
+# sha256 of the trapezoid map's bytes and of repr((loss_baseline,
+# loss_target)) on seeded scorers, recorded before the two schemes came to
+# share one node set: the node, reduction and endpoint code must keep every
+# bit of the default scheme.  The digests hold for this float64 BLAS build.
+
+TRAPEZOID_PINS = {
+    (8, 1): ("9a7e4308231fd729f5e36e181f8cde45584955bbf89b954b419d6da8dd3aa3fe",
+             "e5939c3618b3ac9ac3388b93a25be3d5dec82d1d761b3b6864c8392820ad30f0"),
+    (8, 2): ("73c97ec7afacbc8a7231aa24e50be7b01f53053e1582f07e39dfbe978fabf455",
+             "e5939c3618b3ac9ac3388b93a25be3d5dec82d1d761b3b6864c8392820ad30f0"),
+    (8, 7): ("694382993d104e84fd1614b0d2fd5d847c8b83d1491ccaee5d30ecf0c27074ef",
+             "e5939c3618b3ac9ac3388b93a25be3d5dec82d1d761b3b6864c8392820ad30f0"),
+    (8, 50): ("9ebd8e9c20bb92aea4a43d7d34e53eaa0ed8369ea57a4f0b45287ee9d9a03db0",
+              "0ec1546d62195e7068182e34abb610d3108f53f3b97c39edb6900664b08beeb0"),
+    (32, 1): ("049f0accfc732949d8a67a54c4558ec6925fb945a9d79ce67f8bd938c00046f6",
+              "fb5ca603d72e8ab54595bea8a0adb2b832118f522caa9e919f0abaee7b0416be"),
+    (32, 2): ("d50ede8fb93642f334d25f2dfa8f313f89b1a5cbdb5dc103102ee0735d532d73",
+              "fb5ca603d72e8ab54595bea8a0adb2b832118f522caa9e919f0abaee7b0416be"),
+    (32, 7): ("5c0c1065fc520b92acf45e9e0c3e7778802ce7ca99977c82857cff81d53e90ea",
+              "d5893f16feaa6d96b343307821e01094c9dd43a7792dc2112c18b6a43e2bf3c3"),
+    (32, 50): ("752f7a35eb19d545649ac07d3e6264c5a35d750674a7d091b0cf5b9651c1b924",
+               "90720c0616508b43a5c6e91f885350fb5f5a67b0b7a0adebac7a8115055a7d65"),
+}
+
+
+@pytest.mark.parametrize("side, steps", sorted(TRAPEZOID_PINS))
+def test_trapezoid_bits_pinned(side, steps):
+    model = new_scorer(90 + side, (side, side, 3), (64,), 32, 4, 10.0)
+    rng = SeededRng(91 + side)
+    x0, x1 = rng.uniform([side, side, 3]), rng.uniform([side, side, 3])
+    att = integrated_gradients(model, PathSpec(x0, x1, steps, "trapezoid"), 2)
+    values = hashlib.sha256(att.values.tobytes()).hexdigest()
+    losses = hashlib.sha256(repr((att.loss_baseline, att.loss_target)).encode()).hexdigest()
+    assert (values, losses) == TRAPEZOID_PINS[side, steps]
+
+
 # ------------------------------------------------------- batched vs per-node
 
 def per_node_reference(gradfn, spec: PathSpec, label: int) -> AttributionMap:
@@ -109,7 +176,7 @@ def per_node_reference(gradfn, spec: PathSpec, label: int) -> AttributionMap:
     last = len(ts) - 1
 
     def point(s):
-        if spec.scheme == "riemann_right" or 2 * s < last:
+        if 2 * s < last:
             return spec.baseline + ts[s] * delta
         if 2 * s > last:
             return spec.target - ts[last - s] * delta
@@ -126,11 +193,10 @@ def per_node_reference(gradfn, spec: PathSpec, label: int) -> AttributionMap:
             term = term + ws[m] * one(point(m)).grads[0]
         acc = acc + term
     values = delta * acc
-    loss0 = float(one(spec.baseline).losses[0])
-    loss1 = float(one(spec.target).losses[0])
-    return AttributionMap(values=values, sum=float(values.sum()), loss_baseline=loss0,
-                          loss_target=loss1,
-                          completeness_gap=abs(float(values.sum()) - (loss1 - loss0)))
+    at0, at1 = one(spec.baseline), one(spec.target)
+    return AttributionMap(values=values, loss_baseline=float(at0.losses[0]),
+                          loss_target=float(at1.losses[0]),
+                          logits_baseline=at0.logits[0], logits_target=at1.logits[0])
 
 
 @pytest.mark.parametrize("side", [8, 32])
@@ -151,8 +217,8 @@ def test_batched_ig_matches_per_node_loop(side, steps, scheme):
     assert got.loss_baseline == pytest.approx(ref.loss_baseline, abs=1e-12)
     assert got.loss_target == pytest.approx(ref.loss_target, abs=1e-12)
     assert abs(got.completeness_gap - ref.completeness_gap) <= tol + 1e-12
-    logits0 = model(x0[None], [1]).logits[0]
-    assert np.allclose(got.logits_baseline, logits0, rtol=0.0, atol=1e-12)
+    assert np.allclose(got.logits_baseline, ref.logits_baseline, rtol=0.0, atol=1e-12)
+    assert np.allclose(got.logits_target, ref.logits_target, rtol=0.0, atol=1e-12)
     if scheme == "trapezoid":
         rev = integrated_gradients(model, PathSpec(x1, x0, steps, scheme), 1)
         assert np.array_equal(rev.values, -got.values)
@@ -229,34 +295,28 @@ def test_report_linear_gap_under_1e12():
     w = SeededRng(8).normal([2, 2, 1])
     att = integrated_gradients(linear_loss_gradfn(w),
                                PathSpec(np.zeros((2, 2, 1)), np.ones((2, 2, 1)), 9), 0)
-    rep = completeness_report(att)
-    assert rep["gap"] < 1e-12
+    assert att.completeness_gap < 1e-12
 
 
 def test_report_zero_delta_uses_floor():
-    att = AttributionMap(values=np.ones((1, 1, 1)), sum=1.0,
-                         loss_baseline=0.5, loss_target=0.5,
-                         completeness_gap=1.0)
-    rep = completeness_report(att)
-    assert rep["rel_gap"] == pytest.approx(1.0 / 1e-12)
-    assert np.isfinite(rep["rel_gap"])
+    att = AttributionMap(values=np.ones((1, 1, 1)), loss_baseline=0.5, loss_target=0.5,
+                         logits_baseline=np.zeros(1), logits_target=np.zeros(1))
+    assert att.sum == 1.0 and att.completeness_gap == 1.0
+    assert att.rel_gap == pytest.approx(1.0 / 1e-12)
+    assert np.isfinite(att.rel_gap)
 
 
 # -------------------------------------------------------------------- polarity
 
 def test_polarity_all_zero():
-    att = AttributionMap(values=np.zeros((2, 2, 1)), sum=0.0,
-                         loss_baseline=0.0, loss_target=0.0, completeness_gap=0.0)
-    pol = split_polarity(att)
+    pol = split_polarity(np.zeros((2, 2, 1)))
     assert np.array_equal(pol.negative, np.zeros((2, 2, 1)))
     assert np.array_equal(pol.positive, np.zeros((2, 2, 1)))
     assert pol.scale == 1.0
 
 
 def test_polarity_minus2_plus1():
-    att = AttributionMap(values=np.array([[[-2.0], [1.0]]]), sum=-1.0,
-                         loss_baseline=0.0, loss_target=-1.0, completeness_gap=0.0)
-    pol = split_polarity(att)
+    pol = split_polarity(np.array([[[-2.0], [1.0]]]))
     assert np.array_equal(pol.negative, np.array([[[-1.0], [0.0]]]))
     assert np.array_equal(pol.positive, np.array([[[0.0], [0.5]]]))
     assert pol.scale == 2.0
@@ -265,9 +325,7 @@ def test_polarity_minus2_plus1():
 def test_polarity_single_positive_peak():
     values = np.zeros((3, 3, 1))
     values[2, 2, 0] = 3.0
-    att = AttributionMap(values=values, sum=3.0, loss_baseline=0.0,
-                         loss_target=3.0, completeness_gap=0.0)
-    pol = split_polarity(att)
+    pol = split_polarity(values)
     assert float(pol.positive.max()) == 1.0
     assert int((pol.positive == 1.0).sum()) == 1
 
@@ -277,10 +335,7 @@ def test_polarity_single_positive_peak():
 def test_polarity_bounds_and_reconstruction(seed):
     rng = SeededRng(seed)
     values = 10.0 * rng.normal([3, 4, 1])
-    att = AttributionMap(values=values, sum=float(values.sum()),
-                         loss_baseline=0.0, loss_target=float(values.sum()),
-                         completeness_gap=0.0)
-    pol = split_polarity(att)
+    pol = split_polarity(values)
     assert pol.negative.min() >= -1.0 and pol.negative.max() <= 0.0
     assert pol.positive.min() >= 0.0 and pol.positive.max() <= 1.0
     recon = (pol.negative + pol.positive) * pol.scale

@@ -168,7 +168,7 @@ def test_train_writes_loadable_checkpoint(tmp_path, capsys):
     model = load_model(out / "checkpoint.json")
     assert model.input_shape == (8, 8, 3)
     assert model.num_classes == 2
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "train.manifest.json").read_text())
     assert manifest["seed"] == 4
     assert manifest["subcommand"] == "train"
     assert "trained on 2 images" in capsys.readouterr().out
@@ -207,7 +207,7 @@ def test_sweep_artifacts(tmp_path, capsys, ckpt):
     assert run(["sweep", *TINY, "--checkpoint", ckpt, "--seed", "4",
                 "--qualities", "original,50", "--out", out]) == 0
     for name in ("precision.csv", "table.csv", "table.md", "chart.svg",
-                 "manifest.json"):
+                 "sweep.manifest.json"):
         assert (out / name).exists(), name
     stdout = capsys.readouterr().out
     assert stdout.startswith("model,Original,Quality 50\n")
@@ -228,7 +228,7 @@ def test_sweep_byte_identical_across_runs(tmp_path, ckpt):
     assert run(argv) == 0
     first = {n: (out / n).read_bytes()
              for n in ("precision.csv", "table.csv", "table.md",
-                       "chart.svg", "manifest.json")}
+                       "chart.svg", "sweep.manifest.json")}
     assert run(argv) == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob, name
@@ -268,12 +268,13 @@ def test_report_labels_chart_with_the_sweeps_metric(tmp_path, ckpt):
     report_out = tmp_path / "report"
     assert run(["report", "--from", sweep_out / "precision.csv", "--out", report_out]) == 0
     assert (report_out / "chart.svg").read_bytes() == (sweep_out / "chart.svg").read_bytes()
-    assert json.loads((report_out / "manifest.json").read_text())["metric"] == "accuracy"
+    manifest = report_out / "report.manifest.json"
+    assert json.loads(manifest.read_text())["metric"] == "accuracy"
     # an explicit --metric wins over the sweep's
     assert run(["report", "--from", sweep_out, "--metric", "macro_precision",
                 "--out", report_out]) == 0
     assert ">macro precision</text>" in (report_out / "chart.svg").read_text()
-    assert json.loads((report_out / "manifest.json").read_text())["metric"] == "macro_precision"
+    assert json.loads(manifest.read_text())["metric"] == "macro_precision"
 
 
 @pytest.mark.parametrize("manifest, message", [
@@ -283,7 +284,7 @@ def test_report_labels_chart_with_the_sweeps_metric(tmp_path, ckpt):
 def test_report_refuses_a_bad_sweep_manifest(tmp_path, capsys, manifest, message):
     source = tmp_path / "precision.csv"
     source.write_text("model,quality,score\nm,original,1.0\nm,50,0.5\n")
-    (tmp_path / "manifest.json").write_text(manifest)
+    (tmp_path / "sweep.manifest.json").write_text(manifest)
     out = tmp_path / "report"
     assert run(["report", "--from", source, "--out", out]) == 1
     assert message in capsys.readouterr().err
@@ -361,7 +362,9 @@ def test_attribute_refuses_ids_that_share_an_overlay_file(tmp_path, capsys, ckpt
     data.mkdir()
     for name, item in zip(["a b.ppm", "a_b.ppm"], gen_synthetic(3, 2, 1, 8).items):
         write_image(data / name, item.image)
-    (data / "labels.csv").write_text("filename,class_name\na b.ppm,x\na_b.ppm,y\n")
+    names = load_model(ckpt).class_names
+    (data / "labels.csv").write_text(f"filename,class_name\na b.ppm,{names[0]}\n"
+                                     f"a_b.ppm,{names[1]}\n")
     argv = ["attribute", "--data", data, "--checkpoint", ckpt, "--steps", "2"]
     out = tmp_path / "o"
     assert run([*argv, "--qualities", "original,50", "--out", out]) == 1
@@ -370,6 +373,42 @@ def test_attribute_refuses_ids_that_share_an_overlay_file(tmp_path, capsys, ckpt
     assert not out.exists()
     # without overlays there is nothing to overwrite
     assert run([*argv, "--qualities", "original", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("command", ["sweep", "attribute"])
+def test_checkpoint_refuses_a_dataset_in_another_class_order(tmp_path, capsys, ckpt, command):
+    # labels.csv lists the checkpoint's classes in another first-appearance
+    # order, so its label indices name other classes than the checkpoint's
+    names = load_model(ckpt).class_names
+    data = tmp_path / "data"
+    data.mkdir()
+    rows = ["filename,class_name"]
+    for item in reversed(gen_synthetic(3, 2, 1, 8).items):
+        write_image(data / f"{item.id}.ppm", item.image)
+        rows.append(f"{item.id}.ppm,{names[item.label]}")
+    (data / "labels.csv").write_text("\n".join(rows) + "\n")
+    argv = [command, "--data", data, "--qualities", "original,50"]
+    out = tmp_path / "o"
+    assert run([*argv, "--checkpoint", ckpt, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(names) in err and str(names[::-1]) in err
+    assert not out.exists()
+    # a provider's class names are its own labels, so they are not compared
+    assert run([*argv, *MOCK, "--out", out]) == 0
+
+
+def test_sweep_and_attribute_sharing_a_directory_keep_their_manifests(tmp_path, ckpt):
+    run_dir = tmp_path / "run"
+    assert run(["sweep", *TINY, "--checkpoint", ckpt, "--metric", "accuracy",
+                "--qualities", "original,50", "--out", run_dir]) == 0
+    assert run(["attribute", *TINY, "--checkpoint", ckpt, "--qualities", "original,50",
+                "--steps", "2", "--out", run_dir]) == 0
+    report_out = tmp_path / "report"
+    assert run(["report", "--from", run_dir, "--out", report_out]) == 0
+    assert ">accuracy</text>" in (report_out / "chart.svg").read_text()
+    assert json.loads((run_dir / "sweep.manifest.json").read_text())["metric"] == "accuracy"
+    assert json.loads((run_dir / "attribute.manifest.json").read_text())["steps"] == 2
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -414,7 +453,7 @@ def test_overlay_takes_no_quality_list(tmp_path, sample_ppm, capsys):
 def test_sweep_over_provider(tmp_path):
     out = tmp_path / "sweep"
     assert run(["sweep", *TINY, *MOCK, "--qualities", "original,50", "--out", out]) == 0
-    for name in ("precision.csv", "table.csv", "table.md", "chart.svg", "manifest.json"):
+    for name in ("precision.csv", "table.csv", "table.md", "chart.svg", "sweep.manifest.json"):
         assert (out / name).exists(), name
     assert "provider,original," in (out / "precision.csv").read_text()
 
@@ -429,7 +468,7 @@ def test_attribute_over_provider(tmp_path):
     for entry in meta:
         for fname in entry["files"].values():
             assert read_image(out / fname).shape == (8, 8, 3)
-    assert (out / "manifest.json").exists()
+    assert (out / "attribute.manifest.json").exists()
 
 
 def test_overlay_over_provider(tmp_path, sample_ppm):
@@ -440,7 +479,7 @@ def test_overlay_over_provider(tmp_path, sample_ppm):
     assert set(meta["files"]) == {"negative", "positive", "both"}
     for fname in meta["files"].values():
         assert read_image(out / fname).shape == (8, 8, 3)
-    assert (out / "manifest.json").exists()
+    assert (out / "overlay.manifest.json").exists()
 
 
 def test_overlay_names_only_its_model_sources(tmp_path, sample_ppm, capsys):
@@ -505,7 +544,7 @@ def test_flag_beats_config_file(tmp_path):
                                "embed_dim": 8, "batch": 2, "synthetic": True}))
     out = tmp_path / "run"
     assert run(["train", "--config", cfg, "--seed", "9", "--out", out]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "train.manifest.json").read_text())
     assert manifest["seed"] == 9  # flag wins
     assert manifest["side"] == 8  # config fills the rest
 
@@ -558,7 +597,7 @@ def test_one_config_file_drives_each_subcommand(tmp_path):
     for name in ("train", "sweep", "attribute"):
         out = tmp_path / name
         assert run([name, "--config", cfg, "--out", out]) == 0
-        manifests[name] = json.loads((out / "manifest.json").read_text())
+        manifests[name] = json.loads((out / f"{name}.manifest.json").read_text())
     assert "steps" not in manifests["train"] and "steps" not in manifests["sweep"]
     assert manifests["attribute"]["steps"] == 7
     assert manifests["train"]["hidden"] == [8] and manifests["train"]["seed"] == 4
@@ -599,7 +638,7 @@ def test_manifest_echoes_only_the_subcommands_own_settings(tmp_path, sample_ppm)
     for name, argv in argvs.items():
         out = tmp_path / name
         assert run([name, *argv, "--out", out]) == 0
-        manifests[name] = json.loads((out / "manifest.json").read_text())
+        manifests[name] = json.loads((out / f"{name}.manifest.json").read_text())
         dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
         assert set(manifests[name]) == dests | {"version", "subcommand"}, name
     assert set(manifests["report"]) == {"version", "subcommand", "out", "metric", "source"}
@@ -634,6 +673,6 @@ def test_manifest_has_no_timestamps(tmp_path):
     out = tmp_path / "run"
     argv = ["train", *TINY, *SCORER, "--seed", "4", "--out", out]
     assert run(argv) == 0
-    first = (out / "manifest.json").read_bytes()
+    first = (out / "train.manifest.json").read_bytes()
     assert run(argv) == 0
-    assert (out / "manifest.json").read_bytes() == first
+    assert (out / "train.manifest.json").read_bytes() == first

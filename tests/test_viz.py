@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from igprobe.attribution import AttributionMap, PolarityMaps, split_polarity
+from igprobe.attribution import PolarityMaps, split_polarity
 from igprobe.codec import ORIGINAL
 from igprobe.harness import PrecisionRow, PrecisionTable
 from igprobe.tensor import SeededRng
@@ -40,9 +40,7 @@ def test_zero_attribution_dims_image_only():
 def test_overlay_bounds_and_blue_untouched():
     img = SeededRng(2).uniform([6, 6, 3])
     vals = SeededRng(3).normal([6, 6, 3]) * 2.0
-    att = AttributionMap(values=vals, sum=float(vals.sum()), loss_baseline=0.0,
-                         loss_target=float(vals.sum()), completeness_gap=0.0)
-    out = render_overlay(img, split_polarity(att))
+    out = render_overlay(img, split_polarity(vals))
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     assert np.array_equal(out[:, :, 2], np.clip(0.7 * img[:, :, 2], 0.0, 1.0))
 
