@@ -14,8 +14,8 @@ from .attribution import (AttributionMap, PathSpec, PolarityMaps, integrated_gra
 from .codec import (ORIGINAL, QualityLevel, degrade_jpeg, psnr, quant_table,
                     resize_bicubic)
 from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
-from .harness import (AttributionBatch, AttributionRecord, PrecisionRow, PrecisionTable,
-                      accuracy, attribute_batch, macro_precision, sweep_precision)
+from .harness import (PrecisionRow, PrecisionTable, accuracy, attribute_batch, macro_precision,
+                      sweep_precision)
 from .model import (GradFn, LossGrads, Scorer, ScorerModel, TrainConfig, backward, forward,
                     gradient_check, load_model, new_scorer, save_model, train)
 from .provider import ProviderClient, ProviderError, ProviderSpec, provider_connect
@@ -23,8 +23,7 @@ from .tensor import SeededRng, Tensor, argmax
 from .viz import emit_chart_svg, emit_table, render_overlay
 
 __all__ = [
-    "AttributionBatch", "AttributionMap", "AttributionRecord",
-    "Dataset", "DatasetItem", "GradFn", "LossGrads", "ORIGINAL",
+    "AttributionMap", "Dataset", "DatasetItem", "GradFn", "LossGrads", "ORIGINAL",
     "PathSpec", "PolarityMaps", "PrecisionRow", "PrecisionTable", "ProviderClient",
     "ProviderError", "ProviderSpec", "QualityLevel", "Scorer", "ScorerModel", "SeededRng",
     "Tensor", "TrainConfig", "accuracy", "argmax", "attribute_batch", "backward",

@@ -180,20 +180,23 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _write_table_and_chart(cfg: argparse.Namespace, table, out_dir: Path) -> None:
-    (out_dir / "table.csv").write_text(emit_table(table, "csv"))
-    (out_dir / "table.md").write_text(emit_table(table, "markdown"))
-    chart = emit_chart_svg(table, cfg.metric.replace("_", " "))
-    (out_dir / "chart.svg").write_text(chart)
+def _write_table_and_chart(cfg: argparse.Namespace, table) -> Path:
+    """Render table.csv, table.md and chart.svg, then make the output
+    directory and write them: a table that cannot be charted writes nothing."""
+    texts = {"table.csv": emit_table(table, "csv"), "table.md": emit_table(table, "markdown"),
+             "chart.svg": emit_chart_svg(table, cfg.metric.replace("_", " "))}
+    out_dir = _out_dir(cfg)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
+    return out_dir
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
     with _scorer(cfg, dataset) as (name, scorer):
         table = sweep_precision(scorer, dataset, cfg.qualities, metric=cfg.metric, name=name)
-    out_dir = _out_dir(cfg)
+    out_dir = _write_table_and_chart(cfg, table)
     write_precision_csv(table, out_dir / "precision.csv")
-    _write_table_and_chart(cfg, table, out_dir)
     _write_manifest(cfg, out_dir)
     print(emit_table(table, "csv"), end="")
     print(f"wrote precision.csv, table.csv, table.md, chart.svg to {out_dir}")
@@ -213,7 +216,7 @@ def _write_overlays(out_dir: Path, stem: str, base, pol) -> dict:
 def _overlay_quality(cfg: argparse.Namespace):
     numeric = [q for q in cfg.qualities if q != ORIGINAL]
     if cfg.overlay_quality is None:
-        return min(numeric) if numeric else None
+        return min(numeric)
     if cfg.overlay_quality not in numeric:
         raise UsageError(f"--overlay-quality {cfg.overlay_quality} not in {numeric}")
     return cfg.overlay_quality
@@ -222,27 +225,25 @@ def _overlay_quality(cfg: argparse.Namespace):
 def cmd_attribute(cfg: argparse.Namespace) -> int:
     overlay_q = _overlay_quality(cfg)
     dataset = _load_data(cfg)
-    stems = _overlay_stems(dataset) if overlay_q is not None else []
+    stems = _overlay_stems(dataset)
     with _scorer(cfg, dataset) as (_, scorer):
-        batch = attribute_batch(scorer, dataset, cfg.qualities,
-                                steps=cfg.steps, scheme=cfg.scheme)
+        maps = attribute_batch(scorer, dataset, cfg.qualities,
+                               steps=cfg.steps, scheme=cfg.scheme)
         hw = scorer.input_shape[:2]
-        out_dir = _out_dir(cfg)
-        write_attribution_csv(batch, out_dir / "attributions.csv")
-        overlay_meta = []
-        if overlay_q is not None:
-            for item, stem, rec, maps in zip(dataset.items, stems, batch.records, batch.maps):
-                base = prepare_input(item.image, ORIGINAL, hw)
-                pol = split_polarity(maps[overlay_q].values)
-                files = _write_overlays(out_dir, f"{stem}_q{overlay_q}", base, pol)
-                overlay_meta.append({"id": rec.id, "quality": overlay_q,
-                                     "ig_scale": pol.scale, "files": files})
-            (out_dir / "overlays.json").write_text(
-                json.dumps(overlay_meta, indent=2, sort_keys=True) + "\n")
+    out_dir = _out_dir(cfg)
+    write_attribution_csv(dataset, cfg.qualities, maps, out_dir / "attributions.csv")
+    overlay_meta = []
+    for item, stem, by_q in zip(dataset.items, stems, maps):
+        base = prepare_input(item.image, ORIGINAL, hw)
+        pol = split_polarity(by_q[overlay_q].values)
+        files = _write_overlays(out_dir, f"{stem}_q{overlay_q}", base, pol)
+        overlay_meta.append({"id": item.id, "quality": overlay_q,
+                             "ig_scale": pol.scale, "files": files})
+    (out_dir / "overlays.json").write_text(
+        json.dumps(overlay_meta, indent=2, sort_keys=True) + "\n")
     _write_manifest(cfg, out_dir)
-    n_files = 3 * len(overlay_meta)
-    print(f"attributed {len(batch.records)} images at steps={cfg.steps} "
-          f"({cfg.scheme}); wrote attributions.csv and {n_files} overlays to {out_dir}")
+    print(f"attributed {len(maps)} images at steps={cfg.steps} ({cfg.scheme}); "
+          f"wrote attributions.csv and {3 * len(overlay_meta)} overlays to {out_dir}")
     return 0
 
 
@@ -298,8 +299,7 @@ def cmd_report(cfg: argparse.Namespace) -> int:
         source = source / "precision.csv"
     table = read_precision_csv(source)
     cfg.metric = cfg.metric or _sweep_metric(source)
-    out_dir = _out_dir(cfg)
-    _write_table_and_chart(cfg, table, out_dir)
+    out_dir = _write_table_and_chart(cfg, table)
     _write_manifest(cfg, out_dir)
     print(emit_table(table, "csv"), end="")
     print(f"re-rendered table.csv, table.md, chart.svg to {out_dir}")

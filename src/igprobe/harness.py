@@ -1,4 +1,4 @@
-"""Quality-sweep evaluation and per-image attribution batches.
+"""Quality-sweep evaluation and per-image attribution maps.
 
 Pipeline order is degrade-then-resize: compression happens at the native
 dataset resolution, bicubic resampling to the scorer input comes after.
@@ -78,30 +78,16 @@ class PrecisionTable:
                 raise ValueError(f"row {row.model_name!r} missing scores for {missing}")
 
 
-@dataclass
-class AttributionRecord:
-    id: str
-    true_label: str
-    predicted_labels: list[str]  # one per quality, ORIGINAL included
-    predicted_scores: list[float]  # softmax at the true label, per quality
-    ig_values: list[float]  # attribution sum, per degraded quality
-
-
-@dataclass
-class AttributionBatch:
-    records: list[AttributionRecord]
-    maps: list[dict[QualityLevel, AttributionMap]]
-    qualities: list[QualityLevel]
-
-
 def check_qualities(qualities) -> list[QualityLevel]:
-    """A quality sweep: the original level included, no level twice."""
+    """A quality sweep: the original level, at least one compressed level, no level twice."""
     qualities = list(qualities)
     for i, q in enumerate(qualities):
         if q in qualities[:i]:
             raise ValueError(f"quality {quality_key(q)} is listed twice")
     if ORIGINAL not in qualities:
         raise ValueError("quality list must include the original level")
+    if len(qualities) < 2:
+        raise ValueError("quality list must include a compressed level")
     return qualities
 
 
@@ -152,13 +138,13 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
                           qualities=qualities)
 
 
-def attribute_batch(scorer: Scorer, dataset: Dataset, qualities,
-                    steps: int = 50, scheme: str = "trapezoid") -> AttributionBatch:
-    """Per image: baseline = resized original, one attribution map per
-    degraded quality with the degraded-and-resized image as target.
+def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = 50,
+                    scheme: str = "trapezoid") -> list[dict[QualityLevel, AttributionMap]]:
+    """Per image, one attribution map per compressed quality: baseline =
+    resized original, target = the compressed-and-resized image.
 
-    Each map costs one batched gradient call over its path nodes; the
-    predicted labels and scores are read from that call's endpoint rows.
+    Each map costs one batched gradient call over its path nodes, and its
+    endpoint rows hold the logits that ``write_attribution_csv`` reads.
     """
     qualities = check_qualities(qualities)
     if steps < 1:
@@ -166,37 +152,25 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities,
     _check_classes(scorer, dataset)
     hw = scorer.input_shape[:2]
 
-    degraded = [q for q in qualities if q != ORIGINAL]
-    records, all_maps = [], []
+    compressed = [q for q in qualities if q != ORIGINAL]
+    all_maps = []
     for item in dataset.items:
         image = item.image
         q: QualityLevel = ORIGINAL
         try:
             baseline = prepare_input(image, ORIGINAL, hw)
             maps: dict[QualityLevel, AttributionMap] = {}
-            for q in degraded:
+            for q in compressed:
                 maps[q] = integrated_gradients(
                     scorer,
                     PathSpec(baseline=baseline, target=prepare_input(image, q, hw),
                              steps=steps, scheme=scheme),
                     item.label)
-            # Every map starts at the same baseline row; with no degraded
-            # quality there is no map, so the original is scored on its own.
-            q = ORIGINAL
-            original = (maps[degraded[0]].logits_baseline if degraded
-                        else scorer.logits(baseline[None])[0])
         except Exception as exc:
             raise RuntimeError(f"attribution failed on image {item.id!r} at quality "
                                f"{quality_key(q)}: {exc}") from exc
-        logits = [maps[q].logits_target if q in maps else original for q in qualities]
-        records.append(AttributionRecord(
-            id=item.id,
-            true_label=dataset.class_names[item.label],
-            predicted_labels=[dataset.class_names[argmax(z)] for z in logits],
-            predicted_scores=[float(softmax(z)[item.label]) for z in logits],
-            ig_values=[maps[q].sum for q in degraded]))
         all_maps.append(maps)
-    return AttributionBatch(records=records, maps=all_maps, qualities=qualities)
+    return all_maps
 
 
 def write_precision_csv(table: PrecisionTable, path) -> None:
@@ -221,7 +195,11 @@ def read_precision_csv(path) -> PrecisionTable:
         for row in filter(None, reader):
             if len(row) != 3:
                 raise ValueError(f"{path} line {reader.line_num}: expected 3 cells, got {row}")
-            model, q, score = row[0], parse_quality(row[1]), float(row[2])
+            try:
+                model, q, score = row[0], parse_quality(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: quality {row[1]!r}, "
+                                 f"score {row[2]!r}: {exc}") from exc
             if not 0.0 <= score <= 1.0:  # nan, inf or 1.7 would be drawn off the chart
                 raise ValueError(f"{path} line {reader.line_num}: score {row[2]!r} for model "
                                  f"{model!r} at quality {quality_key(q)} is not in [0, 1]")
@@ -236,19 +214,24 @@ def read_precision_csv(path) -> PrecisionTable:
     return PrecisionTable(rows=rows, qualities=qualities)
 
 
-def write_attribution_csv(batch: AttributionBatch, path) -> None:
-    qs = batch.qualities
-    degraded = [q for q in qs if q != ORIGINAL]
+def write_attribution_csv(dataset: Dataset, qualities, maps, path) -> None:
+    """One row per image of ``dataset``, read from its maps as ``attribute_batch``
+    returns them: per quality the predicted class and the softmax score at the
+    true label, per compressed quality the IG sum.  Every map starts at the
+    same baseline row, so the original's logits are the first map's."""
+    compressed = [q for q in qualities if q != ORIGINAL]
     header = (["id", "true"]
-              + [f"predicted_{quality_key(q)}" for q in qs]
-              + [f"score_{quality_key(q)}" for q in qs]
-              + [f"ig_{quality_key(q)}" for q in degraded])
+              + [f"predicted_{quality_key(q)}" for q in qualities]
+              + [f"score_{quality_key(q)}" for q in qualities]
+              + [f"ig_{quality_key(q)}" for q in compressed])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for rec in batch.records:
-        writer.writerow([rec.id, rec.true_label]
-                        + rec.predicted_labels
-                        + [f"{s:.6f}" for s in rec.predicted_scores]
-                        + [f"{v:.6f}" for v in rec.ig_values])
+    for item, by_q in zip(dataset.items, maps, strict=True):
+        logits = [by_q[compressed[0]].logits_baseline if q == ORIGINAL else by_q[q].logits_target
+                  for q in qualities]
+        writer.writerow([item.id, dataset.class_names[item.label]]
+                        + [dataset.class_names[argmax(z)] for z in logits]
+                        + [f"{float(softmax(z)[item.label]):.6f}" for z in logits]
+                        + [f"{by_q[q].sum:.6f}" for q in compressed])
     Path(path).write_text(buf.getvalue())

@@ -94,14 +94,17 @@ class ProviderClient:
             raise self._fail(f"handshake: expected hello, got {hello.get('type')!r}")
         try:
             self.class_names = [str(c) for c in hello["classes"]]
-            shape = tuple(int(v) for v in hello["input_shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shape = hello["input_shape"]
+        except (KeyError, TypeError) as exc:
             raise self._fail(f"handshake: malformed hello: {exc}")
-        if len(shape) != 3 or shape[2] != 3:
-            raise self._fail(f"handshake: hello input_shape must be [H, W, 3], got {list(shape)}")
+        # JSON integers >= 1, as load_model requires of a checkpoint; bools are not integers
+        if not (isinstance(shape, list) and len(shape) == 3 and shape[2] == 3
+                and all(type(v) is int and v >= 1 for v in shape)):
+            raise self._fail("handshake: hello input_shape must be [H, W, 3] with integers "
+                             f"H, W >= 1, got {shape!r}")
         if not self.class_names:
             raise self._fail("handshake: hello lists no classes")
-        self.input_shape = shape
+        self.input_shape = tuple(shape)
         self.num_classes = len(self.class_names)
 
     def _fail(self, message: str) -> ProviderError:

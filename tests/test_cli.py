@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, config precedence, artifacts."""
 
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -321,6 +322,32 @@ def test_report_rejects_short_row(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("m,25,abc", "could not convert string to float: 'abc'"),
+    ("m,q25,0.4", "invalid literal for int()"),
+    ("m,250,0.4", "quality must be in [1, 100]"),
+], ids=["score", "quality-text", "quality-range"])
+def test_report_names_the_line_of_an_unparseable_cell(tmp_path, capsys, row, message):
+    source = tmp_path / "precision.csv"
+    source.write_text(f"model,quality,score\nm,original,1.0\n{row}\n")
+    out = tmp_path / "report"
+    assert run(["report", "--from", source, "--out", out]) == 1
+    quality, score = row.split(",")[1:]
+    err = capsys.readouterr().err
+    assert f"error: {source} line 3: quality '{quality}', score '{score}': " in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_report_that_cannot_chart_writes_nothing(tmp_path, capsys):
+    source = tmp_path / "precision.csv"
+    source.write_text("model,quality,score\nm,original,1.0\n")
+    out = tmp_path / "report"
+    assert run(["report", "--from", source, "--out", out]) == 1
+    assert "need >=2 points on the quality axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_needs_source(tmp_path, capsys):
     assert run(["report", "--out", tmp_path / "r"]) == 2
     assert "--from" in capsys.readouterr().err
@@ -348,6 +375,21 @@ def test_attribute_writes_csv_and_overlays(tmp_path, ckpt):
             assert (out / fname).exists()
 
 
+def test_attribute_artifacts_are_pinned(tmp_path, ckpt):
+    # sha256 of the files a fixed recipe writes; a new column or overlay
+    # field changes these on purpose, anything else is a regression
+    out = tmp_path / "att"
+    assert run(["attribute", "--synthetic", "--classes", "2", "--per-class", "3",
+                "--side", "8", "--seed", "4", "--checkpoint", ckpt,
+                "--steps", "8", "--scheme", "trapezoid", "--out", out]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("attributions.csv", "overlays.json")}
+    assert digests == {
+        "attributions.csv": "50c2899d3c6b0208f82c5338c615dc67eefdad47400ced5e06725e89eb418bdf",
+        "overlays.json": "1367ecef57184b9919e5c52421a3d53434609950ccb053ad60edf890c028d332",
+    }
+
+
 def test_attribute_rejects_overlay_quality_outside_sweep(tmp_path, capsys, ckpt):
     code = run(["attribute", *TINY, "--checkpoint", ckpt,
                 "--qualities", "original,50", "--overlay-quality", "25",
@@ -371,8 +413,6 @@ def test_attribute_refuses_ids_that_share_an_overlay_file(tmp_path, capsys, ckpt
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'a b.ppm'" in err and "'a_b.ppm'" in err
     assert not out.exists()
-    # without overlays there is nothing to overwrite
-    assert run([*argv, "--qualities", "original", "--out", out]) == 0
 
 
 @pytest.mark.parametrize("command", ["sweep", "attribute"])
@@ -417,6 +457,8 @@ def test_sweep_and_attribute_sharing_a_directory_keep_their_manifests(tmp_path, 
     (["sweep", "--qualities", "25,50"], "quality list must include the original level"),
     (["attribute", "--qualities", "original,25,25"], "quality 25 is listed twice"),
     (["sweep", "--qualities", "original,25,original"], "quality original is listed twice"),
+    (["sweep", "--qualities", "original"], "quality list must include a compressed level"),
+    (["attribute", "--qualities", "original"], "quality list must include a compressed level"),
 ])
 def test_bad_quality_list_is_usage_error_before_any_work(tmp_path, capsys, ckpt, argv, message):
     out = tmp_path / "o"

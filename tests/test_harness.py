@@ -1,4 +1,7 @@
-"""Quality-sweep metrics, attribution batches, and their CSV round-trips."""
+"""Quality-sweep metrics, attribution maps, and their CSV round-trips."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,10 @@ from hypothesis import strategies as st
 
 from igprobe import harness
 from igprobe import model as model_module
+from igprobe.attribution import AttributionMap
 from igprobe.codec import ORIGINAL, degrade_jpeg
 from igprobe.data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from igprobe.harness import (
-    AttributionBatch,
-    AttributionRecord,
     PrecisionRow,
     PrecisionTable,
     accuracy,
@@ -32,6 +34,7 @@ from igprobe.model import (
     cross_entropy,
     forward,
     new_scorer,
+    softmax,
     train,
 )
 from igprobe.imgio import write_ppm
@@ -154,7 +157,7 @@ def test_sweep_quality_proof_model_is_flat_ones():
 def test_sweep_original_only_matches_direct_classification():
     data = gen_synthetic(9, classes=3, per_class=4, side=8)
     model = new_scorer(11, (8, 8, 3), (16,), 8, 3)
-    table = sweep_precision(model, data, [ORIGINAL])
+    table = sweep_precision(model, data, [ORIGINAL, 50])
     preds = [argmax(forward(model, it.image[None])[0]) for it in data.items]
     truths = [it.label for it in data.items]
     want = macro_precision(preds, truths, data.num_classes)
@@ -214,12 +217,20 @@ def test_sweep_accuracy_metric():
 def test_sweep_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
         sweep_precision(brightness_scorer(), brightness_dataset(),
-                        [ORIGINAL], metric="f1")
+                        [ORIGINAL, 50], metric="f1")
 
 
 def test_sweep_requires_original_level():
     with pytest.raises(ValueError, match="original"):
         sweep_precision(brightness_scorer(), brightness_dataset(), [75, 50])
+
+
+def test_quality_list_needs_a_compressed_level():
+    data = brightness_dataset()
+    with pytest.raises(ValueError, match="must include a compressed level"):
+        sweep_precision(brightness_scorer(), data, [ORIGINAL])
+    with pytest.raises(ValueError, match="must include a compressed level"):
+        attribute_batch(brightness_scorer(), data, (ORIGINAL,))
 
 
 def test_repeated_quality_rejected():
@@ -240,7 +251,7 @@ def test_sweep_row_is_named():
 def test_sweep_class_count_mismatch():
     data = gen_synthetic(3, classes=3, per_class=1, side=8)
     with pytest.raises(ValueError, match="classes"):
-        sweep_precision(brightness_scorer(), data, [ORIGINAL])
+        sweep_precision(brightness_scorer(), data, [ORIGINAL, 50])
 
 
 def test_sweep_failure_names_image_and_quality():
@@ -266,31 +277,26 @@ def test_precision_table_validates_missing_cells():
 def test_attribute_batch_structure():
     data = gen_synthetic(3, classes=2, per_class=2, side=8)
     model = new_scorer(5, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
-    batch = attribute_batch(model, data, (ORIGINAL, 75, 50), steps=8)
-    assert batch.qualities == [ORIGINAL, 75, 50]
-    assert len(batch.records) == len(batch.maps) == 4
-    for rec, maps in zip(batch.records, batch.maps):
-        assert len(rec.predicted_labels) == 3
-        assert len(rec.predicted_scores) == 3
-        assert len(rec.ig_values) == 2  # degraded qualities only
-        assert set(maps) == {75, 50}
-        for att in maps.values():
+    maps = attribute_batch(model, data, (ORIGINAL, 75, 50), steps=8)
+    assert len(maps) == 4
+    for by_q in maps:
+        assert list(by_q) == [75, 50]  # compressed qualities only, in sweep order
+        for att in by_q.values():
             assert att.values.shape == (8, 8, 3)
-        assert rec.true_label in data.class_names
-        assert all(p in data.class_names for p in rec.predicted_labels)
+            assert att.logits_baseline.shape == att.logits_target.shape == (2,)
 
 
 def test_attribute_batch_completeness_against_recomputed_losses():
     data = gen_synthetic(21, classes=2, per_class=2, side=8)
     model = new_scorer(22, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
-    batch = attribute_batch(model, data, (ORIGINAL, 50), steps=64)
-    for item, rec, maps in zip(data.items, batch.records, batch.maps):
+    maps = attribute_batch(model, data, (ORIGINAL, 50), steps=64)
+    for item, by_q in zip(data.items, maps):
         # recompute both endpoint losses through the plain forward pass
         logits = np.stack([forward(model, prepare_input(item.image, q, (8, 8))[None])[0]
                            for q in (ORIGINAL, 50)])
         l0, l1 = cross_entropy(logits, [item.label] * 2)
-        att = maps[50]
-        assert abs(rec.ig_values[0] - (l1 - l0)) <= att.completeness_gap + 1e-9
+        att = by_q[50]
+        assert abs(att.sum - (l1 - l0)) <= att.completeness_gap + 1e-9
         assert att.loss_baseline == pytest.approx(l0, abs=1e-12)
         assert att.loss_target == pytest.approx(l1, abs=1e-12)
 
@@ -343,7 +349,7 @@ def test_attribute_batch_golden_record():
     model = train(model, data, TrainConfig(lr=0.05, epochs=200, batch=4, seed=61))
     probe = Dataset(items=[data.items[0], data.items[5], data.items[10]],
                     class_names=data.class_names)
-    batch = attribute_batch(model, probe, (ORIGINAL, 50, 25), steps=50)
+    maps = attribute_batch(model, probe, (ORIGINAL, 50, 25), steps=50)
 
     golden = [
         ("stripes_a_0_0000", "stripes_a_0", ["stripes_a_0"] * 3,
@@ -356,15 +362,17 @@ def test_attribute_batch_golden_record():
          [0.692014233038, 0.675886592352, 0.669863909514],
          [0.023581226464, 0.032531955717]),
     ]
-    for rec, maps, (gid, gtrue, gpred, gscores, gigs) in zip(
-            batch.records, batch.maps, golden):
-        assert rec.id == gid
-        assert rec.true_label == gtrue
-        assert rec.predicted_labels == gpred
-        assert rec.predicted_scores == pytest.approx(gscores, abs=1e-9)
-        assert rec.ig_values == pytest.approx(gigs, abs=1e-9)
+    names = data.class_names
+    for item, by_q, (gid, gtrue, gpred, gscores, gigs) in zip(probe.items, maps, golden):
+        # the original's logits are the first map's baseline row, as the CSV writer reads them
+        logits = [by_q[50].logits_baseline, by_q[50].logits_target, by_q[25].logits_target]
+        assert item.id == gid
+        assert names[item.label] == gtrue
+        assert [names[argmax(z)] for z in logits] == gpred
+        assert [float(softmax(z)[item.label]) for z in logits] == pytest.approx(gscores, abs=1e-9)
+        assert [by_q[q].sum for q in (50, 25)] == pytest.approx(gigs, abs=1e-9)
         for q in (50, 25):
-            assert maps[q].completeness_gap < 1e-6
+            assert by_q[q].completeness_gap < 1e-6
 
 
 # ---------------------------------------------------------------- csv io
@@ -421,14 +429,16 @@ def test_precision_csv_rejects_repeated_cell(tmp_path):
 
 
 def test_attribution_csv_layout(tmp_path):
-    rec = AttributionRecord(id="img_0", true_label="cat",
-                            predicted_labels=["cat", "dog"],
-                            predicted_scores=[0.75, 0.5],
-                            ig_values=[0.123456789])
-    batch = AttributionBatch(records=[rec], maps=[{}],
-                             qualities=[ORIGINAL, 50])
+    # true class "cat" at index 1: softmax (0.25, 0.75) at the original, and a
+    # tie (0.5, 0.5) at q50 that breaks to the lower index, "dog"
+    data = Dataset(items=[DatasetItem(pixels=np.zeros((1, 1, 3)), label=1, id="img_0")],
+                   class_names=["dog", "cat"])
+    att = AttributionMap(values=np.array([[[0.123456789, 0.0, 0.0]]]),
+                         loss_baseline=0.0, loss_target=0.0,
+                         logits_baseline=np.array([0.0, np.log(3.0)]),
+                         logits_target=np.array([0.0, 0.0]))
     path = tmp_path / "att.csv"
-    write_attribution_csv(batch, path)
+    write_attribution_csv(data, [ORIGINAL, 50], [{50: att}], path)
     assert path.read_text() == (
         "id,true,predicted_original,predicted_50,score_original,score_50,ig_50\n"
         "img_0,cat,cat,dog,0.750000,0.500000,0.123457\n")
@@ -437,9 +447,9 @@ def test_attribution_csv_layout(tmp_path):
 def test_attribution_csv_bytes_deterministic(tmp_path):
     data = gen_synthetic(3, classes=2, per_class=1, side=8)
     model = new_scorer(5, (8, 8, 3), (16,), 8, 2, class_names=data.class_names)
-    batch = attribute_batch(model, data, (ORIGINAL, 50), steps=8)
-    write_attribution_csv(batch, tmp_path / "one.csv")
-    write_attribution_csv(batch, tmp_path / "two.csv")
+    maps = attribute_batch(model, data, (ORIGINAL, 50), steps=8)
+    write_attribution_csv(data, [ORIGINAL, 50], maps, tmp_path / "one.csv")
+    write_attribution_csv(data, [ORIGINAL, 50], maps, tmp_path / "two.csv")
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
@@ -453,3 +463,18 @@ def test_prepare_input_resizes_after_degrading():
     img = gen_synthetic(2, classes=2, per_class=1, side=8).items[0].image
     out = prepare_input(img, 50, resize_to=(12, 12))
     assert out.shape == (12, 12, 3)
+
+
+# ---------------------------------------------------------------- README
+
+
+def test_readme_library_blocks_run():
+    # every python block of "Library entry points", in order, in one namespace
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library entry points", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```", section, re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert isinstance(namespace["att"], AttributionMap)

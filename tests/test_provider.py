@@ -215,6 +215,20 @@ def test_hello_not_json():
         spawn("garbage")
 
 
+# A provider that says the hello given as its first argument, then waits on stdin.
+HELLO_PROVIDER = "import sys; print(sys.argv[1], flush=True); sys.stdin.read()"
+
+
+@pytest.mark.parametrize("shape", [[0, 16, 3], [16, -1, 3], [16.5, 16, 3], [True, 16, 3]],
+                         ids=["zero", "negative", "fraction", "bool"])
+def test_hello_input_shape_holds_integers_of_at_least_one(shape):
+    hello = json.dumps({"type": "hello", "classes": ["a", "b"], "input_shape": shape})
+    with pytest.raises(ProviderError, match=re.escape(
+            f"handshake: hello input_shape must be [H, W, 3] with integers H, W >= 1, "
+            f"got {shape!r}")):
+        provider_connect(ProviderSpec([sys.executable, "-c", HELLO_PROVIDER, hello]))
+
+
 # ---------------------------------------------------------------- request failures
 
 
