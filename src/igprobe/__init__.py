@@ -14,18 +14,18 @@ from .attribution import (AttributionMap, PathSpec, PolarityMaps, integrated_gra
 from .codec import (ORIGINAL, QualityLevel, degrade_jpeg, psnr, quant_table,
                     resize_bicubic)
 from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
-from .harness import (PrecisionRow, PrecisionTable, accuracy, attribute_batch, macro_precision,
+from .harness import (PrecisionTable, accuracy, attribute_batch, macro_precision,
                       sweep_precision)
 from .model import (GradFn, LossGrads, Scorer, ScorerModel, TrainConfig, backward, forward,
                     gradient_check, load_model, new_scorer, save_model, train)
-from .provider import ProviderClient, ProviderError, ProviderSpec, provider_connect
+from .provider import ProviderClient, ProviderError, provider_connect
 from .tensor import SeededRng, Tensor, argmax
 from .viz import emit_chart_svg, emit_table, render_overlay
 
 __all__ = [
     "AttributionMap", "Dataset", "DatasetItem", "GradFn", "LossGrads", "ORIGINAL",
-    "PathSpec", "PolarityMaps", "PrecisionRow", "PrecisionTable", "ProviderClient",
-    "ProviderError", "ProviderSpec", "QualityLevel", "Scorer", "ScorerModel", "SeededRng",
+    "PathSpec", "PolarityMaps", "PrecisionTable", "ProviderClient",
+    "ProviderError", "QualityLevel", "Scorer", "ScorerModel", "SeededRng",
     "Tensor", "TrainConfig", "accuracy", "argmax", "attribute_batch", "backward",
     "degrade_jpeg", "emit_chart_svg", "emit_table", "forward", "gen_synthetic",
     "gradient_check", "integrated_gradients", "load_dataset", "load_model",

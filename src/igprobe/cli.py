@@ -28,7 +28,7 @@ from .harness import (METRICS, attribute_batch, check_qualities, parse_quality,
                       write_attribution_csv, write_precision_csv)
 from .imgio import read_image, write_image
 from .model import TrainConfig, load_model, mean_loss, new_scorer, save_model, train
-from .provider import ProviderSpec, provider_connect
+from .provider import provider_connect
 from .verify import CHECKS, format_results, run_checks
 from .viz import POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
 
@@ -141,7 +141,7 @@ def _scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
                              f"but the dataset lists classes {dataset.class_names}")
         yield Path(cfg.checkpoint).stem, model
         return
-    with provider_connect(ProviderSpec(shlex.split(cfg.provider))) as client:
+    with provider_connect(shlex.split(cfg.provider)) as client:
         yield "provider", client
 
 
@@ -248,9 +248,11 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
 
 
 def cmd_overlay(cfg: argparse.Namespace) -> int:
-    img = read_image(cfg.input_path)
+    if not cfg.input_path:
+        raise UsageError("overlay needs --in")
     if cfg.label is None:
         raise UsageError("overlay needs --label")
+    img = read_image(cfg.input_path)
     with _scorer(cfg) as (_, scorer):
         hw = scorer.input_shape[:2]
         base = prepare_input(img, ORIGINAL, hw)
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     _add_model_source(p)
     _add_path_params(p)
-    p.add_argument("--in", dest="input_path", required=True)
+    p.add_argument("--in", dest="input_path")
     p.add_argument("--label", type=int)
     p.add_argument("--quality", type=parse_quality, default=25)
 

@@ -29,13 +29,17 @@ def parse_quality(text: str) -> QualityLevel:
     return check_quality(ORIGINAL if t == ORIGINAL else int(t))
 
 
-def macro_precision(predictions, truths, num_classes: int) -> float:
-    """Unweighted mean over classes of TP/(TP+FP); never-predicted classes
-    contribute 0."""
+def _check_pairs(predictions, truths) -> None:
     if len(predictions) != len(truths):
         raise ValueError(f"length mismatch: {len(predictions)} predictions, {len(truths)} truths")
     if not len(truths):
         raise ValueError("empty prediction list")
+
+
+def macro_precision(predictions, truths, num_classes: int) -> float:
+    """Unweighted mean over classes of TP/(TP+FP); never-predicted classes
+    contribute 0."""
+    _check_pairs(predictions, truths)
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     total = 0.0
@@ -48,10 +52,7 @@ def macro_precision(predictions, truths, num_classes: int) -> float:
 
 
 def accuracy(predictions, truths, num_classes: int | None = None) -> float:
-    if len(predictions) != len(truths):
-        raise ValueError(f"length mismatch: {len(predictions)} predictions, {len(truths)} truths")
-    if not len(truths):
-        raise ValueError("empty prediction list")
+    _check_pairs(predictions, truths)
     return sum(1 for p, t in zip(predictions, truths) if p == t) / len(truths)
 
 
@@ -59,23 +60,17 @@ METRICS = {"macro_precision": macro_precision, "accuracy": accuracy}
 
 
 @dataclass
-class PrecisionRow:
-    model_name: str
-    scores: dict[QualityLevel, float]
-
-
-@dataclass
 class PrecisionTable:
-    rows: list[PrecisionRow]
+    rows: dict[str, dict[QualityLevel, float]]  # model name -> its scores, in row order
     qualities: list[QualityLevel]
 
     def __post_init__(self):
         if not self.qualities:
             raise ValueError("no qualities")
-        for row in self.rows:
-            missing = [q for q in self.qualities if q not in row.scores]
+        for name, scores in self.rows.items():
+            missing = [q for q in self.qualities if q not in scores]
             if missing:
-                raise ValueError(f"row {row.model_name!r} missing scores for {missing}")
+                raise ValueError(f"row {name!r} missing scores for {missing}")
 
 
 def check_qualities(qualities) -> list[QualityLevel]:
@@ -134,8 +129,7 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
                     f"{quality_key(q)}: {exc}") from exc
     truths = [it.label for it in dataset.items]
     scores = {q: score_fn(preds[q], truths, dataset.num_classes) for q in qualities}
-    return PrecisionTable(rows=[PrecisionRow(model_name=name, scores=scores)],
-                          qualities=qualities)
+    return PrecisionTable(rows={name: scores}, qualities=qualities)
 
 
 def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = 50,
@@ -178,9 +172,9 @@ def write_precision_csv(table: PrecisionTable, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["model", "quality", "score"])
-    for row in table.rows:
+    for name, scores in table.rows.items():
         for q in table.qualities:
-            writer.writerow([row.model_name, quality_key(q), repr(row.scores[q])])
+            writer.writerow([name, quality_key(q), repr(scores[q])])
     Path(path).write_text(buf.getvalue())
 
 
@@ -210,8 +204,10 @@ def read_precision_csv(path) -> PrecisionTable:
             if q not in qualities:
                 qualities.append(q)
             scores[q] = score
-    rows = [PrecisionRow(model_name=m, scores=s) for m, s in by_model.items()]
-    return PrecisionTable(rows=rows, qualities=qualities)
+    try:
+        return PrecisionTable(rows=by_model, qualities=qualities)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_attribution_csv(dataset: Dataset, qualities, maps, path) -> None:

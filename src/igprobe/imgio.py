@@ -67,11 +67,6 @@ def _read_ppm_pixels(path: Path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
 
 
-def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary PPM (P6, maxval 255) into a [0, 1] float image."""
-    return _read_ppm_pixels(Path(path)).astype(np.float64) / 255.0
-
-
 def write_image(path: str | Path, img: np.ndarray) -> None:
     """Write PPM or PNG depending on the file suffix."""
     path = Path(path)

@@ -14,6 +14,7 @@ normalization, ``(I - e_hat e_hat^T) / ||e||``.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,6 +80,9 @@ class ScorerModel:
         if n_in != self.class_embeddings.shape[1]:
             raise ValueError(
                 f"encoder output dim {n_in} != class embedding dim {self.class_embeddings.shape[1]}")
+        if self.class_names and len(self.class_names) != self.num_classes:
+            raise ValueError(f"{len(self.class_names)} class names for "
+                             f"{self.num_classes} class embedding rows")
 
     @property
     def num_classes(self) -> int:
@@ -91,15 +95,6 @@ class ScorerModel:
 
     def __call__(self, images: np.ndarray, labels) -> LossGrads:
         return backward(self, images, labels)
-
-    def copy(self) -> "ScorerModel":
-        return ScorerModel(
-            layers=[Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers],
-            class_embeddings=self.class_embeddings.copy(),
-            temperature=self.temperature,
-            input_shape=self.input_shape,
-            class_names=list(self.class_names),
-        )
 
 
 @dataclass
@@ -127,6 +122,18 @@ class Scorer(Protocol):
     def logits(self, images: np.ndarray) -> Tensor: ...  # [B, H, W, C] -> [B, K]
 
     def __call__(self, images: np.ndarray, labels) -> LossGrads: ...
+
+
+def check_declaration(input_shape, class_names, where: str) -> None:
+    """The rule a checkpoint and a provider hello both follow: ``input_shape``
+    is [H, W, 3] of JSON integers >= 1 (bools are not integers), and
+    ``class_names`` is a JSON list of strings; ``where`` names the source."""
+    if not (isinstance(input_shape, list) and len(input_shape) == 3 and input_shape[2] == 3
+            and all(type(v) is int and v >= 1 for v in input_shape)):
+        raise ValueError(f"{where} input_shape must be [H, W, 3] with integers H, W >= 1, "
+                         f"got {input_shape!r}")
+    if not (isinstance(class_names, list) and all(isinstance(c, str) for c in class_names)):
+        raise ValueError(f"{where} class names must be a JSON list of strings")
 
 
 def check_labels(labels, batch: int, num_classes: int) -> np.ndarray:
@@ -256,7 +263,7 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
         raise ValueError("cannot train on an empty dataset")
     y_all = check_labels([it.label for it in items], len(items), model.num_classes)
 
-    out = model.copy()
+    out = copy.deepcopy(model)
     x_all = np.stack([it.image.reshape(-1) for it in items])
     rng = SeededRng(cfg.seed)
 
@@ -276,8 +283,8 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
 def mean_loss(model: ScorerModel, dataset: "Dataset") -> float:
     x_all = np.stack([it.image.reshape(-1) for it in dataset.items])
     y_all = np.array([it.label for it in dataset.items])
-    losses, _, _, _ = _backward_batch(model, x_all, y_all)
-    return float(losses.mean())
+    logits, _ = _encode_batch(model, x_all)
+    return float(cross_entropy(logits, y_all).mean())
 
 
 def gradient_check(model: ScorerModel, image: np.ndarray, k: int, h: float = 1e-5) -> dict:
@@ -446,13 +453,13 @@ def load_model(path: str | Path) -> ScorerModel:
             layers.append(Layer(weights, bias, activation))
         except ValueError as exc:
             raise ValueError(f"layer {i}: {exc}") from None
-    input_shape = _field(doc, "input_shape", list, where)
-    if len(input_shape) != 3 or not all(type(s) is int and s >= 1 for s in input_shape):
-        raise ValueError(f"{where} field 'input_shape' must be [H, W, C], got {input_shape}")
-    return ScorerModel(
-        layers=layers,
-        class_embeddings=_unpack(doc, "class_embeddings", where),
-        temperature=float(_field(doc, "temperature", (int, float), where)),
-        input_shape=tuple(input_shape),
-        class_names=(_field(doc, "class_names", list, where) if "class_names" in doc else []),
-    )
+    input_shape, class_names = doc.get("input_shape"), doc.get("class_names", [])
+    check_declaration(input_shape, class_names, where)
+    class_embeddings = _unpack(doc, "class_embeddings", where)
+    temperature = float(_field(doc, "temperature", (int, float), where))
+    try:
+        return ScorerModel(layers=layers, class_embeddings=class_embeddings,
+                           temperature=temperature, input_shape=tuple(input_shape),
+                           class_names=class_names)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

@@ -21,11 +21,10 @@ import selectors
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LossGrads, check_batch, cross_entropy
+from .model import LossGrads, check_batch, check_declaration, cross_entropy
 
 DEFAULT_TIMEOUT = 30.0
 LOSS_TOLERANCE = 1e-4
@@ -35,18 +34,6 @@ READ_SIZE = 1 << 16  # bytes per read from the child's stdout, one Linux pipe bu
 
 class ProviderError(RuntimeError):
     pass
-
-
-@dataclass
-class ProviderSpec:
-    command: list[str]
-    timeout: float = DEFAULT_TIMEOUT
-
-    def __post_init__(self):
-        if not self.command:
-            raise ValueError("provider command must be nonempty")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
 
 def encode_f32(arr: np.ndarray) -> str:
@@ -70,41 +57,40 @@ class ProviderClient:
 
     A call sends the whole batch as one ``grad`` request and checks the
     whole reply.  Writing the request and reading the reply share one
-    deadline, ``spec.timeout`` per row; the handshake gets ``spec.timeout``.
+    deadline, ``timeout`` seconds per row; the handshake gets ``timeout``.
     A provider that misses a deadline or breaks the protocol is killed,
     and the ``ProviderError`` carries everything it wrote to stderr.
     """
 
-    def __init__(self, spec: ProviderSpec):
-        self.spec = spec
+    def __init__(self, command: list[str], timeout: float = DEFAULT_TIMEOUT):
+        if not command:
+            raise ValueError("provider command must be nonempty")
+        if timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
+        self.timeout = timeout
         self._next_id = 0
         self._unread = bytearray()  # stdout bytes past the last line read
         self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
-                spec.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 stderr=self._stderr, bufsize=0)
         except OSError as exc:
             self._stderr.close()
-            raise ProviderError(f"cannot spawn provider {spec.command}: {exc}") from exc
+            raise ProviderError(f"cannot spawn provider {command}: {exc}") from exc
         os.set_blocking(self._proc.stdin.fileno(), False)
 
-        hello = self._exchange(b"", "handshake", spec.timeout)
+        hello = self._exchange(b"", "handshake", timeout)
         if hello.get("type") != "hello":
             raise self._fail(f"handshake: expected hello, got {hello.get('type')!r}")
-        try:
-            self.class_names = [str(c) for c in hello["classes"]]
-            shape = hello["input_shape"]
-        except (KeyError, TypeError) as exc:
-            raise self._fail(f"handshake: malformed hello: {exc}")
-        # JSON integers >= 1, as load_model requires of a checkpoint; bools are not integers
-        if not (isinstance(shape, list) and len(shape) == 3 and shape[2] == 3
-                and all(type(v) is int and v >= 1 for v in shape)):
-            raise self._fail("handshake: hello input_shape must be [H, W, 3] with integers "
-                             f"H, W >= 1, got {shape!r}")
-        if not self.class_names:
+        try:  # the rule a checkpoint follows too
+            check_declaration(hello.get("input_shape"), hello.get("classes"), "hello")
+        except ValueError as exc:
+            raise self._fail(f"handshake: {exc}")
+        if not hello["classes"]:
             raise self._fail("handshake: hello lists no classes")
-        self.input_shape = tuple(shape)
+        self.class_names = hello["classes"]
+        self.input_shape = tuple(hello["input_shape"])
         self.num_classes = len(self.class_names)
 
     def _fail(self, message: str) -> ProviderError:
@@ -174,7 +160,7 @@ class ProviderClient:
         payload = json.dumps({"type": "grad", "id": request_id, "images": encode_f32(images),
                               "labels": labels.tolist()})
         reply = self._exchange((payload + "\n").encode(), f"grad request {request_id}",
-                               self.spec.timeout * len(images))
+                               self.timeout * len(images))
         if reply.get("type") == "error":
             raise ProviderError(f"provider error for request {request_id}: "
                                 f"{reply.get('message', '<no message>')}")
@@ -243,6 +229,6 @@ class ProviderClient:
             pass
 
 
-def provider_connect(spec: ProviderSpec) -> ProviderClient:
+def provider_connect(command: list[str], timeout: float = DEFAULT_TIMEOUT) -> ProviderClient:
     """Spawn the provider and return it wrapped as a ``Scorer``."""
-    return ProviderClient(spec)
+    return ProviderClient(command, timeout)

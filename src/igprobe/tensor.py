@@ -71,10 +71,6 @@ class SeededRng:
         self._seed = _U64(int(seed) & _MASK64)
         self._counter = 0
 
-    @property
-    def seed(self) -> int:
-        return int(self._seed)
-
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n

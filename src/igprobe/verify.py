@@ -222,7 +222,7 @@ def check_psnr_ordering(seed: int) -> tuple[bool, str]:
 
 
 def check_protocol_roundtrip(seed: int) -> tuple[bool, str]:
-    from .provider import ProviderSpec, provider_connect
+    from .provider import provider_connect
 
     side, classes = 8, 4
     w, b = linear_model_weights(seed, classes, side * side * 3)
@@ -233,7 +233,7 @@ def check_protocol_roundtrip(seed: int) -> tuple[bool, str]:
     spec = PathSpec(x0, x1, steps=16)
     command = [sys.executable, "-m", "igprobe.mock_provider",
                "--seed", str(seed), "--classes", str(classes), "--side", str(side)]
-    with provider_connect(ProviderSpec(command, timeout=30.0)) as client:
+    with provider_connect(command, timeout=30.0) as client:
         remote = integrated_gradients(client, spec, 1)
     in_process = integrated_gradients(local, spec, 1)
     err = float(np.max(np.abs(remote.values - in_process.values)))

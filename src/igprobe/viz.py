@@ -63,8 +63,8 @@ def emit_table(table: PrecisionTable, format: str = "csv") -> str:
     if format not in TABLE_FORMATS:
         raise ValueError(f"format must be one of {TABLE_FORMATS}, got {format!r}")
     header = ["model"] + [quality_label(q) for q in table.qualities]
-    rows = [[row.model_name] + [f"{row.scores[q]:.4f}" for q in table.qualities]
-            for row in table.rows]
+    rows = [[name] + [f"{scores[q]:.4f}" for q in table.qualities]
+            for name, scores in table.rows.items()]
     if format == "csv":
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows([header] + rows)
@@ -129,9 +129,9 @@ def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> s
                f'transform="rotate(-90 18 {_f((_TOP + _BOTTOM) / 2)})">'
                f'{escape(y_label, quote=False)}</text>')
 
-    for idx, row in enumerate(table.rows):
+    for idx, (name, scores) in enumerate(table.rows.items()):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{_f(x_at(i))},{_f(y_at(row.scores[q]))}"
+        points = " ".join(f"{_f(x_at(i))},{_f(y_at(scores[q]))}"
                           for i, q in enumerate(qualities))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
                    f'points="{points}"/>')
@@ -139,6 +139,6 @@ def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> s
         out.append(f'<rect x="{_f(_RIGHT + 12)}" y="{_f(ly)}" width="12" height="12" '
                    f'fill="{color}"/>')
         out.append(f'<text x="{_f(_RIGHT + 30)}" y="{_f(ly + 10)}" font-family="sans-serif" '
-                   f'font-size="12">{escape(row.model_name, quote=False)}</text>')
+                   f'font-size="12">{escape(name, quote=False)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

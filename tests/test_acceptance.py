@@ -16,9 +16,9 @@ import pytest
 
 from igprobe.codec import ORIGINAL
 from igprobe.data import gen_synthetic
-from igprobe.harness import PrecisionRow, PrecisionTable, sweep_precision, write_precision_csv
+from igprobe.harness import PrecisionTable, sweep_precision, write_precision_csv
 from igprobe.model import TrainConfig, new_scorer, train
-from igprobe.provider import ProviderSpec, provider_connect
+from igprobe.provider import provider_connect
 from igprobe.verify import (check_dct_identities, check_gradient_check,
                             check_linear_exactness, check_micromodel_completeness,
                             check_overlay_contract, check_polarity_bounds,
@@ -74,7 +74,7 @@ def test_criterion_07_precision_degrades_with_quality():
     model = train(model, data, TrainConfig(lr=0.2, epochs=40, batch=8, seed=1))
     qualities = [ORIGINAL, 75, 50, 25]
     table = sweep_precision(model, data, qualities)
-    s = [table.rows[0].scores[q] for q in qualities]
+    s = [table.rows["model"][q] for q in qualities]
     drop = s[0] - s[-1]
     inversions = [(b - a) for a, b in zip(s, s[1:]) if b > a]
     elapsed = time.perf_counter() - t0
@@ -92,8 +92,7 @@ def test_criterion_08_swap_antisymmetry_and_polarity_bounds():
 def test_criterion_09_overlay_and_emission_stability(tmp_path):
     t0 = time.perf_counter()
     overlay_ok, overlay_detail = check_overlay_contract(SEED)
-    table = PrecisionTable(rows=[PrecisionRow("m", {ORIGINAL: 0.7141, 75: 0.5457,
-                                                    50: 0.4689, 25: 0.3562})],
+    table = PrecisionTable(rows={"m": {ORIGINAL: 0.7141, 75: 0.5457, 50: 0.4689, 25: 0.3562}},
                            qualities=[ORIGINAL, 75, 50, 25])
     svg_stable = emit_chart_svg(table) == emit_chart_svg(table)
     csv_stable = emit_table(table) == emit_table(table)
@@ -123,12 +122,12 @@ def test_criterion_11_full_scale_reference_row():
     from igprobe.data import load_dataset
 
     dataset = load_dataset(REAL_DATA)
-    client = provider_connect(ProviderSpec(shlex.split(REAL_PROVIDER)))
+    client = provider_connect(shlex.split(REAL_PROVIDER))
     try:
         table = sweep_precision(client, dataset, [ORIGINAL, 75, 50, 25])
     finally:
         client.close()
-    got = [table.rows[0].scores[q] for q in (ORIGINAL, 75, 50, 25)]
+    got = [table.rows["model"][q] for q in (ORIGINAL, 75, 50, 25)]
     worst = max(abs(g - r) for g, r in zip(got, REFERENCE_ROW))
     ok = worst <= 0.02
     report(11, ok, f"reference row {got} vs {REFERENCE_ROW}, worst cell diff {worst:.4f}")

@@ -246,6 +246,23 @@ def test_report_rerenders_from_csv(tmp_path, ckpt):
     assert (report_out / "table.csv").read_bytes() == (sweep_out / "table.csv").read_bytes()
 
 
+def test_table_artifacts_are_pinned(tmp_path, ckpt):
+    # sha256 of the tables and chart that sweep writes and that report
+    # re-renders from its precision.csv; any change to them is a regression
+    sweep_out, report_out = tmp_path / "sweep", tmp_path / "report"
+    assert run(["sweep", *TINY, "--checkpoint", ckpt, "--seed", "4",
+                "--qualities", "original,50,25", "--out", sweep_out]) == 0
+    assert run(["report", "--from", sweep_out, "--out", report_out]) == 0
+    tables = {"table.csv": "53cfb3211f9151fa55c32e0c1399946601621927cb517b6bc51e7a9965cb9b61",
+              "table.md": "547a04f59f21defe5d500f4017d9adbea263109b8bafabaa26eed8fb0fe21240",
+              "chart.svg": "86b17cb2a345f573a17674c4648931285f0672c0501d1f0083a1334c3c67653b"}
+    want = {"precision.csv": "84f4de939ce68e5e9997ab28794afa11a72149c2b6ee0956974ce94daa097955",
+            **tables}
+    for out, names in ((sweep_out, want), (report_out, tables)):
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+        assert digests == names, out.name
+
+
 def test_model_name_is_escaped_in_table_and_chart(tmp_path, ckpt):
     named = tmp_path / "a&b,v2|<x>.json"
     named.write_bytes(ckpt.read_bytes())
@@ -345,6 +362,19 @@ def test_report_that_cannot_chart_writes_nothing(tmp_path, capsys):
     out = tmp_path / "report"
     assert run(["report", "--from", source, "--out", out]) == 1
     assert "need >=2 points on the quality axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [
+    "",
+    "m,original,1.0\nm,50,0.5\nn,original,1.0\n",
+], ids=["header-only", "uneven-coverage"])
+def test_report_table_errors_name_the_file(tmp_path, capsys, body):
+    source = tmp_path / "precision.csv"
+    source.write_text("model,quality,score\n" + body)
+    out = tmp_path / "report"
+    assert run(["report", "--from", source, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {source}: ")
     assert not out.exists()
 
 
@@ -529,6 +559,23 @@ def test_overlay_names_only_its_model_sources(tmp_path, sample_ppm, capsys):
     err = capsys.readouterr().err
     assert err.rstrip().endswith("exactly one model source required: "
                                  "--checkpoint PATH, --provider CMD")
+
+
+def test_overlay_takes_its_input_from_config(tmp_path, sample_ppm, ckpt):
+    # the README lists input_path as the config key for --in
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_path": str(sample_ppm), "label": 0, "steps": 4}))
+    out = tmp_path / "ov"
+    assert run(["overlay", "--config", cfg, "--checkpoint", ckpt, "--out", out]) == 0
+    manifest = json.loads((out / "overlay.manifest.json").read_text())
+    assert manifest["input_path"] == str(sample_ppm)
+
+
+def test_overlay_requires_in(tmp_path, capsys, ckpt):
+    out = tmp_path / "o"
+    assert run(["overlay", "--label", "0", "--checkpoint", ckpt, "--out", out]) == 2
+    assert "overlay needs --in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overlay_requires_label(tmp_path, sample_ppm, capsys):

@@ -14,7 +14,6 @@ from igprobe.attribution import AttributionMap
 from igprobe.codec import ORIGINAL, degrade_jpeg
 from igprobe.data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from igprobe.harness import (
-    PrecisionRow,
     PrecisionTable,
     accuracy,
     attribute_batch,
@@ -149,9 +148,9 @@ def brightness_dataset(side: int = 8) -> Dataset:
 def test_sweep_quality_proof_model_is_flat_ones():
     table = sweep_precision(brightness_scorer(), brightness_dataset(),
                             [ORIGINAL, 90, 75, 50, 25, 10])
-    assert [r.model_name for r in table.rows] == ["model"]
+    assert list(table.rows) == ["model"]
     assert table.qualities == [ORIGINAL, 90, 75, 50, 25, 10]
-    assert all(s == 1.0 for s in table.rows[0].scores.values())
+    assert all(s == 1.0 for s in table.rows["model"].values())
 
 
 def test_sweep_original_only_matches_direct_classification():
@@ -161,7 +160,7 @@ def test_sweep_original_only_matches_direct_classification():
     preds = [argmax(forward(model, it.image[None])[0]) for it in data.items]
     truths = [it.label for it in data.items]
     want = macro_precision(preds, truths, data.num_classes)
-    assert table.rows[0].scores[ORIGINAL] == want
+    assert table.rows["model"][ORIGINAL] == want
 
 
 def test_sweep_computes_no_gradient_rows(monkeypatch):
@@ -174,7 +173,7 @@ def test_sweep_computes_no_gradient_rows(monkeypatch):
 
     monkeypatch.setattr(model_module, "backward", no_backward)
     got = sweep_precision(model, data, [ORIGINAL, 50])
-    assert got.rows[0].scores == want.rows[0].scores
+    assert got.rows == want.rows
 
 
 def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatch):
@@ -211,7 +210,7 @@ def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatc
 def test_sweep_accuracy_metric():
     table = sweep_precision(brightness_scorer(), brightness_dataset(),
                             [ORIGINAL, 50], metric="accuracy")
-    assert table.rows[0].scores[50] == 1.0
+    assert table.rows["model"][50] == 1.0
 
 
 def test_sweep_unknown_metric():
@@ -244,8 +243,8 @@ def test_repeated_quality_rejected():
 def test_sweep_row_is_named():
     table = sweep_precision(brightness_scorer(), brightness_dataset(), [ORIGINAL, 50],
                             name="wide")
-    assert [r.model_name for r in table.rows] == ["wide"]
-    assert set(table.rows[0].scores) == {ORIGINAL, 50}
+    assert list(table.rows) == ["wide"]
+    assert set(table.rows["wide"]) == {ORIGINAL, 50}
 
 
 def test_sweep_class_count_mismatch():
@@ -266,9 +265,9 @@ def test_sweep_failure_names_image_and_quality():
 
 def test_precision_table_validates_missing_cells():
     with pytest.raises(ValueError, match="missing scores"):
-        PrecisionTable(rows=[PrecisionRow("m", {50: 1.0})], qualities=[ORIGINAL, 50])
+        PrecisionTable(rows={"m": {50: 1.0}}, qualities=[ORIGINAL, 50])
     with pytest.raises(ValueError, match="no qualities"):
-        PrecisionTable(rows=[], qualities=[])
+        PrecisionTable(rows={}, qualities=[])
 
 
 # ---------------------------------------------------------------- attribution batches
@@ -386,16 +385,15 @@ def test_quality_key_roundtrip():
 
 def test_precision_csv_roundtrip_exact(tmp_path):
     table = PrecisionTable(
-        rows=[PrecisionRow("a", {ORIGINAL: 1.0, 50: 1.0 / 3.0}),
-              PrecisionRow("b", {ORIGINAL: 0.625, 50: 0.9019607843137255})],
+        rows={"a": {ORIGINAL: 1.0, 50: 1.0 / 3.0},
+              "b": {ORIGINAL: 0.625, 50: 0.9019607843137255}},
         qualities=[ORIGINAL, 50])
     path = tmp_path / "sweep.csv"
     write_precision_csv(table, path)
     back = read_precision_csv(path)
     assert back.qualities == table.qualities
-    assert [r.model_name for r in back.rows] == ["a", "b"]
-    for got, want in zip(back.rows, table.rows):
-        assert got.scores == want.scores  # repr round-trip is lossless
+    assert list(back.rows) == ["a", "b"]
+    assert back.rows == table.rows  # repr round-trip is lossless
 
 
 def test_precision_csv_bytes_deterministic(tmp_path):
@@ -407,7 +405,7 @@ def test_precision_csv_bytes_deterministic(tmp_path):
 
 
 def test_precision_csv_header_pin(tmp_path):
-    table = PrecisionTable(rows=[PrecisionRow("m", {ORIGINAL: 1.0})],
+    table = PrecisionTable(rows={"m": {ORIGINAL: 1.0}},
                            qualities=[ORIGINAL])
     path = tmp_path / "sweep.csv"
     write_precision_csv(table, path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igprobe.imgio import (HAS_PNG, read_image, read_ppm, write_image,
+from igprobe.imgio import (HAS_PNG, read_image, write_image,
                            write_ppm)
 from igprobe.tensor import SeededRng
 
@@ -30,35 +30,35 @@ def test_write_matches_golden_bytes(tmp_path):
 def test_read_golden_bytes(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(GOLDEN_2X2)
-    assert np.array_equal(read_ppm(path), golden_image())
+    assert np.array_equal(read_image(path), golden_image())
 
 
 def test_header_comments_are_skipped(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P6 # magic\n# a comment line\n2 2 # dims\n255\n"
                      + GOLDEN_2X2[len(b"P6\n2 2\n255\n"):])
-    assert np.array_equal(read_ppm(path), golden_image())
+    assert np.array_equal(read_image(path), golden_image())
 
 
 def test_rejects_wrong_magic(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P3\n2 2\n255\n" + bytes(12))
     with pytest.raises(ValueError, match="magic"):
-        read_ppm(path)
+        read_image(path)
 
 
 def test_rejects_wrong_maxval(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
     with pytest.raises(ValueError, match="maxval"):
-        read_ppm(path)
+        read_image(path)
 
 
 def test_rejects_truncated_pixels(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(GOLDEN_2X2[:-3])
     with pytest.raises(ValueError, match="pixel bytes"):
-        read_ppm(path)
+        read_image(path)
 
 
 def test_rejects_unknown_suffix(tmp_path):
@@ -72,11 +72,11 @@ def test_roundtrip_is_quantization_exact(tmp_path_factory, seed, h, w):
     img = SeededRng(seed).uniform([h, w, 3])
     path = tmp_path_factory.mktemp("ppm") / "img.ppm"
     write_ppm(path, img)
-    back = read_ppm(path)
+    back = read_image(path)
     # one 8-bit quantization step of error, then exact thereafter
     assert np.max(np.abs(back - img)) <= 0.5 / 255.0 + 1e-12
     write_ppm(path, back)
-    assert np.array_equal(read_ppm(path), back)
+    assert np.array_equal(read_image(path), back)
 
 
 @pytest.mark.skipif(not HAS_PNG, reason="Pillow not installed")

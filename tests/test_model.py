@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,6 +329,25 @@ def test_save_model_refuses_non_finite_layers(tmp_path):
     with pytest.raises(ValueError, match="non-finite bias in layer 1"):
         save_model(model, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("model,edit,message", [
+    ((8, 8, 3), {"class_names": [1, 2, 3]}, "class names must be a JSON list of strings"),
+    ((8, 8, 1), {}, "input_shape must be [H, W, 3] with integers H, W >= 1, got [8, 8, 1]"),
+    ((8, 8, 3), {"class_names": ["a", "b"]}, "2 class names for 3 class embedding rows"),
+], ids=["numbers-as-names", "one-channel", "too-few-names"])
+def test_checkpoint_refuses_a_declaration_it_cannot_keep(tmp_path, model, edit, message):
+    path = tmp_path / "model.json"
+    save_model(new_scorer(17, model, (16,), 8, 3, class_names=["a", "b", "c"]), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}")) as exc:
+        load_model(path)
+    assert message in str(exc.value)
+
+
+def test_class_names_must_match_class_embedding_rows():
+    with pytest.raises(ValueError, match="2 class names for 3 class embedding rows"):
+        new_scorer(17, (8, 8, 3), (16,), 8, 3, class_names=["a", "b"])
 
 
 def test_checkpoint_rejects_foreign_json(tmp_path):

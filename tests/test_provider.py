@@ -20,7 +20,6 @@ from igprobe.mock_provider import MISBEHAVE_MODES, SLOW_ROW_S
 from igprobe.model import linear_model_weights, linear_softmax_gradfn
 from igprobe.provider import (
     ProviderError,
-    ProviderSpec,
     decode_f32,
     encode_f32,
     provider_connect,
@@ -41,7 +40,7 @@ def mock_command(misbehave: str = "none", seed: int = 3, side: int = SIDE) -> li
 
 
 def spawn(misbehave: str = "none", **kwargs):
-    return provider_connect(ProviderSpec(command=mock_command(misbehave), **kwargs))
+    return provider_connect(mock_command(misbehave), **kwargs)
 
 
 class WireLog:
@@ -95,9 +94,9 @@ def test_decode_rejects_bad_base64():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="nonempty"):
-        ProviderSpec(command=[])
+        provider_connect([])
     with pytest.raises(ValueError, match="timeout"):
-        ProviderSpec(command=["x"], timeout=0.0)
+        provider_connect(["x"], timeout=0.0)
 
 
 # ---------------------------------------------------------------- happy path
@@ -198,10 +197,9 @@ def test_client_validates_input_shape_and_label():
 
 def test_hello_timeout():
     # The stuck child is killed at the deadline, not given time to exit.
-    spec = ProviderSpec(command=mock_command("no-hello"), timeout=0.3)
     start = time.monotonic()
     with pytest.raises(ProviderError, match="handshake timed out"):
-        provider_connect(spec)
+        provider_connect(mock_command("no-hello"), timeout=0.3)
     assert time.monotonic() - start < 1.0
 
 
@@ -226,7 +224,16 @@ def test_hello_input_shape_holds_integers_of_at_least_one(shape):
     with pytest.raises(ProviderError, match=re.escape(
             f"handshake: hello input_shape must be [H, W, 3] with integers H, W >= 1, "
             f"got {shape!r}")):
-        provider_connect(ProviderSpec([sys.executable, "-c", HELLO_PROVIDER, hello]))
+        provider_connect([sys.executable, "-c", HELLO_PROVIDER, hello])
+
+
+@pytest.mark.parametrize("classes", ["cat", {"a": 1, "b": 2}, [1, 2]],
+                         ids=["string", "object", "numbers"])
+def test_hello_classes_are_a_list_of_strings(classes):
+    hello = json.dumps({"type": "hello", "classes": classes, "input_shape": [SIDE, SIDE, 3]})
+    with pytest.raises(ProviderError, match=re.escape(
+            "handshake: hello class names must be a JSON list of strings")):
+        provider_connect([sys.executable, "-c", HELLO_PROVIDER, hello])
 
 
 # ---------------------------------------------------------------- request failures
@@ -286,7 +293,7 @@ def test_reply_past_deadline_names_request():
     with spawn("slow", timeout=1.0) as client:
         # The handshake needs its start-up time; the reply's deadline is
         # read per call, so shrink it to 0.1 s against the 0.7 s reply.
-        client.spec.timeout = 0.1
+        client.timeout = 0.1
         with pytest.raises(ProviderError, match=r"grad request 0 timed out after 0\.1s"):
             client(np.zeros((1, SIDE, SIDE, 3)), [0])
 
@@ -319,15 +326,15 @@ def test_every_misbehaviour_fails_within_its_deadline(mode):
     command = mock_command(mode, side=32)
     client = None
     if rows:
-        client = provider_connect(ProviderSpec(command, timeout=HELLO_TIMEOUT))
-        client.spec.timeout = timeout
+        client = provider_connect(command, timeout=HELLO_TIMEOUT)
+        client.timeout = timeout
     outcome = []
 
     def fail():
         start = time.monotonic()
         try:
             if client is None:
-                provider_connect(ProviderSpec(command, timeout=timeout))
+                provider_connect(command, timeout=timeout)
             else:
                 client(np.zeros((rows, 32, 32, 3)), [0] * rows)
         except ProviderError as exc:
@@ -363,7 +370,7 @@ for line in sys.stdin:
 
 
 def test_single_image_provider_fails_on_first_request():
-    with provider_connect(ProviderSpec([sys.executable, "-c", SINGLE_IMAGE_PROVIDER])) as client:
+    with provider_connect([sys.executable, "-c", SINGLE_IMAGE_PROVIDER]) as client:
         with pytest.raises(ProviderError, match="malformed grad_result for request 0: 'losses'"):
             client(np.zeros((1, SIDE, SIDE, 3)), [0])
 

@@ -7,7 +7,7 @@ import pytest
 
 from igprobe.attribution import PolarityMaps, split_polarity
 from igprobe.codec import ORIGINAL
-from igprobe.harness import PrecisionRow, PrecisionTable
+from igprobe.harness import PrecisionTable
 from igprobe.tensor import SeededRng
 from igprobe.viz import (
     emit_chart_svg,
@@ -105,8 +105,7 @@ def test_overlay_rejects_bad_shapes():
 
 
 EXAMPLE_TABLE = PrecisionTable(
-    rows=[PrecisionRow("ResNet50", {ORIGINAL: 0.7141, 75: 0.5457,
-                                    50: 0.4689, 25: 0.3562})],
+    rows={"ResNet50": {ORIGINAL: 0.7141, 75: 0.5457, 50: 0.4689, 25: 0.3562}},
     qualities=[ORIGINAL, 75, 50, 25])
 
 
@@ -130,7 +129,7 @@ def test_emit_table_markdown_golden():
 
 
 def test_emit_table_rounds_to_four_decimals():
-    table = PrecisionTable(rows=[PrecisionRow("m", {ORIGINAL: 1.0 / 3.0})],
+    table = PrecisionTable(rows={"m": {ORIGINAL: 1.0 / 3.0}},
                            qualities=[ORIGINAL])
     assert "0.3333" in emit_table(table)
 
@@ -151,7 +150,7 @@ def test_chart_fixed_viewport():
 
 
 def test_chart_score_one_sits_on_top_gridline():
-    table = PrecisionTable(rows=[PrecisionRow("m", {ORIGINAL: 1.0, 50: 0.5, 25: 0.0})],
+    table = PrecisionTable(rows={"m": {ORIGINAL: 1.0, 50: 0.5, 25: 0.0}},
                            qualities=[ORIGINAL, 50, 25])
     svg = emit_chart_svg(table)
     # y(1.0) coincides with the 1.00 gridline; x spans 70..630 evenly
@@ -182,8 +181,8 @@ def test_chart_title_names_the_y_label_metric():
 
 
 def test_chart_draws_every_row_in_table_order():
-    table = PrecisionTable(rows=[PrecisionRow("b", {ORIGINAL: 0.9, 50: 0.4}),
-                                 PrecisionRow("a", {ORIGINAL: 1.0, 50: 0.5})],
+    table = PrecisionTable(rows={"b": {ORIGINAL: 0.9, 50: 0.4},
+                                 "a": {ORIGINAL: 1.0, 50: 0.5}},
                            qualities=[ORIGINAL, 50])
     svg = emit_chart_svg(table)
     assert svg.count("<polyline") == 2
@@ -193,8 +192,8 @@ def test_chart_draws_every_row_in_table_order():
 
 def test_chart_errors():
     with pytest.raises(ValueError, match="at least one series"):
-        emit_chart_svg(PrecisionTable(rows=[], qualities=[ORIGINAL, 50]))
-    narrow = PrecisionTable(rows=[PrecisionRow("m", {ORIGINAL: 1.0})],
+        emit_chart_svg(PrecisionTable(rows={}, qualities=[ORIGINAL, 50]))
+    narrow = PrecisionTable(rows={"m": {ORIGINAL: 1.0}},
                             qualities=[ORIGINAL])
     with pytest.raises(ValueError, match=">=2 points"):
         emit_chart_svg(narrow)
