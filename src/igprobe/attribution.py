@@ -25,6 +25,15 @@ SCHEMES = ("riemann_right", "trapezoid")
 DEFAULT_STEPS = 50
 
 
+def check_quadrature(steps: int, scheme: str = "trapezoid") -> int:
+    """The quadrature rule: N >= 1 steps and a known scheme; returns ``steps``."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    return steps
+
+
 @dataclass
 class PathSpec:
     baseline: np.ndarray
@@ -38,10 +47,7 @@ class PathSpec:
         if self.baseline.shape != self.target.shape:
             raise ValueError(
                 f"baseline shape {self.baseline.shape} != target shape {self.target.shape}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        check_quadrature(self.steps, self.scheme)
 
 
 def path_nodes(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -3,10 +3,11 @@
 Each subcommand declares its own flags, with their types and defaults, in
 ``build_parser``.  Resolution order per value: CLI flag, then the
 IGPROBE_OUTPUT_DIR environment variable (output dir only), then the
---config JSON file, then the declared default.  A subcommand that writes an
-output directory echoes its own resolved settings to
-``<subcommand>.manifest.json`` there, so commands sharing a directory keep
-their own records, and identical settings produce byte-identical artifacts.
+--config JSON file, then the declared default.  Once a subcommand that
+writes an output directory has returned, ``main`` echoes its resolved
+settings to ``<subcommand>.manifest.json`` there, so commands sharing a
+directory keep their own records, and identical settings produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .attribution import DEFAULT_STEPS, SCHEMES, PathSpec, integrated_gradients, split_polarity
-from .codec import ORIGINAL, degrade_jpeg
+from .attribution import (DEFAULT_STEPS, SCHEMES, PathSpec, check_quadrature,
+                          integrated_gradients, split_polarity)
+from .codec import ORIGINAL, check_quality, degrade_jpeg
 from .data import Dataset, gen_synthetic, load_dataset
-from .harness import (METRICS, attribute_batch, check_qualities, parse_quality,
-                      prepare_input, quality_key, read_precision_csv, sweep_precision,
-                      write_attribution_csv, write_precision_csv)
+from .harness import (METRICS, attribute_batch, check_qualities, prepare_input,
+                      read_precision_csv, sweep_precision, write_attribution_csv,
+                      write_precision_csv)
 from .imgio import read_image, write_image
-from .model import TrainConfig, load_model, mean_loss, new_scorer, save_model, train
+from .model import (TrainConfig, check_labels, load_model, mean_loss, new_scorer,
+                    read_json_object, save_model, train)
 from .provider import provider_connect
 from .verify import CHECKS, format_results, run_checks
 from .viz import POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
@@ -42,13 +45,6 @@ class UsageError(Exception):
 def _comma_list(convert):
     """A flag type for a comma list, each item through ``convert``."""
     return lambda text: [convert(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_qualities(text: str) -> list:
-    out = _comma_list(parse_quality)(text)
-    if not out:
-        raise UsageError("empty quality list")
-    return check_qualities(out)
 
 
 def _usage_type(name: str, convert):
@@ -70,11 +66,9 @@ def _outside_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
     values = {}
     if getattr(args, "config", None):
         try:
-            values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(values, dict):
-            raise UsageError(f"config {args.config} must hold a JSON object")
+            values = read_json_object(args.config, f"config {args.config}")
+        except ValueError as exc:
+            raise UsageError(str(exc))
     known = {a.dest for p in subparsers.values() for a in p._actions} - {"help", "config"}
     unknown = [k for k in values if k not in known]
     if unknown:
@@ -107,11 +101,14 @@ def _out_dir(cfg: argparse.Namespace) -> Path:
     return path
 
 
-def _write_manifest(cfg: argparse.Namespace, out_dir: Path) -> None:
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_manifest(cfg: argparse.Namespace) -> None:
     manifest = {"version": __version__, **vars(cfg)}
     del manifest["config"]
-    (out_dir / f"{cfg.subcommand}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(Path(cfg.out) / f"{cfg.subcommand}.manifest.json", manifest)
 
 
 def _load_data(cfg: argparse.Namespace) -> Dataset:
@@ -160,7 +157,7 @@ def cmd_degrade(cfg: argparse.Namespace) -> int:
     img = read_image(cfg.input_path)
     out = degrade_jpeg(img, cfg.quality)
     write_image(cfg.output_path, out)
-    print(f"wrote {cfg.output_path} (quality {quality_key(cfg.quality)})")
+    print(f"wrote {cfg.output_path} (quality {cfg.quality})")
     return 0
 
 
@@ -173,7 +170,6 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     out_dir = _out_dir(cfg)
     path = out_dir / "checkpoint.json"
     save_model(model, path)
-    _write_manifest(cfg, out_dir)
     print(f"trained on {len(dataset.items)} images, "
           f"mean loss {mean_loss(model, dataset):.4f}")
     print(f"wrote {path}")
@@ -182,12 +178,14 @@ def cmd_train(cfg: argparse.Namespace) -> int:
 
 def _write_table_and_chart(cfg: argparse.Namespace, table) -> Path:
     """Render table.csv, table.md and chart.svg, then make the output
-    directory and write them: a table that cannot be charted writes nothing."""
+    directory, write them and print the CSV table: a table that cannot be
+    charted writes nothing."""
     texts = {"table.csv": emit_table(table, "csv"), "table.md": emit_table(table, "markdown"),
              "chart.svg": emit_chart_svg(table, cfg.metric.replace("_", " "))}
     out_dir = _out_dir(cfg)
     for name, text in texts.items():
         (out_dir / name).write_text(text)
+    print(texts["table.csv"], end="")
     return out_dir
 
 
@@ -197,20 +195,20 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         table = sweep_precision(scorer, dataset, cfg.qualities, metric=cfg.metric, name=name)
     out_dir = _write_table_and_chart(cfg, table)
     write_precision_csv(table, out_dir / "precision.csv")
-    _write_manifest(cfg, out_dir)
-    print(emit_table(table, "csv"), end="")
     print(f"wrote precision.csv, table.csv, table.md, chart.svg to {out_dir}")
     return 0
 
 
-def _write_overlays(out_dir: Path, stem: str, base, pol) -> dict:
-    """Write one ``<stem>_<mode>.ppm`` per polarity mode; returns mode -> file name."""
+def _write_overlays(out_dir: Path, stem: str, base, values) -> dict:
+    """Write one ``<stem>_<mode>.ppm`` per polarity mode of the attribution
+    ``values`` over ``base``; returns their ``ig_scale`` and mode -> file name."""
+    pol = split_polarity(values)
     files = {}
     for mode in POLARITY_MODES:
         fname = f"{stem}_{mode}.ppm"
         write_image(out_dir / fname, render_overlay(base, pol, mode))
         files[mode] = fname
-    return files
+    return {"ig_scale": pol.scale, "files": files}
 
 
 def _overlay_quality(cfg: argparse.Namespace):
@@ -235,13 +233,9 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
     overlay_meta = []
     for item, stem, by_q in zip(dataset.items, stems, maps):
         base = prepare_input(item.image, ORIGINAL, hw)
-        pol = split_polarity(by_q[overlay_q].values)
-        files = _write_overlays(out_dir, f"{stem}_q{overlay_q}", base, pol)
-        overlay_meta.append({"id": item.id, "quality": overlay_q,
-                             "ig_scale": pol.scale, "files": files})
-    (out_dir / "overlays.json").write_text(
-        json.dumps(overlay_meta, indent=2, sort_keys=True) + "\n")
-    _write_manifest(cfg, out_dir)
+        overlay_meta.append({"id": item.id, "quality": overlay_q, **_write_overlays(
+            out_dir, f"{stem}_q{overlay_q}", base, by_q[overlay_q].values)})
+    _write_json(out_dir / "overlays.json", overlay_meta)
     print(f"attributed {len(maps)} images at steps={cfg.steps} ({cfg.scheme}); "
           f"wrote attributions.csv and {3 * len(overlay_meta)} overlays to {out_dir}")
     return 0
@@ -252,23 +246,23 @@ def cmd_overlay(cfg: argparse.Namespace) -> int:
         raise UsageError("overlay needs --in")
     if cfg.label is None:
         raise UsageError("overlay needs --label")
+    if cfg.quality == ORIGINAL:
+        raise UsageError("overlay needs a compressed --quality, got original")
     img = read_image(cfg.input_path)
     with _scorer(cfg) as (_, scorer):
+        check_labels([cfg.label], 1, scorer.num_classes)
         hw = scorer.input_shape[:2]
         base = prepare_input(img, ORIGINAL, hw)
         target = prepare_input(img, cfg.quality, hw)
         att = integrated_gradients(scorer, PathSpec(base, target, cfg.steps, cfg.scheme),
                                    cfg.label)
-    pol = split_polarity(att.values)
     out_dir = _out_dir(cfg)
-    files = _write_overlays(out_dir, "overlay", base, pol)
-    meta = {"quality": quality_key(cfg.quality), "label": cfg.label,
-            "ig_sum": att.sum, "completeness_gap": att.completeness_gap,
-            "ig_scale": pol.scale, "files": files}
-    (out_dir / "overlay.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _write_manifest(cfg, out_dir)
+    written = _write_overlays(out_dir, "overlay", base, att.values)
+    _write_json(out_dir / "overlay.json",
+                {"quality": str(cfg.quality), "label": cfg.label, "ig_sum": att.sum,
+                 "completeness_gap": att.completeness_gap, **written})
     print(f"IG sum {att.sum:.6f} (gap {att.completeness_gap:.2e}), "
-          f"wrote {', '.join(files.values())} to {out_dir}")
+          f"wrote {', '.join(written['files'].values())} to {out_dir}")
     return 0
 
 
@@ -283,11 +277,7 @@ def _sweep_metric(source: Path) -> str:
     path = source.parent / "sweep.manifest.json"
     if not path.is_file():
         return "macro_precision"
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot read {path}: {exc}")
-    metric = manifest.get("metric") if isinstance(manifest, dict) else None
+    metric = read_json_object(path, str(path)).get("metric")
     if metric not in METRICS:
         raise ValueError(f"{path}: metric {metric!r} is not one of {sorted(METRICS)}")
     return metric
@@ -302,8 +292,6 @@ def cmd_report(cfg: argparse.Namespace) -> int:
     table = read_precision_csv(source)
     cfg.metric = cfg.metric or _sweep_metric(source)
     out_dir = _write_table_and_chart(cfg, table)
-    _write_manifest(cfg, out_dir)
-    print(emit_table(table, "csv"), end="")
     print(f"re-rendered table.csv, table.md, chart.svg to {out_dir}")
     return 0
 
@@ -352,12 +340,14 @@ def _add_model_source(p: argparse.ArgumentParser) -> None:
 def _add_sweep(p: argparse.ArgumentParser) -> None:
     _add_dataset(p)
     _add_model_source(p)
-    p.add_argument("--qualities", type=_parse_qualities, default="original,75,50,25",
+    p.add_argument("--qualities", type=lambda text: check_qualities(_comma_list(str)(text)),
+                   default="original,75,50,25",
                    help="comma list (default %(default)s)")
 
 
 def _add_path_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="quadrature step count N")
+    p.add_argument("--steps", type=lambda text: check_quadrature(int(text)),
+                   default=DEFAULT_STEPS, help="quadrature step count N")
     p.add_argument("--scheme", choices=SCHEMES, default="trapezoid")
 
 
@@ -375,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("degrade", help="JPEG-degrade one image file", allow_abbrev=False)
-    p.add_argument("--quality", type=parse_quality, required=True)
+    p.add_argument("--quality", type=check_quality, required=True)
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--out", dest="output_path", required=True)
 
@@ -406,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_path_params(p)
     p.add_argument("--in", dest="input_path")
     p.add_argument("--label", type=int)
-    p.add_argument("--quality", type=parse_quality, default=25)
+    p.add_argument("--quality", type=check_quality, default=25)
 
     p = sub.add_parser("verify", help="run the numerical verification suite", allow_abbrev=False)
     _add_config(p)
@@ -435,7 +425,10 @@ def main(argv=None) -> int:
         subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
         subparsers[args.subcommand].set_defaults(**_outside_defaults(args, subparsers))
         args = parser.parse_args(argv)
-        return COMMANDS[args.subcommand](args)
+        code = COMMANDS[args.subcommand](args)
+        if "out" in vars(args):  # degrade's --out is its output image; verify writes nothing
+            _write_manifest(args)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

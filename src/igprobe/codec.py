@@ -64,8 +64,11 @@ def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
 
 
 def check_quality(q: QualityLevel) -> QualityLevel:
-    if q == ORIGINAL:
-        return ORIGINAL
+    """An int in [1, 100] or ORIGINAL; text is read with spaces and case ignored."""
+    if isinstance(q, str):
+        q = q.strip().lower()
+        if q == ORIGINAL:
+            return ORIGINAL
     q = int(q)
     if not 1 <= q <= 100:
         raise ValueError(f"quality must be in [1, 100] or '{ORIGINAL}', got {q}")

@@ -13,20 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attribution import AttributionMap, PathSpec, integrated_gradients
+from .attribution import AttributionMap, PathSpec, check_quadrature, integrated_gradients
 from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
 from .data import Dataset
 from .model import Scorer, softmax
 from .tensor import argmax
-
-
-def quality_key(q: QualityLevel) -> str:
-    return ORIGINAL if q == ORIGINAL else str(int(q))
-
-
-def parse_quality(text: str) -> QualityLevel:
-    t = text.strip().lower()
-    return check_quality(ORIGINAL if t == ORIGINAL else int(t))
 
 
 def _check_pairs(predictions, truths) -> None:
@@ -65,6 +56,7 @@ class PrecisionTable:
     qualities: list[QualityLevel]
 
     def __post_init__(self):
+        self.qualities = [check_quality(q) for q in self.qualities]  # written as str(q)
         if not self.qualities:
             raise ValueError("no qualities")
         for name, scores in self.rows.items():
@@ -74,11 +66,12 @@ class PrecisionTable:
 
 
 def check_qualities(qualities) -> list[QualityLevel]:
-    """A quality sweep: the original level, at least one compressed level, no level twice."""
-    qualities = list(qualities)
+    """A quality sweep of checked levels: the original level, at least one
+    compressed level, no level twice."""
+    qualities = [check_quality(q) for q in qualities]
     for i, q in enumerate(qualities):
         if q in qualities[:i]:
-            raise ValueError(f"quality {quality_key(q)} is listed twice")
+            raise ValueError(f"quality {q} is listed twice")
     if ORIGINAL not in qualities:
         raise ValueError("quality list must include the original level")
     if len(qualities) < 2:
@@ -125,8 +118,7 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
                 preds[q].append(argmax(scorer.logits(prepared[None])[0]))
             except Exception as exc:
                 raise RuntimeError(
-                    f"scoring failed on image {item.id!r} at quality "
-                    f"{quality_key(q)}: {exc}") from exc
+                    f"scoring failed on image {item.id!r} at quality {q}: {exc}") from exc
     truths = [it.label for it in dataset.items]
     scores = {q: score_fn(preds[q], truths, dataset.num_classes) for q in qualities}
     return PrecisionTable(rows={name: scores}, qualities=qualities)
@@ -141,8 +133,7 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = 50
     endpoint rows hold the logits that ``write_attribution_csv`` reads.
     """
     qualities = check_qualities(qualities)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    check_quadrature(steps, scheme)
     _check_classes(scorer, dataset)
     hw = scorer.input_shape[:2]
 
@@ -161,21 +152,25 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = 50
                              steps=steps, scheme=scheme),
                     item.label)
         except Exception as exc:
-            raise RuntimeError(f"attribution failed on image {item.id!r} at quality "
-                               f"{quality_key(q)}: {exc}") from exc
+            raise RuntimeError(f"attribution failed on image {item.id!r} at quality {q}: "
+                               f"{exc}") from exc
         all_maps.append(maps)
     return all_maps
 
 
+def csv_text(rows) -> str:
+    """``rows`` as CSV text, each line ended by ``\\n``; every CSV file is built here."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def write_precision_csv(table: PrecisionTable, path) -> None:
     """Long format, one (model, quality, score) row per cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "quality", "score"])
-    for name, scores in table.rows.items():
-        for q in table.qualities:
-            writer.writerow([name, quality_key(q), repr(scores[q])])
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(csv_text(
+        [["model", "quality", "score"]]
+        + [[name, q, repr(scores[q])] for name, scores in table.rows.items()
+           for q in table.qualities]))
 
 
 def read_precision_csv(path) -> PrecisionTable:
@@ -190,17 +185,17 @@ def read_precision_csv(path) -> PrecisionTable:
             if len(row) != 3:
                 raise ValueError(f"{path} line {reader.line_num}: expected 3 cells, got {row}")
             try:
-                model, q, score = row[0], parse_quality(row[1]), float(row[2])
+                model, q, score = row[0], check_quality(row[1]), float(row[2])
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: quality {row[1]!r}, "
                                  f"score {row[2]!r}: {exc}") from exc
             if not 0.0 <= score <= 1.0:  # nan, inf or 1.7 would be drawn off the chart
                 raise ValueError(f"{path} line {reader.line_num}: score {row[2]!r} for model "
-                                 f"{model!r} at quality {quality_key(q)} is not in [0, 1]")
+                                 f"{model!r} at quality {q} is not in [0, 1]")
             scores = by_model.setdefault(model, {})
             if q in scores:
                 raise ValueError(f"{path} line {reader.line_num}: model {model!r} at quality "
-                                 f"{quality_key(q)} is listed twice")
+                                 f"{q} is listed twice")
             if q not in qualities:
                 qualities.append(q)
             scores[q] = score
@@ -216,18 +211,13 @@ def write_attribution_csv(dataset: Dataset, qualities, maps, path) -> None:
     true label, per compressed quality the IG sum.  Every map starts at the
     same baseline row, so the original's logits are the first map's."""
     compressed = [q for q in qualities if q != ORIGINAL]
-    header = (["id", "true"]
-              + [f"predicted_{quality_key(q)}" for q in qualities]
-              + [f"score_{quality_key(q)}" for q in qualities]
-              + [f"ig_{quality_key(q)}" for q in compressed])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    rows = [["id", "true"] + [f"predicted_{q}" for q in qualities]
+            + [f"score_{q}" for q in qualities] + [f"ig_{q}" for q in compressed]]
     for item, by_q in zip(dataset.items, maps, strict=True):
         logits = [by_q[compressed[0]].logits_baseline if q == ORIGINAL else by_q[q].logits_target
                   for q in qualities]
-        writer.writerow([item.id, dataset.class_names[item.label]]
-                        + [dataset.class_names[argmax(z)] for z in logits]
-                        + [f"{float(softmax(z)[item.label]):.6f}" for z in logits]
-                        + [f"{by_q[q].sum:.6f}" for q in compressed])
-    Path(path).write_text(buf.getvalue())
+        rows.append([item.id, dataset.class_names[item.label]]
+                    + [dataset.class_names[argmax(z)] for z in logits]
+                    + [f"{float(softmax(z)[item.label]):.6f}" for z in logits]
+                    + [f"{by_q[q].sum:.6f}" for q in compressed])
+    Path(path).write_text(csv_text(rows))

@@ -385,6 +385,11 @@ CHECKPOINT_FORMAT = "igprobe-scorer"
 CHECKPOINT_VERSION = 1
 
 
+def _pack(values: Tensor) -> dict:
+    """An array as a checkpoint field; ``_unpack`` reads it back."""
+    return {"shape": list(values.shape), "data": values.reshape(-1).tolist()}
+
+
 def save_model(model: ScorerModel, path: str | Path) -> None:
     """Write a JSON checkpoint (field layout documented in the README)."""
     _require_finite_layers(model, "before saving")
@@ -394,20 +399,22 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
         "input_shape": list(model.input_shape),
         "temperature": model.temperature,
         "class_names": model.class_names,
-        "class_embeddings": {
-            "shape": list(model.class_embeddings.shape),
-            "data": model.class_embeddings.reshape(-1).tolist(),
-        },
-        "layers": [
-            {
-                "weights": {"shape": list(l.weights.shape), "data": l.weights.reshape(-1).tolist()},
-                "bias": {"shape": list(l.bias.shape), "data": l.bias.reshape(-1).tolist()},
-                "activation": l.activation,
-            }
-            for l in model.layers
-        ],
+        "class_embeddings": _pack(model.class_embeddings),
+        "layers": [{"weights": _pack(l.weights), "bias": _pack(l.bias),
+                    "activation": l.activation} for l in model.layers],
     }
     Path(path).write_text(json.dumps(doc))
+
+
+def read_json_object(path: str | Path, where: str) -> dict:
+    """The JSON object that file ``path`` holds; every refusal names ``where``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise ValueError(f"cannot read {where}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
+    return doc
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
@@ -436,10 +443,8 @@ def _unpack(doc: dict, key: str, where: str) -> Tensor:
 
 def load_model(path: str | Path) -> ScorerModel:
     """Read a checkpoint, naming the first missing or mistyped field."""
-    doc = json.loads(Path(path).read_text())
     where = f"checkpoint {path}"
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
+    doc = read_json_object(path, where)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a scorer checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:

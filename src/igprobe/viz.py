@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from html import escape
 
 import numpy as np
 
 from .attribution import PolarityMaps
 from .codec import ORIGINAL, QualityLevel
-from .harness import PrecisionTable, quality_key
+from .harness import PrecisionTable, csv_text
 
 POLARITY_MODES = ("negative", "positive", "both")
 TABLE_FORMATS = ("csv", "markdown")
@@ -66,9 +64,7 @@ def emit_table(table: PrecisionTable, format: str = "csv") -> str:
     rows = [[name] + [f"{scores[q]:.4f}" for q in table.qualities]
             for name, scores in table.rows.items()]
     if format == "csv":
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows([header] + rows)
-        return text.getvalue()
+        return csv_text([header] + rows)
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     lines += ["| " + " | ".join([name.replace("|", "\\|"), *scores]) + " |"
@@ -121,7 +117,7 @@ def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> s
         out.append(f'<line x1="{_f(x)}" y1="{_f(_BOTTOM)}" x2="{_f(x)}" y2="{_f(_BOTTOM + 5)}" '
                    f'stroke="#333333" stroke-width="1"/>')
         out.append(f'<text x="{_f(x)}" y="{_f(_BOTTOM + 20)}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">{quality_key(q)}</text>')
+                   f'font-family="sans-serif" font-size="12">{q}</text>')
     out.append(f'<text x="{_f((_LEFT + _RIGHT) / 2)}" y="{_f(_BOTTOM + 42)}" '
                'text-anchor="middle" font-family="sans-serif" font-size="14">quality</text>')
     out.append(f'<text x="18" y="{_f((_TOP + _BOTTOM) / 2)}" text-anchor="middle" '

@@ -200,6 +200,28 @@ def test_malformed_checkpoint_is_exit_1(tmp_path, capsys, doc, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["checkpoint", "config", "manifest"])
+def test_a_json_input_that_cannot_be_read_names_its_file(tmp_path, capsys, ckpt, kind):
+    bad = tmp_path / {"checkpoint": "c.json", "config": "cfg.json",
+                      "manifest": "sweep.manifest.json"}[kind]
+    bad.write_bytes(b"not json" if kind == "checkpoint" else b"\xff\xfe")
+    source = tmp_path / "precision.csv"
+    source.write_text("model,quality,score\nm,original,1.0\nm,50,0.5\n")
+    out = tmp_path / "o"
+    argv, code, prefix = {
+        "checkpoint": (["sweep", *TINY, "--checkpoint", bad], 1,
+                       f"error: cannot read checkpoint {bad}"),
+        "config": (["sweep", *TINY, "--checkpoint", ckpt, "--config", bad], 2,
+                   f"usage error: cannot read config {bad}"),
+        "manifest": (["report", "--from", source], 1, f"error: cannot read {bad}"),
+    }[kind]
+    assert run([*argv, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + ": "), err
+    assert ("Expecting value" if kind == "checkpoint" else "can't decode byte 0xff") in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- sweep & report
 
 
@@ -420,6 +442,41 @@ def test_attribute_artifacts_are_pinned(tmp_path, ckpt):
     }
 
 
+def test_checkpoint_manifests_and_overlay_are_pinned(tmp_path, monkeypatch, sample_ppm):
+    # sha256 of the checkpoint, of every subcommand's manifest and of the
+    # single-image overlay set; relative paths keep tmp_path out of the bytes
+    monkeypatch.chdir(tmp_path)
+    ckpt = "train/checkpoint.json"
+    argvs = {
+        "train": [*TINY, *SCORER, "--seed", "4"],
+        "sweep": [*TINY, "--checkpoint", ckpt, "--qualities", "original,50"],
+        "attribute": [*TINY, "--checkpoint", ckpt, "--qualities", "original,50", "--steps", "4"],
+        "overlay": ["--in", sample_ppm.name, "--label", "1", "--checkpoint", ckpt,
+                    "--steps", "4"],
+        "report": ["--from", "sweep"],
+    }
+    digests = {}
+    for name, argv in argvs.items():
+        assert run([name, *argv, "--out", name]) == 0
+        digests[f"{name}.manifest.json"] = Path(name) / f"{name}.manifest.json"
+    digests["checkpoint.json"] = Path(ckpt)
+    digests.update({f.name: f for f in Path("overlay").glob("overlay*")})
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in digests.items()}
+    assert digests == {
+        "checkpoint.json": "c70a817dd58bea0d2f0b7c6379242bf220ffcd786dbf77a94af0702ca5890e78",
+        "train.manifest.json": "4bbcddc44eb8f69d8e1140acbbb2d56d48da490987cbfcf98dceaaafd0a02593",
+        "sweep.manifest.json": "62258d4bd68b776f799f49caa609174017acff8ef5988f01d706ec2e5360d694",
+        "attribute.manifest.json": "1bb3994f82dc73ec7a7ac8008800daa5738cc1ae4f4348fe770e37b124ca183f",
+        "overlay.manifest.json": "8679c380fddb16a3880e44b05e8a42a529653b887d5488ae077697bd2970e64c",
+        "report.manifest.json": "43069ccf60a91274e6946c7bbc957497d292dbeb4b85f5a1ad0b0f4b58224850",
+        "overlay.json": "d2630a6358c7035757f00d6d72f69a3b974bf6e3e83f85b7a2a025db7bd03b46",
+        "overlay_negative.ppm": "a174f2e2877e71f64f8b3f726147b7dcb3a669414ccf76358bc23b18f4de8ffb",
+        "overlay_positive.ppm": "4de88032886f95b854991c74f7d13e83198f54bc3fe83251e5ca826786542cbd",
+        "overlay_both.ppm": "fd5377ce59de3d6542b8349ebe65d1c35888ad720b13cb5d527f8ae2f2ec5439",
+    }
+
+
 def test_attribute_rejects_overlay_quality_outside_sweep(tmp_path, capsys, ckpt):
     code = run(["attribute", *TINY, "--checkpoint", ckpt,
                 "--qualities", "original,50", "--overlay-quality", "25",
@@ -575,6 +632,37 @@ def test_overlay_requires_in(tmp_path, capsys, ckpt):
     out = tmp_path / "o"
     assert run(["overlay", "--label", "0", "--checkpoint", ckpt, "--out", out]) == 2
     assert "overlay needs --in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["attribute", "overlay"])
+def test_steps_below_one_is_usage_error(tmp_path, sample_ppm, capsys, command):
+    # refused as the flags are parsed: no image is read and no scorer loaded
+    argv = {"attribute": [*TINY, "--qualities", "original,50"],
+            "overlay": ["--in", sample_ppm, "--label", "0"]}[command]
+    out = tmp_path / "o"
+    assert run([command, *argv, "--checkpoint", tmp_path / "ghost.json", "--steps", "0",
+                "--out", out]) == 2
+    assert ("usage error: bad value for steps: '0' (steps must be >= 1, got 0)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_overlay_refuses_the_original_quality(tmp_path, sample_ppm, capsys):
+    # an original-to-original path has no length, and its overlays would be blank
+    out = tmp_path / "o"
+    assert run(["overlay", "--in", sample_ppm, "--label", "0", "--quality", "original",
+                "--checkpoint", tmp_path / "ghost.json", "--out", out]) == 2
+    assert ("usage error: overlay needs a compressed --quality, got original"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_overlay_label_is_checked_against_the_scorer(tmp_path, sample_ppm, capsys, ckpt):
+    out = tmp_path / "o"
+    assert run(["overlay", "--in", sample_ppm, "--label", "7", "--checkpoint", ckpt,
+                "--steps", "2", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: label 7 out of range for 2 classes\n"
     assert not out.exists()
 
 

@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from igprobe import harness
 from igprobe import model as model_module
 from igprobe.attribution import AttributionMap
-from igprobe.codec import ORIGINAL, degrade_jpeg
+from igprobe.codec import ORIGINAL, check_quality, degrade_jpeg
 from igprobe.data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from igprobe.harness import (
     PrecisionTable,
     accuracy,
     attribute_batch,
     macro_precision,
-    parse_quality,
     prepare_input,
-    quality_key,
     read_precision_csv,
     sweep_precision,
     write_attribution_csv,
@@ -240,6 +238,23 @@ def test_repeated_quality_rejected():
         attribute_batch(brightness_scorer(), data, (ORIGINAL, 50, ORIGINAL))
 
 
+def test_quality_list_is_checked_before_any_image():
+    data = brightness_dataset()
+    for run in (sweep_precision, attribute_batch):
+        with pytest.raises(ValueError, match=r"quality must be in \[1, 100\]") as exc:
+            run(brightness_scorer(), data, [ORIGINAL, 250])
+        assert "image" not in str(exc.value)
+
+
+def test_attribute_batch_checks_its_path_settings_before_any_image():
+    data = brightness_dataset()
+    for settings, message in (({"scheme": "simpson"}, "unknown scheme 'simpson'"),
+                              ({"steps": 0}, "steps must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=message) as exc:
+            attribute_batch(brightness_scorer(), data, (ORIGINAL, 50), **settings)
+        assert "image" not in str(exc.value)
+
+
 def test_sweep_row_is_named():
     table = sweep_precision(brightness_scorer(), brightness_dataset(), [ORIGINAL, 50],
                             name="wide")
@@ -268,6 +283,16 @@ def test_precision_table_validates_missing_cells():
         PrecisionTable(rows={"m": {50: 1.0}}, qualities=[ORIGINAL, 50])
     with pytest.raises(ValueError, match="no qualities"):
         PrecisionTable(rows={}, qualities=[])
+
+
+def test_precision_table_levels_are_checked(tmp_path):
+    # a level is written as str(q), so 50.0 must become 50 before any file is written
+    table = PrecisionTable(rows={"m": {ORIGINAL: 1.0, 50.0: 0.5}}, qualities=[ORIGINAL, 50.0])
+    assert [type(q) for q in table.qualities] == [str, int]
+    write_precision_csv(table, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_text() == "model,quality,score\nm,original,1.0\nm,50,0.5\n"
+    with pytest.raises(ValueError, match=r"quality must be in \[1, 100\]"):
+        PrecisionTable(rows={"m": {ORIGINAL: 1.0, 250: 0.5}}, qualities=[ORIGINAL, 250])
 
 
 # ---------------------------------------------------------------- attribution batches
@@ -378,9 +403,10 @@ def test_attribute_batch_golden_record():
 
 
 def test_quality_key_roundtrip():
+    # a level is written as str(q), and check_quality reads that text back
     for q in [ORIGINAL, 1, 10, 50, 95, 100]:
-        assert parse_quality(quality_key(q)) == q
-    assert parse_quality(" Original ") == ORIGINAL
+        assert check_quality(str(q)) == q
+    assert check_quality(" Original ") == ORIGINAL
 
 
 def test_precision_csv_roundtrip_exact(tmp_path):
