@@ -21,16 +21,15 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .attribution import (DEFAULT_STEPS, SCHEMES, PathSpec, check_quadrature,
-                          integrated_gradients, split_polarity)
+from .attribution import DEFAULT_STEPS, SCHEMES, check_quadrature, split_polarity
 from .codec import ORIGINAL, check_quality, degrade_jpeg
-from .data import Dataset, gen_synthetic, load_dataset
+from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
 from .harness import (METRICS, attribute_batch, check_qualities, prepare_input,
                       read_precision_csv, sweep_precision, write_attribution_csv,
                       write_precision_csv)
 from .imgio import read_image, write_image
-from .model import (TrainConfig, check_labels, load_model, mean_loss, new_scorer,
-                    read_json_object, save_model, train)
+from .model import (TrainConfig, check_labels, check_train_setting, load_model, mean_loss,
+                    new_scorer, read_json_object, save_model, train)
 from .provider import provider_connect
 from .verify import CHECKS, format_results, run_checks
 from .viz import POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
@@ -45,6 +44,20 @@ class UsageError(Exception):
 def _comma_list(convert):
     """A flag type for a comma list, each item through ``convert``."""
     return lambda text: [convert(v) for v in text.split(",") if v.strip()]
+
+
+def _train_setting(name: str, convert):
+    """A flag type for training setting ``name``, held to ``TrainConfig``'s and
+    ``new_scorer``'s rule for it."""
+    return lambda text: check_train_setting(name, convert(text))
+
+
+def _check_names(text: str) -> list[str]:
+    """The --checks list; a list that names no check is refused, not read as all of them."""
+    names = _comma_list(str.strip)(text)
+    if not names:
+        raise ValueError("names no check; available: " + ",".join(n for n, _ in CHECKS))
+    return names
 
 
 def _usage_type(name: str, convert):
@@ -102,7 +115,7 @@ def _out_dir(cfg: argparse.Namespace) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(cfg: argparse.Namespace) -> None:
@@ -184,7 +197,7 @@ def _write_table_and_chart(cfg: argparse.Namespace, table) -> Path:
              "chart.svg": emit_chart_svg(table, cfg.metric.replace("_", " "))}
     out_dir = _out_dir(cfg)
     for name, text in texts.items():
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_text(text, encoding="utf-8")
     print(texts["table.csv"], end="")
     return out_dir
 
@@ -251,13 +264,13 @@ def cmd_overlay(cfg: argparse.Namespace) -> int:
     img = read_image(cfg.input_path)
     with _scorer(cfg) as (_, scorer):
         check_labels([cfg.label], 1, scorer.num_classes)
+        one = Dataset([DatasetItem(img, cfg.label, str(cfg.input_path))],
+                      [str(k) for k in range(scorer.num_classes)])  # classes: label indices
+        att = attribute_batch(scorer, one, [ORIGINAL, cfg.quality],
+                              cfg.steps, cfg.scheme)[0][cfg.quality]
         hw = scorer.input_shape[:2]
-        base = prepare_input(img, ORIGINAL, hw)
-        target = prepare_input(img, cfg.quality, hw)
-        att = integrated_gradients(scorer, PathSpec(base, target, cfg.steps, cfg.scheme),
-                                   cfg.label)
     out_dir = _out_dir(cfg)
-    written = _write_overlays(out_dir, "overlay", base, att.values)
+    written = _write_overlays(out_dir, "overlay", prepare_input(img, ORIGINAL, hw), att.values)
     _write_json(out_dir / "overlay.json",
                 {"quality": str(cfg.quality), "label": cfg.label, "ig_sum": att.sum,
                  "completeness_gap": att.completeness_gap, **written})
@@ -371,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the scorer on a dataset", allow_abbrev=False)
     _add_dataset(p)
-    p.add_argument("--hidden", type=_comma_list(int), default=[64],
+    p.add_argument("--hidden", type=_comma_list(_train_setting("hidden", int)), default=[64],
                    help="comma list of hidden widths")
-    p.add_argument("--embed-dim", type=int, default=32)
+    p.add_argument("--embed-dim", type=_train_setting("embed_dim", int), default=32)
     p.add_argument("--temperature", type=float, default=100.0)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--lr", type=_train_setting("lr", float), default=0.05)
+    p.add_argument("--epochs", type=_train_setting("epochs", int), default=30)
+    p.add_argument("--batch", type=_train_setting("batch", int), default=16)
 
     p = sub.add_parser("sweep", help="precision over a quality sweep", allow_abbrev=False)
     _add_sweep(p)
@@ -401,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numerical verification suite", allow_abbrev=False)
     _add_config(p)
     _add_seed(p)
-    p.add_argument("--checks", type=_comma_list(str.strip), help="comma list; available: "
+    p.add_argument("--checks", type=_check_names, help="comma list; available: "
                    + ",".join(name for name, _ in CHECKS))
 
     p = sub.add_parser("report", help="re-render tables and chart from stored CSV",

@@ -45,6 +45,18 @@ class Dataset:
         return self.items[0].pixels.shape
 
 
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """Each row of CSV file ``path``, read as UTF-8 whatever the locale, with
+    the line it ends on; every CSV input is read here.  A file that cannot
+    be opened, decoded or parsed is refused naming ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            return [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+
+
 def load_dataset(directory: str | Path) -> Dataset:
     """Load ``labels.csv`` (filename,class_name) plus the image files it names.
 
@@ -56,12 +68,11 @@ def load_dataset(directory: str | Path) -> Dataset:
     if not csv_path.exists():
         raise ValueError(f"missing labels.csv in {directory}")
 
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["filename", "class_name"]:
-            raise ValueError(f"{csv_path}: expected header 'filename,class_name', got {header}")
-        rows = [(i + 2, row) for i, row in enumerate(reader) if row]
+    lines = read_csv_rows(csv_path)
+    header = lines[0][1] if lines else None
+    if header is None or [c.strip() for c in header[:2]] != ["filename", "class_name"]:
+        raise ValueError(f"{csv_path}: expected header 'filename,class_name', got {header}")
+    rows = [(line_no, row) for line_no, row in lines[1:] if row]
 
     class_names: list[str] = []
     items: list[DatasetItem] = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .attribution import AttributionMap, PathSpec, check_quadrature, integrated_gradients
 from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
-from .data import Dataset
+from .data import Dataset, read_csv_rows
 from .model import Scorer, softmax
 from .tensor import argmax
 
@@ -94,33 +94,44 @@ def prepare_input(image: np.ndarray, quality: QualityLevel,
     return out
 
 
+def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) -> list[dict]:
+    """The one per-image loop: per image, ``{q: work(item, base, x)}`` over
+    ``qualities``, with the original ``base`` prepared first and ``x`` the input
+    prepared at ``q``.  A failure names ``what``, the image and the quality."""
+    hw = scorer.input_shape[:2]
+    results = []
+    for item in dataset.items:
+        image, q = item.image, ORIGINAL  # converted to float once
+        try:
+            base = prepare_input(image, ORIGINAL, hw)
+            by_q = {}
+            for q in qualities:
+                by_q[q] = work(item, base, base if q == ORIGINAL else prepare_input(image, q, hw))
+        except Exception as exc:
+            raise RuntimeError(f"{what} failed on image {item.id!r} at quality {q}: "
+                               f"{exc}") from exc
+        results.append(by_q)
+    return results
+
+
 def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
                     metric: str = "macro_precision", name: str = "model") -> PrecisionTable:
     """Degrade, resize, classify and score the whole dataset per quality.
 
-    The table has one row, called ``name``.  Images are the outer loop,
-    so each is converted to float once and only one is held at a time.
-    Each prepared image is scored on its own call to ``logits``: a batch
-    of rows may round differently from one row.
+    The table has one row, called ``name``.  Each prepared image is scored
+    on its own call to ``logits``: a batch of rows may round differently
+    from one row.
     """
     qualities = check_qualities(qualities)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     score_fn = METRICS[metric]
     _check_classes(scorer, dataset)
-    hw = scorer.input_shape[:2]
-    preds: dict[QualityLevel, list[int]] = {q: [] for q in qualities}
-    for item in dataset.items:
-        image = item.image  # converted once, then degraded at every quality
-        for q in qualities:
-            try:
-                prepared = prepare_input(image, q, hw)
-                preds[q].append(argmax(scorer.logits(prepared[None])[0]))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"scoring failed on image {item.id!r} at quality {q}: {exc}") from exc
+    preds = _each_image(scorer, dataset, qualities, "scoring",
+                        lambda item, base, x: argmax(scorer.logits(x[None])[0]))
     truths = [it.label for it in dataset.items]
-    scores = {q: score_fn(preds[q], truths, dataset.num_classes) for q in qualities}
+    scores = {q: score_fn([p[q] for p in preds], truths, dataset.num_classes)
+              for q in qualities}
     return PrecisionTable(rows={name: scores}, qualities=qualities)
 
 
@@ -135,27 +146,10 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = 50
     qualities = check_qualities(qualities)
     check_quadrature(steps, scheme)
     _check_classes(scorer, dataset)
-    hw = scorer.input_shape[:2]
-
-    compressed = [q for q in qualities if q != ORIGINAL]
-    all_maps = []
-    for item in dataset.items:
-        image = item.image
-        q: QualityLevel = ORIGINAL
-        try:
-            baseline = prepare_input(image, ORIGINAL, hw)
-            maps: dict[QualityLevel, AttributionMap] = {}
-            for q in compressed:
-                maps[q] = integrated_gradients(
-                    scorer,
-                    PathSpec(baseline=baseline, target=prepare_input(image, q, hw),
-                             steps=steps, scheme=scheme),
-                    item.label)
-        except Exception as exc:
-            raise RuntimeError(f"attribution failed on image {item.id!r} at quality {q}: "
-                               f"{exc}") from exc
-        all_maps.append(maps)
-    return all_maps
+    return _each_image(
+        scorer, dataset, [q for q in qualities if q != ORIGINAL], "attribution",
+        lambda item, base, x: integrated_gradients(
+            scorer, PathSpec(baseline=base, target=x, steps=steps, scheme=scheme), item.label))
 
 
 def csv_text(rows) -> str:
@@ -170,35 +164,36 @@ def write_precision_csv(table: PrecisionTable, path) -> None:
     Path(path).write_text(csv_text(
         [["model", "quality", "score"]]
         + [[name, q, repr(scores[q])] for name, scores in table.rows.items()
-           for q in table.qualities]))
+           for q in table.qualities]), encoding="utf-8")
 
 
 def read_precision_csv(path) -> PrecisionTable:
     qualities: list[QualityLevel] = []
     by_model: dict[str, dict[QualityLevel, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model", "quality", "score"]:
-            raise ValueError(f"{path}: expected header model,quality,score, got {header}")
-        for row in filter(None, reader):
-            if len(row) != 3:
-                raise ValueError(f"{path} line {reader.line_num}: expected 3 cells, got {row}")
-            try:
-                model, q, score = row[0], check_quality(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: quality {row[1]!r}, "
-                                 f"score {row[2]!r}: {exc}") from exc
-            if not 0.0 <= score <= 1.0:  # nan, inf or 1.7 would be drawn off the chart
-                raise ValueError(f"{path} line {reader.line_num}: score {row[2]!r} for model "
-                                 f"{model!r} at quality {q} is not in [0, 1]")
-            scores = by_model.setdefault(model, {})
-            if q in scores:
-                raise ValueError(f"{path} line {reader.line_num}: model {model!r} at quality "
-                                 f"{q} is listed twice")
-            if q not in qualities:
-                qualities.append(q)
-            scores[q] = score
+    lines = read_csv_rows(path)
+    header = lines[0][1] if lines else None
+    if header != ["model", "quality", "score"]:
+        raise ValueError(f"{path}: expected header model,quality,score, got {header}")
+    for line_no, row in lines[1:]:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path} line {line_no}: expected 3 cells, got {row}")
+        try:
+            model, q, score = row[0], check_quality(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: quality {row[1]!r}, "
+                             f"score {row[2]!r}: {exc}") from exc
+        if not 0.0 <= score <= 1.0:  # nan, inf or 1.7 would be drawn off the chart
+            raise ValueError(f"{path} line {line_no}: score {row[2]!r} for model "
+                             f"{model!r} at quality {q} is not in [0, 1]")
+        scores = by_model.setdefault(model, {})
+        if q in scores:
+            raise ValueError(f"{path} line {line_no}: model {model!r} at quality "
+                             f"{q} is listed twice")
+        if q not in qualities:
+            qualities.append(q)
+        scores[q] = score
     try:
         return PrecisionTable(rows=by_model, qualities=qualities)
     except ValueError as exc:
@@ -220,4 +215,4 @@ def write_attribution_csv(dataset: Dataset, qualities, maps, path) -> None:
                     + [dataset.class_names[argmax(z)] for z in logits]
                     + [f"{float(softmax(z)[item.label]):.6f}" for z in logits]
                     + [f"{by_q[q].sum:.6f}" for q in compressed])
-    Path(path).write_text(csv_text(rows))
+    Path(path).write_text(csv_text(rows), encoding="utf-8")

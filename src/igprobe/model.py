@@ -237,12 +237,32 @@ def backward(model: ScorerModel, images: np.ndarray, labels) -> LossGrads:
     return LossGrads(losses=losses, grads=grads.reshape(images.shape), logits=logits)
 
 
+_LEAST = {"epochs": 0, "batch": 1, "hidden": 1, "embed_dim": 1}
+
+
+def check_train_setting(name: str, value):
+    """``value`` if training setting ``name`` may take it: ``lr`` finite and
+    >= 0 (0 leaves the weights as they are), each count in ``_LEAST`` at
+    least its entry there.  ``TrainConfig``, ``new_scorer`` and the
+    ``train`` flags all check here; returns ``value``."""
+    if name == "lr":
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {value}")
+    elif value < _LEAST[name]:
+        raise ValueError(f"{name} must be >= {_LEAST[name]}, got {value}")
+    return value
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.05
     epochs: int = 30
     batch: int = 16
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("lr", "epochs", "batch"):
+            check_train_setting(name, getattr(self, name))
 
 
 def _require_finite_layers(model: ScorerModel, when: str) -> None:
@@ -338,7 +358,8 @@ def new_scorer(seed: int, input_shape: Sequence[int], hidden: Sequence[int],
     """Seeded random scorer: He-scaled ReLU encoder, unit class embeddings."""
     rng = SeededRng(seed)
     input_shape = tuple(int(s) for s in input_shape)
-    dims = [int(np.prod(input_shape))] + [int(d) for d in hidden] + [int(embed_dim)]
+    dims = ([int(np.prod(input_shape))] + [check_train_setting("hidden", int(d)) for d in hidden]
+            + [check_train_setting("embed_dim", int(embed_dim))])
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
@@ -403,7 +424,7 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
         "layers": [{"weights": _pack(l.weights), "bias": _pack(l.bias),
                     "activation": l.activation} for l in model.layers],
     }
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def read_json_object(path: str | Path, where: str) -> dict:

@@ -3,8 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from xml.etree import ElementTree
@@ -16,8 +18,10 @@ from igprobe import verify
 from igprobe.cli import build_parser, main
 from igprobe.codec import degrade_jpeg
 from igprobe.data import gen_synthetic
+from igprobe.harness import attribute_batch, sweep_precision
 from igprobe.imgio import read_image, write_image
 from igprobe.model import load_model
+from igprobe.provider import provider_connect
 
 TINY = ["--synthetic", "--classes", "2", "--per-class", "1", "--side", "8"]
 # train's scorer flags for TINY's data
@@ -187,6 +191,25 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--batch", "0"], "bad value for batch: '0' (batch must be >= 1, got 0)"),
+    (["--batch", "-1"], "bad value for batch: '-1' (batch must be >= 1, got -1)"),
+    (["--epochs", "-3"], "bad value for epochs: '-3' (epochs must be >= 0, got -3)"),
+    (["--lr", "-5"], "bad value for lr: '-5' (lr must be finite and >= 0, got -5.0)"),
+    (["--lr", "nan"], "bad value for lr: 'nan' (lr must be finite and >= 0, got nan)"),
+    (["--lr", "inf"], "bad value for lr: 'inf' (lr must be finite and >= 0, got inf)"),
+    (["--hidden", "0"], "bad value for hidden: '0' (hidden must be >= 1, got 0)"),
+    (["--hidden", "8,0"], "bad value for hidden: '8,0' (hidden must be >= 1, got 0)"),
+    (["--embed-dim", "0"], "bad value for embed_dim: '0' (embed_dim must be >= 1, got 0)"),
+])
+def test_train_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert run(["train", "--synthetic", "--classes", "2", "--per-class", "4", "--side", "8",
+                *flags, "--out", out]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc,message", [
     ([], "must be an object, got list"),
     ({"format": "igprobe-scorer", "version": 1}, "has no 'layers' field"),
@@ -220,6 +243,53 @@ def test_a_json_input_that_cannot_be_read_names_its_file(tmp_path, capsys, ckpt,
     assert err.startswith(prefix + ": "), err
     assert ("Expecting value" if kind == "checkpoint" else "can't decode byte 0xff") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["precision", "labels"])
+def test_a_csv_input_that_cannot_be_read_names_its_file(tmp_path, capsys, ckpt, kind):
+    if kind == "precision":
+        bad = tmp_path / "p.csv"
+        bad.write_bytes(b"\xff\xfe")
+        argv = ["report", "--from", bad]
+    else:
+        (tmp_path / "d").mkdir()
+        bad = tmp_path / "d" / "labels.csv"
+        bad.write_bytes(b"filename,class_name\na.ppm,c\xffat\n")
+        argv = ["sweep", "--data", bad.parent, "--checkpoint", ckpt]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: "), err
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
+def test_csv_inputs_and_outputs_are_utf8_whatever_the_locale(tmp_path):
+    # classes with non-ASCII names, read and written under an ASCII locale
+    source = gen_synthetic(2, classes=2, per_class=1, side=8)
+    data = tmp_path / "d"
+    data.mkdir()
+    for it in source.items:
+        write_image(data / f"{it.id}.ppm", it.image)
+    names = ["café", "thé"]
+    (data / "labels.csv").write_bytes("filename,class_name\n".encode() + "".join(
+        f"{it.id}.ppm,{names[it.label]}\n" for it in source.items).encode("utf-8"))
+    assert run(["train", "--data", data, *SCORER, "--out", tmp_path / "t"]) == 0
+    ckpt = tmp_path / "t" / "checkpoint.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = {}
+    for locale, utf8 in (("ascii", "0"), ("utf8", "1")):
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / locale
+        proc = subprocess.run([sys.executable, "-m", "igprobe", "attribute", "--data", data,
+                               "--checkpoint", ckpt, "--qualities", "original,50",
+                               "--steps", "2", "--out", out],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written[locale] = (out / "attributions.csv").read_bytes()
+    assert written["ascii"] == written["utf8"]
+    assert "café".encode("utf-8") in written["ascii"]
 
 
 # ---------------------------------------------------------------- sweep & report
@@ -611,6 +681,31 @@ def test_overlay_over_provider(tmp_path, sample_ppm):
     assert (out / "overlay.manifest.json").exists()
 
 
+@pytest.mark.parametrize("place", ["sweep_precision", "attribute_batch", "overlay"])
+def test_a_failing_scorer_is_named_by_image_and_quality(tmp_path, sample_ppm, capsys, place):
+    failing = shlex.split(MOCK[1]) + ["--misbehave", "error"]
+    cause = "provider error for request 0: synthetic provider failure"
+    if place == "overlay":
+        out = tmp_path / "ov"
+        assert run(["overlay", "--in", sample_ppm, "--label", "0", "--provider",
+                    shlex.join(failing), "--quality", "25", "--steps", "4", "--out", out]) == 1
+        message = capsys.readouterr().err
+        assert message.startswith(f"error: attribution failed on image {str(sample_ppm)!r} "
+                                  "at quality 25: ")
+        assert not out.exists()
+    else:
+        data = gen_synthetic(1, classes=2, per_class=1, side=8)
+        with provider_connect(failing) as client, pytest.raises(RuntimeError) as exc:
+            if place == "sweep_precision":
+                sweep_precision(client, data, ["original", 50])
+            else:
+                attribute_batch(client, data, ["original", 50], steps=4)
+        message = str(exc.value)
+        what, q = ("scoring", "original") if place == "sweep_precision" else ("attribution", 50)
+        assert message.startswith(f"{what} failed on image {data.items[0].id!r} at quality {q}: ")
+    assert cause in message
+
+
 def test_overlay_names_only_its_model_sources(tmp_path, sample_ppm, capsys):
     assert run(["overlay", "--in", sample_ppm, "--label", "0", "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
@@ -703,6 +798,15 @@ def test_verify_raising_check_exits_1(capsys, monkeypatch):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "raised ZeroDivisionError: seed 3" in out
+
+
+@pytest.mark.parametrize("checks", ["", " , "])
+def test_verify_checks_that_name_no_check_is_usage_error(capsys, checks):
+    assert run(["verify", "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: bad value for checks: {checks!r} "
+                                   "(names no check; available: linear_exactness,")
 
 
 def test_verify_unknown_check_fails(capsys):

@@ -204,6 +204,12 @@ def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatc
     assert calls == {"degrade_jpeg": n, "resize_bicubic": n}
     assert sweep_precision(model, as_float, qualities) == table
 
+    # attribution too: the original once per image as every path's baseline
+    calls.update(degrade_jpeg=0, resize_bicubic=0)
+    maps = attribute_batch(model, data, qualities, steps=2)
+    assert calls == {"degrade_jpeg": n, "resize_bicubic": n}
+    assert [list(by_q) for by_q in maps] == [[75, 25]] * len(data.items)
+
 
 def test_sweep_accuracy_metric():
     table = sweep_precision(brightness_scorer(), brightness_dataset(),

@@ -273,6 +273,26 @@ def test_train_freezes_class_embeddings():
     assert np.array_equal(model.class_embeddings, trained.class_embeddings)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"batch": 0}, "batch must be >= 1, got 0"),
+    ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ({"lr": -0.5}, "lr must be finite and >= 0, got -0.5"),
+    ({"lr": float("nan")}, "lr must be finite and >= 0, got nan"),
+])
+def test_train_config_refuses_settings_before_any_epoch(setting, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**setting)
+
+
+@pytest.mark.parametrize("hidden, embed_dim, message", [
+    ((16, 0), 8, "hidden must be >= 1, got 0"),
+    ((16,), 0, "embed_dim must be >= 1, got 0"),
+])
+def test_new_scorer_refuses_widths_below_one(hidden, embed_dim, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        new_scorer(9, (8, 8, 3), hidden, embed_dim, 2)
+
+
 def test_train_empty_dataset_rejected():
     data = make_separable()
     empty = type(data)(items=[], class_names=data.class_names)
