@@ -19,6 +19,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .model import GradFn
+from .tensor import require_integer
 
 Scheme = Literal["riemann_right", "trapezoid"]
 SCHEMES = ("riemann_right", "trapezoid")
@@ -26,9 +27,9 @@ DEFAULT_STEPS = 50
 
 
 def check_quadrature(steps: int, scheme: str = "trapezoid") -> int:
-    """The quadrature rule: N >= 1 steps and a known scheme; returns ``steps``."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    """The quadrature rule: a whole number N >= 1 of steps and a known scheme;
+    returns ``steps`` as an int."""
+    steps = require_integer(steps, "steps", least=1)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     return steps
@@ -47,7 +48,7 @@ class PathSpec:
         if self.baseline.shape != self.target.shape:
             raise ValueError(
                 f"baseline shape {self.baseline.shape} != target shape {self.target.shape}")
-        check_quadrature(self.steps, self.scheme)
+        self.steps = check_quadrature(self.steps, self.scheme)
 
 
 def path_nodes(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .attribution import DEFAULT_STEPS, SCHEMES, check_quadrature, split_polarity
 from .codec import ORIGINAL, check_quality, degrade_jpeg
-from .data import Dataset, DatasetItem, gen_synthetic, load_dataset
+from .data import Dataset, DatasetItem, check_synthetic_setting, gen_synthetic, load_dataset
 from .harness import (METRICS, attribute_batch, check_qualities, prepare_input,
                       read_precision_csv, sweep_precision, write_attribution_csv,
                       write_precision_csv)
@@ -46,10 +46,10 @@ def _comma_list(convert):
     return lambda text: [convert(v) for v in text.split(",") if v.strip()]
 
 
-def _train_setting(name: str, convert):
-    """A flag type for training setting ``name``, held to ``TrainConfig``'s and
-    ``new_scorer``'s rule for it."""
-    return lambda text: check_train_setting(name, convert(text))
+def _setting(check, name: str, convert=int):
+    """A flag type for setting ``name``, held to the library's rule ``check`` for it:
+    ``check_train_setting`` or ``check_synthetic_setting``."""
+    return lambda text: check(name, convert(text))
 
 
 def _check_names(text: str) -> list[str]:
@@ -340,9 +340,9 @@ def _add_dataset(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="dataset directory with labels.csv")
     p.add_argument("--synthetic", action="store_true",
                    help="generate the seeded synthetic dataset")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=50)
-    p.add_argument("--side", type=int, default=32)
+    p.add_argument("--classes", type=_setting(check_synthetic_setting, "classes"), default=4)
+    p.add_argument("--per-class", type=_setting(check_synthetic_setting, "per_class"), default=50)
+    p.add_argument("--side", type=_setting(check_synthetic_setting, "side"), default=32)
 
 
 def _add_model_source(p: argparse.ArgumentParser) -> None:
@@ -384,13 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the scorer on a dataset", allow_abbrev=False)
     _add_dataset(p)
-    p.add_argument("--hidden", type=_comma_list(_train_setting("hidden", int)), default=[64],
-                   help="comma list of hidden widths")
-    p.add_argument("--embed-dim", type=_train_setting("embed_dim", int), default=32)
-    p.add_argument("--temperature", type=float, default=100.0)
-    p.add_argument("--lr", type=_train_setting("lr", float), default=0.05)
-    p.add_argument("--epochs", type=_train_setting("epochs", int), default=30)
-    p.add_argument("--batch", type=_train_setting("batch", int), default=16)
+    p.add_argument("--hidden", type=_comma_list(_setting(check_train_setting, "hidden")),
+                   default=[64], help="comma list of hidden widths")
+    p.add_argument("--embed-dim", type=_setting(check_train_setting, "embed_dim"), default=32)
+    p.add_argument("--temperature", type=_setting(check_train_setting, "temperature", float),
+                   default=100.0)
+    p.add_argument("--lr", type=_setting(check_train_setting, "lr", float), default=0.05)
+    p.add_argument("--epochs", type=_setting(check_train_setting, "epochs"), default=30)
+    p.add_argument("--batch", type=_setting(check_train_setting, "batch"), default=16)
 
     p = sub.add_parser("sweep", help="precision over a quality sweep", allow_abbrev=False)
     _add_sweep(p)
@@ -432,6 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # What stdout's encoding cannot hold is printed escaped, as stderr does, and fails no run.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

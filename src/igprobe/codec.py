@@ -16,6 +16,8 @@ from typing import Union
 
 import numpy as np
 
+from .tensor import require_integer
+
 ORIGINAL = "original"
 QualityLevel = Union[int, str]
 
@@ -64,12 +66,13 @@ def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
 
 
 def check_quality(q: QualityLevel) -> QualityLevel:
-    """An int in [1, 100] or ORIGINAL; text is read with spaces and case ignored."""
+    """An integer in [1, 100] or ORIGINAL; text is read with spaces and case ignored."""
     if isinstance(q, str):
         q = q.strip().lower()
         if q == ORIGINAL:
             return ORIGINAL
-    q = int(q)
+        q = int(q)
+    q = require_integer(q, "quality")
     if not 1 <= q <= 100:
         raise ValueError(f"quality must be in [1, 100] or '{ORIGINAL}', got {q}")
     return q
@@ -134,22 +137,22 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def _quantize_plane(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """DCT -> quantize -> dequantize -> inverse DCT over all 8x8 blocks."""
-    h, w = plane.shape
-    blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
+def _quantize_plane(planes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """DCT -> quantize -> dequantize -> inverse DCT of each 8x8 block of (..., H, W) planes."""
+    *lead, h, w = planes.shape
+    blocks = planes.reshape(*lead, h // 8, 8, w // 8, 8).swapaxes(-3, -2)
     recon = _round_half_away(dct8x8(blocks) / table) * table
-    spatial = idct8x8(recon)
-    return spatial.transpose(0, 2, 1, 3).reshape(h, w)
+    return idct8x8(recon).swapaxes(-3, -2).reshape(planes.shape)
 
 
-def _rgb_to_ycbcr(rgb255: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # BT.601 full-range JPEG matrix, on contiguous R, G and B planes.
+def _rgb_to_ycbcr(rgb255: np.ndarray) -> np.ndarray:
+    # The (3, H, W) Y, Cb, Cr stack: BT.601 full-range JPEG matrix on contiguous R, G, B planes.
     r, g, b = np.ascontiguousarray(np.moveaxis(rgb255, -1, 0))
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return y, cb, cr
+    ycc = np.empty((3,) + r.shape)
+    ycc[0] = 0.299 * r + 0.587 * g + 0.114 * b
+    ycc[1] = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
+    ycc[2] = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
+    return ycc
 
 
 def _ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
@@ -160,19 +163,21 @@ def _ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def _pad_to_multiple(plane: np.ndarray, m: int) -> np.ndarray:
-    h, w = plane.shape
+def _pad_to_multiple(planes: np.ndarray, m: int) -> np.ndarray:
+    # Edge padding of the last two axes; an aligned plane or stack is returned itself.
+    h, w = planes.shape[-2:]
     if h % m == 0 and w % m == 0:
-        return plane
-    return np.pad(plane, ((0, -h % m), (0, -w % m)), mode="edge")
+        return planes
+    pad = [(0, 0)] * (planes.ndim - 2) + [(0, -h % m), (0, -w % m)]
+    return np.pad(planes, pad, mode="edge")
 
 
-def _subsample_420(plane: np.ndarray) -> np.ndarray:
-    """2x2 box average of an even-sided plane.  Pairing the sums as
-    ``(a + b) + (c + d)`` matches ``mean`` over each 2x2 block bit for
-    bit; the running order ``((a + b) + c) + d`` does not."""
-    return ((plane[0::2, 0::2] + plane[0::2, 1::2])
-            + (plane[1::2, 0::2] + plane[1::2, 1::2])) / 4
+def _subsample_420(planes: np.ndarray) -> np.ndarray:
+    """2x2 box average over the last two axes, each of even length.  Pairing
+    the sums as ``(a + b) + (c + d)`` matches ``mean`` over each 2x2 block
+    bit for bit; the running order ``((a + b) + c) + d`` does not."""
+    return ((planes[..., 0::2, 0::2] + planes[..., 0::2, 1::2])
+            + (planes[..., 1::2, 0::2] + planes[..., 1::2, 1::2])) / 4
 
 
 def degrade_jpeg(img: np.ndarray, q: QualityLevel) -> np.ndarray:
@@ -192,24 +197,14 @@ def degrade_jpeg(img: np.ndarray, q: QualityLevel) -> np.ndarray:
     pad = 16 if subsample else 8
 
     h, w = img.shape[0], img.shape[1]
-    y, cb, cr = _rgb_to_ycbcr(img * 255.0)
-    y = _pad_to_multiple(y, pad)
-    cb = _pad_to_multiple(cb, pad)
-    cr = _pad_to_multiple(cr, pad)
-
+    ycc = _pad_to_multiple(_rgb_to_ycbcr(img * 255.0), pad)
+    y = _quantize_plane(ycc[0] - 128.0, tables.luma) + 128.0
+    chroma = _subsample_420(ycc[1:]) if subsample else ycc[1:]
+    chroma = _quantize_plane(chroma - 128.0, tables.chroma) + 128.0
     if subsample:
-        cb = _subsample_420(cb)
-        cr = _subsample_420(cr)
+        chroma = chroma.repeat(2, axis=-2).repeat(2, axis=-1)
 
-    y = _quantize_plane(y - 128.0, tables.luma) + 128.0
-    cb = _quantize_plane(cb - 128.0, tables.chroma) + 128.0
-    cr = _quantize_plane(cr - 128.0, tables.chroma) + 128.0
-
-    if subsample:
-        cb = np.repeat(np.repeat(cb, 2, axis=0), 2, axis=1)
-        cr = np.repeat(np.repeat(cr, 2, axis=0), 2, axis=1)
-
-    rgb = _ycbcr_to_rgb(y[:h, :w], cb[:h, :w], cr[:h, :w])
+    rgb = _ycbcr_to_rgb(y[:h, :w], *chroma[:, :h, :w])
     return np.clip(rgb / 255.0, 0.0, 1.0)
 
 

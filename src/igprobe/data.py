@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .imgio import read_pixels
-from .tensor import SeededRng
+from .tensor import SeededRng, require_integer
 
 
 @dataclass
@@ -146,6 +146,15 @@ _CARRIER_AMP = 0.10
 _STRIPE_FREQ = 0.45
 _STRIPE_AMP = 0.06
 
+_LEAST = {"classes": 2, "per_class": 1, "side": 8}
+
+
+def check_synthetic_setting(name: str, value: int) -> int:
+    """``value`` as an int if ``gen_synthetic``'s setting ``name`` may take it:
+    an integer of at least its entry in ``_LEAST``.  The CLI's dataset flags
+    check here too."""
+    return require_integer(value, name, _LEAST[name])
+
 
 def gen_synthetic(seed: int, classes: int, per_class: int, side: int) -> Dataset:
     """Parametric, linearly-separable-ish classes with seeded noise.
@@ -157,12 +166,9 @@ def gen_synthetic(seed: int, classes: int, per_class: int, side: int) -> Dataset
     sigma=0.05 Gaussian pixel noise (plus placement jitter for
     disks/ramps), so a seed fully determines every pixel.
     """
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
-    if side < 8:
-        raise ValueError(f"side must be >= 8, got {side}")
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
+    classes = check_synthetic_setting("classes", classes)
+    side = check_synthetic_setting("side", side)
+    per_class = check_synthetic_setting("per_class", per_class)
 
     rng = SeededRng(seed)
     class_names = [f"{FAMILY_NAMES[c % 4]}_{c}" for c in range(classes)]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .tensor import SeededRng, Tensor, require_finite
+from .tensor import SeededRng, Tensor, require_finite, require_integer
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -62,8 +62,7 @@ class ScorerModel:
     def __post_init__(self):
         self.class_embeddings = np.asarray(self.class_embeddings, dtype=np.float64)
         self.input_shape = tuple(int(s) for s in self.input_shape)
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        check_train_setting("temperature", self.temperature)
         if self.class_embeddings.ndim != 2:
             raise ValueError("class embeddings must be a (classes, dim) matrix")
         # JSON round-trips NaN, and a NaN norm passes the unit-norm test below.
@@ -242,14 +241,18 @@ _LEAST = {"epochs": 0, "batch": 1, "hidden": 1, "embed_dim": 1}
 
 def check_train_setting(name: str, value):
     """``value`` if training setting ``name`` may take it: ``lr`` finite and
-    >= 0 (0 leaves the weights as they are), each count in ``_LEAST`` at
-    least its entry there.  ``TrainConfig``, ``new_scorer`` and the
-    ``train`` flags all check here; returns ``value``."""
+    >= 0 (0 leaves the weights as they are), ``temperature`` positive and
+    finite, each count in ``_LEAST`` a whole number of at least its entry
+    there, returned as an int.  ``TrainConfig``, ``ScorerModel``,
+    ``new_scorer`` and the ``train`` flags all check here."""
     if name == "lr":
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {value}")
-    elif value < _LEAST[name]:
-        raise ValueError(f"{name} must be >= {_LEAST[name]}, got {value}")
+    elif name == "temperature":
+        if not 0 < value < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {value}")
+    else:
+        value = require_integer(value, name, _LEAST[name])
     return value
 
 
@@ -262,7 +265,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "epochs", "batch"):
-            check_train_setting(name, getattr(self, name))
+            setattr(self, name, check_train_setting(name, getattr(self, name)))
 
 
 def _require_finite_layers(model: ScorerModel, when: str) -> None:
@@ -358,8 +361,8 @@ def new_scorer(seed: int, input_shape: Sequence[int], hidden: Sequence[int],
     """Seeded random scorer: He-scaled ReLU encoder, unit class embeddings."""
     rng = SeededRng(seed)
     input_shape = tuple(int(s) for s in input_shape)
-    dims = ([int(np.prod(input_shape))] + [check_train_setting("hidden", int(d)) for d in hidden]
-            + [check_train_setting("embed_dim", int(embed_dim))])
+    dims = ([int(np.prod(input_shape))] + [check_train_setting("hidden", d) for d in hidden]
+            + [check_train_setting("embed_dim", embed_dim)])
     layers = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]

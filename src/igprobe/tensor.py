@@ -41,6 +41,19 @@ def require_finite(t: Tensor, name: str = "tensor") -> Tensor:
     return t
 
 
+def require_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int if it is a whole number, and at least ``least`` if
+    given.  An int, a numpy integer or a float such as 50.0 is whole; a bool,
+    2.5, NaN or text is refused, naming ``name``."""
+    whole = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def argmax(t: Tensor) -> int:
     """Index of the maximum of a rank-1 tensor; ties break to the lowest index."""
     t = np.asarray(t, dtype=np.float64)

@@ -201,6 +201,13 @@ def test_train_divergence_exits_1_without_checkpoint(tmp_path, capsys):
     (["--hidden", "0"], "bad value for hidden: '0' (hidden must be >= 1, got 0)"),
     (["--hidden", "8,0"], "bad value for hidden: '8,0' (hidden must be >= 1, got 0)"),
     (["--embed-dim", "0"], "bad value for embed_dim: '0' (embed_dim must be >= 1, got 0)"),
+    (["--temperature", "0"],
+     "bad value for temperature: '0' (temperature must be positive and finite, got 0.0)"),
+    (["--temperature", "nan"],
+     "bad value for temperature: 'nan' (temperature must be positive and finite, got nan)"),
+    (["--side", "4"], "bad value for side: '4' (side must be >= 8, got 4)"),
+    (["--per-class", "0"], "bad value for per_class: '0' (per_class must be >= 1, got 0)"),
+    (["--classes", "1"], "bad value for classes: '1' (classes must be >= 2, got 1)"),
 ])
 def test_train_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
@@ -208,6 +215,15 @@ def test_train_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, messag
                 *flags, "--out", out]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def test_a_range_checked_dataset_flag_is_refused_beside_data(tmp_path, capsys):
+    # the dataset flags are shared by train, sweep and attribute, and checked as parsed
+    assert run(["sweep", "--data", tmp_path, "--classes", "1", "--checkpoint", tmp_path / "c",
+                "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == ("usage error: bad value for classes: '1' "
+                                       "(classes must be >= 2, got 1)\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -264,6 +280,13 @@ def test_a_csv_input_that_cannot_be_read_names_its_file(tmp_path, capsys, ckpt, 
     assert not out.exists()
 
 
+def _c_locale_env(utf8: str) -> dict:
+    """The environment of a subprocess under the ASCII C locale, Python's UTF-8 mode "0" or "1"."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_csv_inputs_and_outputs_are_utf8_whatever_the_locale(tmp_path):
     # classes with non-ASCII names, read and written under an ASCII locale
     source = gen_synthetic(2, classes=2, per_class=1, side=8)
@@ -276,20 +299,35 @@ def test_csv_inputs_and_outputs_are_utf8_whatever_the_locale(tmp_path):
         f"{it.id}.ppm,{names[it.label]}\n" for it in source.items).encode("utf-8"))
     assert run(["train", "--data", data, *SCORER, "--out", tmp_path / "t"]) == 0
     ckpt = tmp_path / "t" / "checkpoint.json"
-    src = str(Path(__file__).resolve().parents[1] / "src")
     written = {}
     for locale, utf8 in (("ascii", "0"), ("utf8", "1")):
-        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = tmp_path / locale
         proc = subprocess.run([sys.executable, "-m", "igprobe", "attribute", "--data", data,
                                "--checkpoint", ckpt, "--qualities", "original,50",
                                "--steps", "2", "--out", out],
-                              env=env, capture_output=True, text=True)
+                              env=_c_locale_env(utf8), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         written[locale] = (out / "attributions.csv").read_bytes()
     assert written["ascii"] == written["utf8"]
     assert "café".encode("utf-8") in written["ascii"]
+
+
+def test_report_prints_a_name_its_locale_cannot_encode(tmp_path):
+    # stdout under an ASCII locale cannot encode "é"; the run still succeeds
+    source = tmp_path / "u.csv"
+    source.write_bytes("model,quality,score\ncafé,original,0.9\ncafé,25,0.5\n".encode("utf-8"))
+    runs = {}
+    for locale, utf8 in (("ascii", "0"), ("utf8", "1")):
+        out = tmp_path / locale
+        proc = subprocess.run([sys.executable, "-m", "igprobe", "report", "--from", source,
+                               "--out", out], env=_c_locale_env(utf8), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "report.manifest.json").is_file()
+        runs[locale] = (proc.stdout, (out / "table.csv").read_bytes())
+    assert runs["ascii"][1] == runs["utf8"][1]
+    assert "caf\\xe9,0.9000,0.5000" in runs["ascii"][0]
+    assert "café,0.9000,0.5000" in runs["utf8"][0]
 
 
 # ---------------------------------------------------------------- sweep & report

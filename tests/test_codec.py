@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igprobe.codec import (CHROMA_BASE, LUMA_BASE, ORIGINAL, _axis_taps, _pad_to_multiple,
-                           _resize_axis, _subsample_420, check_image, check_quality,
-                           cubic_kernel, dct8x8, degrade_jpeg, idct8x8, psnr, quant_table,
-                           resize_bicubic)
+                           _quantize_plane, _resize_axis, _subsample_420, check_image,
+                           check_quality, cubic_kernel, dct8x8, degrade_jpeg, idct8x8, psnr,
+                           quant_table, resize_bicubic)
 from igprobe.data import gen_synthetic
 from igprobe.tensor import SeededRng
 
@@ -298,6 +298,24 @@ def test_subsample_420_equals_block_mean_bit_for_bit():
     planes += [_pad_to_multiple(rng.uniform([side, side]) * 255.0, 16) for side in (20, 33)]
     for plane in planes:
         assert _subsample_420(plane).tobytes() == _block_mean(plane).tobytes()
+
+
+@pytest.mark.parametrize("h, w", [(16, 16), (20, 33), (37, 45)])
+@pytest.mark.parametrize("stage", ["pad8", "pad16", "subsample", "quantize"])
+def test_codec_stages_on_a_stack_equal_each_plane_bit_for_bit(stage, h, w):
+    # degrade_jpeg carries Cb and Cr through each stage as one (2, H, W) stack
+    stack = SeededRng(h * 100 + w).uniform([2, h, w]) * 255.0
+    apply = {
+        "pad8": lambda x: _pad_to_multiple(x, 8),
+        "pad16": lambda x: _pad_to_multiple(x, 16),
+        "subsample": lambda x: _subsample_420(_pad_to_multiple(x, 16)),
+        "quantize": lambda x: _quantize_plane(_pad_to_multiple(x, 8) - 128.0,
+                                              quant_table(25).chroma),
+    }[stage]
+    got = apply(stack)
+    assert got.shape[0] == 2
+    for plane, out in zip(stack, got):
+        assert out.tobytes() == apply(plane).tobytes()
 
 
 def _resize_axis_reference(arr, out_len, axis):

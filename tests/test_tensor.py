@@ -1,10 +1,16 @@
 """Deterministic tensor arithmetic and the seeded generator stream."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igprobe.attribution import PathSpec
+from igprobe.codec import check_quality
+from igprobe.data import gen_synthetic
+from igprobe.model import TrainConfig, new_scorer
 from igprobe.tensor import SeededRng, argmax, require_finite
 
 
@@ -99,3 +105,27 @@ def test_require_finite_rejects_nan_and_inf():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="weights contains non-finite values"):
             require_finite(np.array([1.0, bad]), "weights")
+
+
+# ------------------------------------------------------- library count settings
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: check_quality(50.7), "quality must be an integer, got 50.7"),
+    (lambda: check_quality(True), "quality must be an integer, got True"),
+    (lambda: PathSpec(np.zeros(2), np.ones(2), 2.5), "steps must be an integer, got 2.5"),
+    (lambda: TrainConfig(batch=2.5), "batch must be an integer, got 2.5"),
+    (lambda: TrainConfig(epochs=1.5), "epochs must be an integer, got 1.5"),
+    (lambda: new_scorer(1, (4, 4, 3), [2.5], 3, 2), "hidden must be an integer, got 2.5"),
+    (lambda: gen_synthetic(1, 2, 2.5, 8), "per_class must be an integer, got 2.5"),
+], ids=["quality-float", "quality-bool", "steps", "batch", "epochs", "hidden", "per-class"])
+def test_library_counts_refuse_non_integers(make, message):
+    # a count that is not a whole number names its setting rather than being truncated
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_library_counts_read_numpy_integers():
+    assert check_quality(np.int64(50)) == 50 and type(check_quality(np.int64(50))) is int
+    assert PathSpec(np.zeros(2), np.ones(2), np.int64(3)).steps == 3
+    assert TrainConfig(batch=np.int64(4)).batch == 4
+    assert new_scorer(1, (4, 4, 3), [np.int64(5)], 3, 2).layers[0].weights.shape == (5, 48)
