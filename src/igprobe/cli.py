@@ -145,11 +145,18 @@ def _scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
     if bool(cfg.checkpoint) == bool(cfg.provider):
         raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD")
     if cfg.checkpoint:
+        # The row name is the stem's file-system bytes read as UTF-8, whatever
+        # the locale decoded argv with, so every output file can hold it.
+        try:
+            name = os.fsencode(Path(cfg.checkpoint).stem).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"checkpoint {cfg.checkpoint}: file name is not UTF-8 text, "
+                             "and its stem names the table row") from None
         model = load_model(cfg.checkpoint)
         if dataset is not None and model.class_names and model.class_names != dataset.class_names:
             raise ValueError(f"checkpoint {cfg.checkpoint} scores classes {model.class_names}, "
                              f"but the dataset lists classes {dataset.class_names}")
-        yield Path(cfg.checkpoint).stem, model
+        yield name, model
         return
     with provider_connect(shlex.split(cfg.provider)) as client:
         yield "provider", client

@@ -167,7 +167,9 @@ def _encode_batch(model: ScorerModel, x: np.ndarray):
     acts = [x]
     pres = []
     for layer in model.layers:
-        z = acts[-1] @ layer.weights.T + layer.bias
+        # A reversed batch (see backward) is copied for this product alone,
+        # so BLAS receives it as it receives any other batch.
+        z = np.ascontiguousarray(acts[-1]) @ layer.weights.T + layer.bias
         pres.append(z)
         acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
     e = acts[-1]
@@ -232,8 +234,16 @@ def backward(model: ScorerModel, images: np.ndarray, labels) -> LossGrads:
     """Exact gradient of the cross-entropy of forward(images[b]) at labels[b]
     w.r.t. every pixel, for each row b of a (batch, *input_shape) array."""
     images, labels = check_batch(images, labels, model.input_shape, model.num_classes)
-    losses, grads, logits, _ = _backward_batch(model, images.reshape(len(images), -1), labels)
-    return LossGrads(losses=losses, grads=grads.reshape(images.shape), logits=logits)
+    x = images.reshape(len(images), -1)
+    # A GEMM row's bits can depend on its position in the batch (OpenBLAS's
+    # Haswell and Prescott kernels, and some shapes on others), so a batch and
+    # its exact reverse, as a swapped IG path sends, are evaluated in one
+    # orientation: first row's bytes no greater than the last's. The results
+    # come back as views in the caller's row order.
+    rows = slice(None, None, -1 if len(x) > 1 and x[0].tobytes() > x[-1].tobytes() else 1)
+    losses, grads, logits, _ = _backward_batch(model, x[rows], labels[rows])
+    return LossGrads(losses=losses[rows], grads=grads[rows].reshape(images.shape),
+                     logits=logits[rows])
 
 
 _LEAST = {"epochs": 0, "batch": 1, "hidden": 1, "embed_dim": 1}

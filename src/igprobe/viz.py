@@ -57,7 +57,7 @@ def quality_label(q: QualityLevel) -> str:
 
 def emit_table(table: PrecisionTable, format: str = "csv") -> str:
     """Scores fixed to 4 decimals, one row per model; a model name is quoted
-    as CSV needs it, and a ``|`` in it is written ``\\|`` in markdown."""
+    as CSV needs it, and a ``|`` in any cell is written ``\\|`` in markdown."""
     if format not in TABLE_FORMATS:
         raise ValueError(f"format must be one of {TABLE_FORMATS}, got {format!r}")
     header = ["model"] + [quality_label(q) for q in table.qualities]
@@ -65,11 +65,8 @@ def emit_table(table: PrecisionTable, format: str = "csv") -> str:
             for name, scores in table.rows.items()]
     if format == "csv":
         return csv_text([header] + rows)
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    lines += ["| " + " | ".join([name.replace("|", "\\|"), *scores]) + " |"
-              for name, *scores in rows]
-    return "\n".join(lines) + "\n"
+    return "".join("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |\n"
+                   for row in [header, ["---"] * len(header), *rows])
 
 
 _VIEW_W, _VIEW_H = 800, 500
@@ -78,6 +75,21 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70.0, 630.0, 50.0, 440.0
 
 def _f(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _el(tag: str, text: str | None = None, **attrs: object) -> str:
+    """One SVG element: attributes in call order with ``a_b`` written
+    ``a-b``, floats to 2 decimals and ``None`` left out; self-closing
+    without ``text``, which is escaped."""
+    head = " ".join([tag] + [f'{k.replace("_", "-")}="{_f(v) if isinstance(v, float) else v}"'
+                             for k, v in attrs.items() if v is not None])
+    return f"<{head}/>" if text is None else f"<{head}>{escape(text, quote=False)}</{tag}>"
+
+
+def _label(text: str, x: float, y: float, size: int, anchor: str | None = "middle",
+           **attrs: object) -> str:
+    return _el("text", text, x=x, y=y, text_anchor=anchor, font_family="sans-serif",
+               font_size=size, **attrs)
 
 
 def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> str:
@@ -97,44 +109,28 @@ def emit_chart_svg(table: PrecisionTable, y_label: str = "macro precision") -> s
 
     # The title names the y axis's metric, without its averaging qualifier.
     metric = y_label.removeprefix("macro ")
-    title = f"{metric[:1].upper()}{metric[1:]} vs JPEG quality"
+    mid_x, mid_y = (_LEFT + _RIGHT) / 2, (_TOP + _BOTTOM) / 2
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW_W}" height="{_VIEW_H}" '
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}">',
-        f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="white"/>',
-        f'<text x="{_f((_LEFT + _RIGHT) / 2)}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="18">{escape(title, quote=False)}</text>',
+        _el("rect", x=0, y=0, width=_VIEW_W, height=_VIEW_H, fill="white"),
+        _label(f"{metric[:1].upper()}{metric[1:]} vs JPEG quality", mid_x, 28, 18),
     ]
-    for i in range(5):
-        frac = i / 4.0
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = y_at(frac)
-        out.append(f'<line x1="{_f(_LEFT)}" y1="{_f(y)}" x2="{_f(_RIGHT)}" y2="{_f(y)}" '
-                   f'stroke="#cccccc" stroke-width="1"/>')
-        out.append(f'<text x="{_f(_LEFT - 8)}" y="{_f(y + 4)}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="12">{frac:.2f}</text>')
+        out += [_el("line", x1=_LEFT, y1=y, x2=_RIGHT, y2=y, stroke="#cccccc", stroke_width=1),
+                _label(f"{frac:.2f}", _LEFT - 8, y + 4, 12, anchor="end")]
     for i, q in enumerate(qualities):
         x = x_at(i)
-        out.append(f'<line x1="{_f(x)}" y1="{_f(_BOTTOM)}" x2="{_f(x)}" y2="{_f(_BOTTOM + 5)}" '
-                   f'stroke="#333333" stroke-width="1"/>')
-        out.append(f'<text x="{_f(x)}" y="{_f(_BOTTOM + 20)}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">{q}</text>')
-    out.append(f'<text x="{_f((_LEFT + _RIGHT) / 2)}" y="{_f(_BOTTOM + 42)}" '
-               'text-anchor="middle" font-family="sans-serif" font-size="14">quality</text>')
-    out.append(f'<text x="18" y="{_f((_TOP + _BOTTOM) / 2)}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="14" '
-               f'transform="rotate(-90 18 {_f((_TOP + _BOTTOM) / 2)})">'
-               f'{escape(y_label, quote=False)}</text>')
-
+        out += [_el("line", x1=x, y1=_BOTTOM, x2=x, y2=_BOTTOM + 5, stroke="#333333",
+                    stroke_width=1),
+                _label(str(q), x, _BOTTOM + 20, 12)]
+    out += [_label("quality", mid_x, _BOTTOM + 42, 14),
+            _label(y_label, 18, mid_y, 14, transform=f"rotate(-90 18 {_f(mid_y)})")]
     for idx, (name, scores) in enumerate(table.rows.items()):
-        color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{_f(x_at(i))},{_f(y_at(scores[q]))}"
-                          for i, q in enumerate(qualities))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-                   f'points="{points}"/>')
-        ly = _TOP + 18 * idx
-        out.append(f'<rect x="{_f(_RIGHT + 12)}" y="{_f(ly)}" width="12" height="12" '
-                   f'fill="{color}"/>')
-        out.append(f'<text x="{_f(_RIGHT + 30)}" y="{_f(ly + 10)}" font-family="sans-serif" '
-                   f'font-size="12">{escape(name, quote=False)}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        color, ly = PALETTE[idx % len(PALETTE)], _TOP + 18 * idx
+        points = " ".join(f"{_f(x_at(i))},{_f(y_at(scores[q]))}" for i, q in enumerate(qualities))
+        out += [_el("polyline", fill="none", stroke=color, stroke_width=2, points=points),
+                _el("rect", x=_RIGHT + 12, y=ly, width=12, height=12, fill=color),
+                _label(name, _RIGHT + 30, ly + 10, 12, anchor=None)]
+    return "\n".join(out + ["</svg>"]) + "\n"

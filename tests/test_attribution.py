@@ -169,32 +169,21 @@ def test_trapezoid_bits_pinned(side, steps):
 # ------------------------------------------------------- batched vs per-node
 
 def per_node_reference(gradfn, spec: PathSpec, label: int) -> AttributionMap:
-    """Integrated gradients as one single-row gradient call per path node,
-    with the endpoint losses evaluated at the endpoints themselves."""
+    """Integrated gradients as one single-row gradient call per path node
+    at ``baseline + t * delta``, weighted and summed in node order, with the
+    endpoint losses evaluated at the endpoints themselves.  It shares
+    neither the mirror fill nor the mirror-paired sum with the library."""
     ts, ws = path_nodes(spec)
     delta = spec.target - spec.baseline
-    last = len(ts) - 1
-
-    def point(s):
-        if 2 * s < last:
-            return spec.baseline + ts[s] * delta
-        if 2 * s > last:
-            return spec.target - ts[last - s] * delta
-        return 0.5 * spec.baseline + 0.5 * spec.target
 
     def one(x):
         return gradfn(x[None], np.array([label]))
 
     acc = np.zeros_like(spec.baseline)
-    for s in range((last + 2) // 2):
-        m = last - s
-        term = ws[s] * one(point(s)).grads[0]
-        if m != s:
-            term = term + ws[m] * one(point(m)).grads[0]
-        acc = acc + term
-    values = delta * acc
+    for t, w in zip(ts, ws):
+        acc = acc + w * one(spec.baseline + t * delta).grads[0]
     at0, at1 = one(spec.baseline), one(spec.target)
-    return AttributionMap(values=values, loss_baseline=float(at0.losses[0]),
+    return AttributionMap(values=delta * acc, loss_baseline=float(at0.losses[0]),
                           loss_target=float(at1.losses[0]),
                           logits_baseline=at0.logits[0], logits_target=at1.logits[0])
 
@@ -203,8 +192,9 @@ def per_node_reference(gradfn, spec: PathSpec, label: int) -> AttributionMap:
 @pytest.mark.parametrize("steps", [7, 50])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_batched_ig_matches_per_node_loop(side, steps, scheme):
-    # The batch only changes how the BLAS groups each row's products, so
-    # float64 rounding bounds the difference far below 1e-12 of the map.
+    # The library mirrors the upper half of the nodes about the target,
+    # sums mirror pairs and batches the rows; the reference does none of
+    # these.  Each changes only float64 rounding, far below 1e-12 of the map.
     model = new_scorer(70 + side, (side, side, 3), (64,), 32, 4, 10.0)
     rng = SeededRng(71 + steps)
     x0, x1 = rng.uniform([side, side, 3]), rng.uniform([side, side, 3])
@@ -287,6 +277,20 @@ def test_swap_negates_micromodel_attribution_exactly():
     fwd = integrated_gradients(model, PathSpec(x0, x1, 50), 2)
     rev = integrated_gradients(model, PathSpec(x1, x0, 50), 2)
     assert np.array_equal(rev.values, -fwd.values)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 10])
+def test_swap_negates_scorer_attribution_exactly_at_any_class_count(classes):
+    # At these head sizes a GEMM row's bits depend on its place in the batch
+    # even under OpenBLAS's SkylakeX kernels, so a swapped path is exact only
+    # because backward evaluates a batch and its reverse in one orientation.
+    model = new_scorer(1, (8, 8, 3), (64,), 32, classes, 10.0)
+    rng = SeededRng(43)
+    for _ in range(3):
+        x0, x1 = rng.uniform([8, 8, 3]), rng.uniform([8, 8, 3])
+        fwd = integrated_gradients(model, PathSpec(x0, x1, 50), 1)
+        rev = integrated_gradients(model, PathSpec(x1, x0, 50), 1)
+        assert np.array_equal(rev.values, -fwd.values)
 
 
 # ---------------------------------------------------------- completeness report

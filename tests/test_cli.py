@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -280,11 +282,16 @@ def test_a_csv_input_that_cannot_be_read_names_its_file(tmp_path, capsys, ckpt, 
     assert not out.exists()
 
 
+def _child_env(**env: str) -> dict:
+    """The environment of a subprocess that imports this checkout's igprobe, plus ``env``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            **env}
+
+
 def _c_locale_env(utf8: str) -> dict:
     """The environment of a subprocess under the ASCII C locale, Python's UTF-8 mode "0" or "1"."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8,
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return _child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8=utf8)
 
 
 def test_csv_inputs_and_outputs_are_utf8_whatever_the_locale(tmp_path):
@@ -328,6 +335,37 @@ def test_report_prints_a_name_its_locale_cannot_encode(tmp_path):
     assert runs["ascii"][1] == runs["utf8"][1]
     assert "caf\\xe9,0.9000,0.5000" in runs["ascii"][0]
     assert "café,0.9000,0.5000" in runs["utf8"][0]
+
+
+def test_sweep_names_a_non_ascii_checkpoint_whatever_the_locale(tmp_path, ckpt):
+    # the row name is the checkpoint's stem, which an ASCII locale decodes
+    # from argv with surrogate escapes
+    named = tmp_path / "café.json"
+    shutil.copy(ckpt, named)
+    written = {}
+    for locale, utf8 in (("ascii", "0"), ("utf8", "1")):
+        out = tmp_path / locale
+        proc = subprocess.run([sys.executable, "-m", "igprobe", "sweep", *TINY, "--seed", "4",
+                               "--checkpoint", named, "--qualities", "original,25",
+                               "--out", out], env=_c_locale_env(utf8), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        written[locale] = [(out / f).read_bytes()
+                           for f in ("precision.csv", "table.csv", "table.md", "chart.svg")]
+    assert written["ascii"] == written["utf8"]
+    assert "| café |".encode("utf-8") in written["ascii"][2]
+
+
+def test_checkpoint_stem_that_is_not_utf8_is_refused(tmp_path, ckpt):
+    named = tmp_path / os.fsdecode(b"\xff.json")
+    shutil.copy(ckpt, named)
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "igprobe", "sweep", *TINY, "--checkpoint", named,
+                           "--out", out], env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: checkpoint {tmp_path}/\\udcff.json: file name is not "
+                                  "UTF-8 text"), proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- sweep & report
@@ -815,6 +853,30 @@ def test_verify_subset_passes(capsys):
     out = capsys.readouterr().out
     assert "2/2 checks passed" in out
     assert "linear_exactness" in out
+
+
+@pytest.mark.parametrize("kernel, features", [("Haswell", ("AVX2", "FMA3")),
+                                             ("Prescott", ("SSE3",))],
+                         ids=["Haswell", "Prescott"])
+def test_swap_negation_holds_under_each_openblas_kernel(kernel, features):
+    # Under these kernels a GEMM row's bits depend on the row's place in the
+    # batch; OPENBLAS_CORETYPE picks the kernel for the child process alone.
+    if platform.machine() != "x86_64":
+        pytest.skip("OpenBLAS kernels are switched here on x86-64 only")
+    try:  # numpy >= 2.0 reports its BLAS build and CPU features this way
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        from numpy._core._multiarray_umath import __cpu_features__
+    except (TypeError, KeyError, ImportError):
+        pytest.skip("this numpy does not report its BLAS build and CPU features")
+    if ("openblas" not in blas.get("name", "").lower()
+            or "DYNAMIC_ARCH" not in blas.get("openblas configuration", "")):
+        pytest.skip("numpy's BLAS is not an OpenBLAS that picks its kernel at run time")
+    if not all(__cpu_features__.get(f) for f in features):
+        pytest.skip(f"the {kernel} kernel needs {', '.join(features)}")
+    proc = subprocess.run([sys.executable, "-m", "igprobe", "verify", "--checks",
+                           "polarity_bounds"], env=_child_env(OPENBLAS_CORETYPE=kernel),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_verify_failing_check_exits_1(capsys, monkeypatch):
