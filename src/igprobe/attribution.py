@@ -14,19 +14,18 @@ measures quadrature error and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
 
 import numpy as np
 
 from .model import GradFn
 from .tensor import require_integer
 
-Scheme = Literal["riemann_right", "trapezoid"]
 SCHEMES = ("riemann_right", "trapezoid")
-DEFAULT_STEPS = 50
+# The one default quadrature, for the library and the CLI alike.
+DEFAULT_STEPS, DEFAULT_SCHEME = 50, "trapezoid"
 
 
-def check_quadrature(steps: int, scheme: str = "trapezoid") -> int:
+def check_quadrature(steps: int, scheme: str = DEFAULT_SCHEME) -> int:
     """The quadrature rule: a whole number N >= 1 of steps and a known scheme;
     returns ``steps`` as an int."""
     steps = require_integer(steps, "steps", least=1)
@@ -40,7 +39,7 @@ class PathSpec:
     baseline: np.ndarray
     target: np.ndarray
     steps: int = DEFAULT_STEPS
-    scheme: Scheme = "trapezoid"
+    scheme: str = DEFAULT_SCHEME
 
     def __post_init__(self):
         self.baseline = np.asarray(self.baseline, dtype=np.float64)

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .attribution import DEFAULT_STEPS, SCHEMES, check_quadrature, split_polarity
+from .attribution import DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES, check_quadrature, split_polarity
 from .codec import ORIGINAL, check_quality, degrade_jpeg
 from .data import Dataset, DatasetItem, check_synthetic_setting, gen_synthetic, load_dataset
 from .harness import (METRICS, attribute_batch, check_qualities, prepare_input,
@@ -118,9 +118,20 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _utf8_text(text: str, errors: str = "strict") -> str:
+    """Command-line ``text`` as its file-system bytes read as UTF-8, whatever
+    the locale decoded argv with; ``errors`` handles bytes that are not UTF-8."""
+    return os.fsencode(text).decode("utf-8", errors)
+
+
 def _write_manifest(cfg: argparse.Namespace) -> None:
+    """Echo ``cfg``'s settings, each string as UTF-8 text with any other byte written \\xNN."""
+    def text(value):
+        return _utf8_text(value, "backslashreplace") if isinstance(value, str) else value
     manifest = {"version": __version__, **vars(cfg)}
     del manifest["config"]
+    manifest = {k: [text(v) for v in value] if isinstance(value, list) else text(value)
+                for k, value in manifest.items()}
     _write_json(Path(cfg.out) / f"{cfg.subcommand}.manifest.json", manifest)
 
 
@@ -145,10 +156,9 @@ def _scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
     if bool(cfg.checkpoint) == bool(cfg.provider):
         raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD")
     if cfg.checkpoint:
-        # The row name is the stem's file-system bytes read as UTF-8, whatever
-        # the locale decoded argv with, so every output file can hold it.
+        # The row name is UTF-8 text, so every output file can hold it.
         try:
-            name = os.fsencode(Path(cfg.checkpoint).stem).decode("utf-8")
+            name = _utf8_text(Path(cfg.checkpoint).stem)
         except UnicodeDecodeError:
             raise ValueError(f"checkpoint {cfg.checkpoint}: file name is not UTF-8 text, "
                              "and its stem names the table row") from None
@@ -368,7 +378,7 @@ def _add_sweep(p: argparse.ArgumentParser) -> None:
 def _add_path_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=lambda text: check_quadrature(int(text)),
                    default=DEFAULT_STEPS, help="quadrature step count N")
-    p.add_argument("--scheme", choices=SCHEMES, default="trapezoid")
+    p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_SCHEME)
 
 
 def _add_metric(p: argparse.ArgumentParser, default) -> None:
@@ -440,9 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # What stdout's encoding cannot hold is printed escaped, as stderr does, and fails no run.
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(errors="backslashreplace")
+    # What an output stream's encoding cannot hold is printed escaped and fails no run.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

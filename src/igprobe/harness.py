@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attribution import AttributionMap, PathSpec, check_quadrature, integrated_gradients
+from .attribution import (DEFAULT_SCHEME, DEFAULT_STEPS, AttributionMap, PathSpec,
+                          check_quadrature, integrated_gradients)
 from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
 from .data import Dataset, read_csv_rows
 from .model import Scorer, softmax
@@ -50,13 +51,22 @@ def accuracy(predictions, truths, num_classes: int | None = None) -> float:
 METRICS = {"macro_precision": macro_precision, "accuracy": accuracy}
 
 
+def _check_levels(qualities) -> list[QualityLevel]:
+    """A list of quality levels: each level checked, none listed twice."""
+    qualities = [check_quality(q) for q in qualities]
+    for i, q in enumerate(qualities):
+        if q in qualities[:i]:
+            raise ValueError(f"quality {q} is listed twice")
+    return qualities
+
+
 @dataclass
 class PrecisionTable:
     rows: dict[str, dict[QualityLevel, float]]  # model name -> its scores, in row order
     qualities: list[QualityLevel]
 
     def __post_init__(self):
-        self.qualities = [check_quality(q) for q in self.qualities]  # written as str(q)
+        self.qualities = _check_levels(self.qualities)  # written as str(q)
         if not self.qualities:
             raise ValueError("no qualities")
         for name, scores in self.rows.items():
@@ -68,21 +78,12 @@ class PrecisionTable:
 def check_qualities(qualities) -> list[QualityLevel]:
     """A quality sweep of checked levels: the original level, at least one
     compressed level, no level twice."""
-    qualities = [check_quality(q) for q in qualities]
-    for i, q in enumerate(qualities):
-        if q in qualities[:i]:
-            raise ValueError(f"quality {q} is listed twice")
+    qualities = _check_levels(qualities)
     if ORIGINAL not in qualities:
         raise ValueError("quality list must include the original level")
     if len(qualities) < 2:
         raise ValueError("quality list must include a compressed level")
     return qualities
-
-
-def _check_classes(scorer: Scorer, dataset: Dataset) -> None:
-    if scorer.num_classes != dataset.num_classes:
-        raise ValueError(f"scorer expects {scorer.num_classes} classes, "
-                         f"dataset has {dataset.num_classes}")
 
 
 def prepare_input(image: np.ndarray, quality: QualityLevel,
@@ -97,7 +98,11 @@ def prepare_input(image: np.ndarray, quality: QualityLevel,
 def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) -> list[dict]:
     """The one per-image loop: per image, ``{q: work(item, base, x)}`` over
     ``qualities``, with the original ``base`` prepared first and ``x`` the input
-    prepared at ``q``.  A failure names ``what``, the image and the quality."""
+    prepared at ``q``.  A failure names ``what``, the image and the quality.
+    A scorer of another class count than ``dataset``'s is refused first."""
+    if scorer.num_classes != dataset.num_classes:
+        raise ValueError(f"scorer expects {scorer.num_classes} classes, "
+                         f"dataset has {dataset.num_classes}")
     hw = scorer.input_shape[:2]
     results = []
     for item in dataset.items:
@@ -126,7 +131,6 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     score_fn = METRICS[metric]
-    _check_classes(scorer, dataset)
     preds = _each_image(scorer, dataset, qualities, "scoring",
                         lambda item, base, x: argmax(scorer.logits(x[None])[0]))
     truths = [it.label for it in dataset.items]
@@ -135,8 +139,8 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
     return PrecisionTable(rows={name: scores}, qualities=qualities)
 
 
-def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = 50,
-                    scheme: str = "trapezoid") -> list[dict[QualityLevel, AttributionMap]]:
+def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = DEFAULT_STEPS,
+                    scheme: str = DEFAULT_SCHEME) -> list[dict[QualityLevel, AttributionMap]]:
     """Per image, one attribution map per compressed quality: baseline =
     resized original, target = the compressed-and-resized image.
 
@@ -145,7 +149,6 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = 50
     """
     qualities = check_qualities(qualities)
     check_quadrature(steps, scheme)
-    _check_classes(scorer, dataset)
     return _each_image(
         scorer, dataset, [q for q in qualities if q != ORIGINAL], "attribution",
         lambda item, base, x: integrated_gradients(

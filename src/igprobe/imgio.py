@@ -67,31 +67,31 @@ def _read_ppm_pixels(path: Path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3)
 
 
+def _format(path: Path) -> str:
+    """``path``'s suffix, ``.ppm`` or ``.png``; others, and PNG without Pillow, are refused."""
+    suffix = path.suffix.lower()
+    if suffix not in (".ppm", ".png"):
+        raise ValueError(f"unsupported image format {suffix!r} (use .ppm or .png)")
+    if suffix == ".png" and not HAS_PNG:
+        raise ValueError("PNG support needs Pillow (install the 'png' extra)")
+    return suffix
+
+
 def write_image(path: str | Path, img: np.ndarray) -> None:
     """Write PPM or PNG depending on the file suffix."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".ppm":
+    if _format(path) == ".ppm":
         write_ppm(path, img)
-    elif suffix == ".png":
-        if not HAS_PNG:
-            raise ValueError("PNG support needs Pillow (install the 'png' extra)")
-        _PILImage.fromarray(_to_u8(check_image(img))).save(path, format="PNG")
     else:
-        raise ValueError(f"unsupported image format {suffix!r} (use .ppm or .png)")
+        _PILImage.fromarray(_to_u8(check_image(img))).save(path, format="PNG")
 
 
 def read_pixels(path: str | Path) -> np.ndarray:
     """Read PPM or PNG, by file suffix, as the file's H x W x 3 uint8 pixels."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".ppm":
+    if _format(path) == ".ppm":
         return _read_ppm_pixels(path)
-    if suffix == ".png":
-        if not HAS_PNG:
-            raise ValueError("PNG support needs Pillow (install the 'png' extra)")
-        return np.asarray(_PILImage.open(path).convert("RGB"))
-    raise ValueError(f"unsupported image format {suffix!r} (use .ppm or .png)")
+    return np.asarray(_PILImage.open(path).convert("RGB"))
 
 
 def read_image(path: str | Path) -> np.ndarray:

@@ -314,10 +314,8 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
 
 
 def mean_loss(model: ScorerModel, dataset: "Dataset") -> float:
-    x_all = np.stack([it.image.reshape(-1) for it in dataset.items])
-    y_all = np.array([it.label for it in dataset.items])
-    logits, _ = _encode_batch(model, x_all)
-    return float(cross_entropy(logits, y_all).mean())
+    logits = forward(model, np.stack([it.image for it in dataset.items]))
+    return float(cross_entropy(logits, np.array([it.label for it in dataset.items])).mean())
 
 
 def gradient_check(model: ScorerModel, image: np.ndarray, k: int, h: float = 1e-5) -> dict:

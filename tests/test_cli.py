@@ -338,22 +338,23 @@ def test_report_prints_a_name_its_locale_cannot_encode(tmp_path):
 
 
 def test_sweep_names_a_non_ascii_checkpoint_whatever_the_locale(tmp_path, ckpt):
-    # the row name is the checkpoint's stem, which an ASCII locale decodes
-    # from argv with surrogate escapes
+    # the row name is the checkpoint's stem, and the manifest records its path,
+    # both of which an ASCII locale decodes from argv with surrogate escapes
     named = tmp_path / "café.json"
     shutil.copy(ckpt, named)
+    out = tmp_path / "o"
     written = {}
     for locale, utf8 in (("ascii", "0"), ("utf8", "1")):
-        out = tmp_path / locale
         proc = subprocess.run([sys.executable, "-m", "igprobe", "sweep", *TINY, "--seed", "4",
                                "--checkpoint", named, "--qualities", "original,25",
                                "--out", out], env=_c_locale_env(utf8), capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
-        written[locale] = [(out / f).read_bytes()
-                           for f in ("precision.csv", "table.csv", "table.md", "chart.svg")]
+        written[locale] = [(out / f).read_bytes() for f in (
+            "precision.csv", "table.csv", "table.md", "chart.svg", "sweep.manifest.json")]
     assert written["ascii"] == written["utf8"]
     assert "| café |".encode("utf-8") in written["ascii"][2]
+    assert json.loads(written["ascii"][4])["checkpoint"] == str(named)
 
 
 def test_checkpoint_stem_that_is_not_utf8_is_refused(tmp_path, ckpt):
@@ -366,6 +367,25 @@ def test_checkpoint_stem_that_is_not_utf8_is_refused(tmp_path, ckpt):
     assert proc.stderr.startswith(f"error: checkpoint {tmp_path}/\\udcff.json: file name is not "
                                   "UTF-8 text"), proc.stderr
     assert not out.exists()
+
+
+def test_an_error_naming_a_non_utf8_file_reaches_a_strict_stderr(tmp_path, capsys, ckpt):
+    # capsys's stderr is strict UTF-8; the surrogate in the message is printed escaped
+    named = tmp_path / os.fsdecode(b"\xff.json")
+    shutil.copy(ckpt, named)
+    assert run(["sweep", *TINY, "--checkpoint", named, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {tmp_path}/\\udcff.json: file name is not UTF-8 "
+                          "text"), err
+
+
+def test_manifest_writes_non_utf8_argv_bytes_escaped(tmp_path, ckpt):
+    out = tmp_path / os.fsdecode(b"\xff")
+    assert run(["sweep", *TINY, "--checkpoint", ckpt, "--qualities", "original,25",
+                "--out", out]) == 0
+    manifest = json.loads((out / "sweep.manifest.json").read_bytes().decode("utf-8"))
+    assert manifest["out"] == f"{tmp_path}/\\xff"
+    json.dumps(manifest, ensure_ascii=False).encode("utf-8")  # strict: no lone surrogate
 
 
 # ---------------------------------------------------------------- sweep & report

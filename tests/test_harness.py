@@ -301,6 +301,22 @@ def test_precision_table_levels_are_checked(tmp_path):
         PrecisionTable(rows={"m": {ORIGINAL: 1.0, 250: 0.5}}, qualities=[ORIGINAL, 250])
 
 
+def test_precision_table_refuses_a_level_listed_twice():
+    # one rule for every list of levels: a table would write the level's column twice
+    with pytest.raises(ValueError, match="^quality 25 is listed twice$"):
+        PrecisionTable(rows={"m": {ORIGINAL: 1.0, 25: 0.5}}, qualities=[ORIGINAL, 25, 25])
+    with pytest.raises(ValueError, match="^quality 25 is listed twice$"):
+        PrecisionTable(rows={"m": {ORIGINAL: 1.0, 25: 0.5}}, qualities=[ORIGINAL, 25, "25"])
+
+
+def test_a_scorer_of_another_class_count_is_refused_before_any_image():
+    data = brightness_dataset()
+    data.class_names.append("grey")
+    for run in (sweep_precision, attribute_batch):
+        with pytest.raises(ValueError, match="^scorer expects 2 classes, dataset has 3$"):
+            run(brightness_scorer(), data, [ORIGINAL, 50])
+
+
 # ---------------------------------------------------------------- attribution batches
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igprobe.imgio import (HAS_PNG, read_image, write_image,
+from igprobe import imgio
+from igprobe.imgio import (HAS_PNG, read_image, read_pixels, write_image,
                            write_ppm)
 from igprobe.tensor import SeededRng
 
@@ -85,3 +86,56 @@ def test_png_roundtrip(tmp_path):
     path = tmp_path / "img.png"
     write_image(path, img)
     assert np.array_equal(read_image(path), img)
+
+
+class _StubPIL:
+    """Stands in for Pillow's Image module and records what reaches it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def fromarray(self, pixels):
+        stub = self
+
+        class Saved:
+            def save(self, path, format):
+                stub.calls.append(("save", path.name, format, pixels.tobytes()))
+        return Saved()
+
+    def open(self, path):
+        stub = self
+
+        class Opened:
+            def convert(self, mode):
+                stub.calls.append(("open", path.name, mode))
+                return np.zeros((1, 2, 3), dtype=np.uint8)
+        return Opened()
+
+
+@pytest.mark.parametrize("name", ["img.png", "img.PNG"])
+def test_png_suffix_reaches_pillow_both_ways(tmp_path, monkeypatch, name):
+    stub = _StubPIL()
+    monkeypatch.setattr(imgio, "_PILImage", stub)
+    monkeypatch.setattr(imgio, "HAS_PNG", True)
+    write_image(tmp_path / name, golden_image())
+    assert read_pixels(tmp_path / name).shape == (1, 2, 3)
+    assert stub.calls == [("save", name, "PNG", GOLDEN_2X2[len(b"P6\n2 2\n255\n"):]),
+                          ("open", name, "RGB")]
+    assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("img.png", "PNG support needs Pillow (install the 'png' extra)"),
+    ("img.PNG", "PNG support needs Pillow (install the 'png' extra)"),
+    ("img.gif", "unsupported image format '.gif' (use .ppm or .png)"),
+    ("img", "unsupported image format '' (use .ppm or .png)"),
+])
+def test_format_refusals_keep_their_text_both_ways(tmp_path, monkeypatch, name, message):
+    monkeypatch.setattr(imgio, "_PILImage", None)
+    monkeypatch.setattr(imgio, "HAS_PNG", False)
+    (tmp_path / name).write_bytes(GOLDEN_2X2)
+    for call in (lambda p: write_image(p, golden_image()), read_pixels):
+        with pytest.raises(ValueError) as exc:
+            call(tmp_path / name)
+        assert str(exc.value) == message
+    assert (tmp_path / name).read_bytes() == GOLDEN_2X2

@@ -248,6 +248,16 @@ def test_train_descends_on_separable_data():
     assert mean_loss(trained, data) < before
 
 
+def test_mean_loss_is_the_mean_cross_entropy_of_forward():
+    data = make_separable()
+    model = new_scorer(9, (8, 8, 3), (16,), 8, 2)
+    images = np.stack([it.image for it in data.items])
+    labels = np.array([it.label for it in data.items])
+    assert mean_loss(model, data) == float(cross_entropy(forward(model, images), labels).mean())
+    with pytest.raises(ValueError, match=r"input shape \(20, 8, 8, 3\) != \(batch, \*\(4, 4, 3\)\)"):
+        mean_loss(new_scorer(9, (4, 4, 3), (16,), 8, 2), data)
+
+
 def test_train_lr_zero_is_identity():
     data = make_separable()
     model = new_scorer(9, (8, 8, 3), (16,), 8, 2)
