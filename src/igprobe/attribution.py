@@ -6,19 +6,28 @@ the sign fixed so the attributions sum to ``loss(target) -
 loss(baseline)`` in the infinite-step limit (the completeness
 identity).  Both quadrature schemes evaluate the gradient at the same
 N+1 nodes and differ only in their weights.  Endpoint losses are
-evaluated at the endpoint rows of the same batch, which hold the
+evaluated at the endpoint nodes of the same path, which hold the
 baseline and the target exactly, so the reported completeness gap
 measures quadrature error and nothing else.
+
+A ``ScorerModel`` integrates the path itself, in the coordinates of its
+first layer's pre-activations (``ScorerModel.integrate_path``); any other
+gradient function gets the N+1 path images as the rows of one call.
+Either way ``_fill_path`` builds the path and ``_mirror_sum`` reduces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import GradFn
 from .tensor import require_integer
+
+if TYPE_CHECKING:
+    from .model import GradFn
 
 SCHEMES = ("riemann_right", "trapezoid")
 # The one default quadrature, for the library and the CLI alike.
@@ -68,8 +77,11 @@ def path_nodes(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
     return ts, ws
 
 
-def _fill_path(spec: PathSpec, ts: np.ndarray, out: np.ndarray) -> None:
-    """Write the image at node ``s`` of the discretized path into ``out[s]``.
+def _fill_path(baseline: np.ndarray, target: np.ndarray, ts: np.ndarray,
+               out: np.ndarray) -> None:
+    """Write the point at node ``s`` of the line from ``baseline`` to
+    ``target`` into ``out[s]``; the endpoints are arrays of one shape, images
+    or a scorer's first-layer pre-activations.
 
     Nodes are built mirror-symmetrically: the upper half is anchored at
     the target with the lower half's coefficients, and an even-N midpoint
@@ -80,18 +92,52 @@ def _fill_path(spec: PathSpec, ts: np.ndarray, out: np.ndarray) -> None:
     element is the same two IEEE operations as ``baseline + t * delta``,
     so filling all rows at once changes no bit.
     """
-    delta = spec.target - spec.baseline
+    delta = target - baseline
     last = len(ts) - 1
     s = np.arange(len(ts))
     lower, upper = s[2 * s < last], s[2 * s > last]
     shape = (-1,) + (1,) * delta.ndim
     low, up = out[:len(lower)], out[last - len(upper) + 1:last + 1]
     np.multiply(ts[lower].reshape(shape), delta, out=low)
-    np.add(spec.baseline, low, out=low)
+    np.add(baseline, low, out=low)
     np.multiply(ts[last - upper].reshape(shape), delta, out=up)
-    np.subtract(spec.target, up, out=up)
+    np.subtract(target, up, out=up)
     if len(lower) + len(upper) <= last:
-        out[last // 2] = 0.5 * spec.baseline + 0.5 * spec.target
+        out[last // 2] = 0.5 * baseline + 0.5 * target
+
+
+def _mirror_sum(ws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The weighted sum ``sum_s ws[s] * rows[s]`` over a path's node rows.
+
+    Mirror pairs are reduced innermost-first so a baseline/target swap
+    re-adds the same addends in a commuted order, never a different
+    grouping: attribution antisymmetry stays exact.
+    """
+    last = len(ws) - 1
+    acc = np.zeros(rows.shape[1:])
+    for s in range((last + 2) // 2):
+        m = last - s
+        term = ws[s] * rows[s]
+        if m != s:
+            term = term + ws[m] * rows[m]
+        acc = acc + term
+    return acc
+
+
+def _integrate_rows(gradfn: GradFn, baseline: np.ndarray, target: np.ndarray,
+                    ts: np.ndarray, ws: np.ndarray, label: int):
+    """``integrate_path`` for any gradient function: all N+1 path images go
+    to ``gradfn`` as the rows of one call, row 0 the baseline."""
+    rows = len(ts)
+    batch = np.empty((rows,) + baseline.shape)
+    _fill_path(baseline, target, ts, batch)
+    result = gradfn(batch, np.full(rows, label))
+    if (np.shape(result.losses) != (rows,) or np.shape(result.grads) != batch.shape
+            or np.shape(result.logits)[:1] != (rows,)):
+        raise ValueError(f"expected {rows} result rows shaped like {batch.shape[1:]}, got "
+                         f"losses {np.shape(result.losses)}, grads "
+                         f"{np.shape(result.grads)}, logits {np.shape(result.logits)}")
+    return _mirror_sum(ws, result.grads), result.losses, result.logits
 
 
 @dataclass
@@ -120,43 +166,26 @@ class AttributionMap:
 def integrated_gradients(gradfn: GradFn, spec: PathSpec, label: int) -> AttributionMap:
     """Quadrature approximation of the path integral of the loss gradient.
 
-    All N+1 path nodes go to ``gradfn`` as one batch.  The endpoint
-    losses and logits come from that batch's rows 0 (baseline) and N
-    (target).
+    A gradient function with an ``integrate_path`` member, as
+    ``ScorerModel`` has, evaluates the path itself; any other gets all N+1
+    path nodes as one batch.  Either returns the weighted mean gradient
+    and the losses and logits per node; the endpoint losses and logits are
+    those of nodes 0 (baseline) and N (target).
     """
     ts, ws = path_nodes(spec)
-    rows = len(ts)
-    last = rows - 1
-    batch = np.empty((rows,) + spec.baseline.shape)
-    _fill_path(spec, ts, batch)
+    last = len(ts) - 1
+    integrate = getattr(gradfn, "integrate_path", None) or partial(_integrate_rows, gradfn)
     try:
-        result = gradfn(batch, np.full(rows, label))
-        if (np.shape(result.losses) != (rows,) or np.shape(result.grads) != batch.shape
-                or np.shape(result.logits)[:1] != (rows,)):
-            raise ValueError(f"expected {rows} result rows shaped like {batch.shape[1:]}, got "
-                             f"losses {np.shape(result.losses)}, grads "
-                             f"{np.shape(result.grads)}, logits {np.shape(result.logits)}")
+        mean_grad, losses, logits = integrate(spec.baseline, spec.target, ts, ws, label)
     except Exception as exc:
         raise RuntimeError(f"gradient evaluation failed at path step 0 to {last} "
                            f"(t={ts[0]:g} to {ts[-1]:g}, one batched call): {exc}") from exc
-    grads = result.grads
-
-    # Mirror pairs are reduced innermost-first so a baseline/target swap
-    # re-adds the same addends in a commuted order, never a different
-    # grouping: attribution antisymmetry stays exact.
-    acc = np.zeros_like(spec.baseline)
-    for s in range((last + 2) // 2):
-        m = last - s
-        term = ws[s] * grads[s]
-        if m != s:
-            term = term + ws[m] * grads[m]
-        acc = acc + term
     return AttributionMap(
-        values=(spec.target - spec.baseline) * acc,
-        loss_baseline=float(result.losses[0]),
-        loss_target=float(result.losses[last]),
-        logits_baseline=result.logits[0],
-        logits_target=result.logits[last],
+        values=(spec.target - spec.baseline) * mean_grad,
+        loss_baseline=float(losses[0]),
+        loss_target=float(losses[last]),
+        logits_baseline=logits[0],
+        logits_target=logits[last],
     )
 
 

@@ -144,8 +144,10 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = DE
     """Per image, one attribution map per compressed quality: baseline =
     resized original, target = the compressed-and-resized image.
 
-    Each map costs one batched gradient call over its path nodes, and its
-    endpoint rows hold the logits that ``write_attribution_csv`` reads.
+    Each map is one ``integrated_gradients`` path: a ``ScorerModel``
+    integrates it in first-layer coordinates, any other scorer takes its
+    N+1 path nodes as the rows of one call.  The path's endpoint nodes hold
+    the logits that ``write_attribution_csv`` reads.
     """
     qualities = check_qualities(qualities)
     check_quadrature(steps, scheme)

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
+from .attribution import _fill_path, _mirror_sum
 from .tensor import SeededRng, Tensor, require_finite, require_integer
 
 if TYPE_CHECKING:
@@ -95,6 +96,10 @@ class ScorerModel:
     def __call__(self, images: np.ndarray, labels) -> LossGrads:
         return backward(self, images, labels)
 
+    def integrate_path(self, baseline: np.ndarray, target: np.ndarray, ts: np.ndarray,
+                       ws: np.ndarray, label):
+        return integrate_path(self, baseline, target, ts, ws, label)
+
 
 @dataclass
 class LossGrads:
@@ -111,7 +116,9 @@ GradFn = Callable[[np.ndarray, np.ndarray], LossGrads]
 class Scorer(Protocol):
     """A classifier the harness can sweep and attribute: a ``GradFn`` with
     its input shape, its class count and a batch ``logits`` call.
-    ``ScorerModel`` and a connected ``ProviderClient`` both have this form."""
+    ``ScorerModel`` and a connected ``ProviderClient`` both have this form.
+    ``integrated_gradients`` also uses an ``integrate_path`` member where a
+    scorer has one, as ``ScorerModel`` does."""
     @property
     def input_shape(self) -> tuple[int, int, int]: ...  # (H, W, C)
 
@@ -162,14 +169,33 @@ def check_batch(images, labels, input_shape: tuple, num_classes: int):
     return images, check_labels(labels, images.shape[0], num_classes)
 
 
-def _encode_batch(model: ScorerModel, x: np.ndarray):
-    """Forward pass over a (batch, n_in) matrix, keeping layer caches."""
+def _orientation(x: np.ndarray) -> slice:
+    """The row order in which batch ``x`` goes through BLAS.
+
+    A GEMM row's bits can depend on its position in the batch (OpenBLAS's
+    Haswell and Prescott kernels, and some shapes on others), so a batch and
+    its exact reverse, as a swapped IG path gives, are evaluated in one
+    orientation: first row's bytes no greater than the last's.  Indexing
+    with the slice orients the batch, and indexing results with it again
+    puts them back in the caller's row order.
+    """
+    return slice(None, None, -1 if len(x) > 1 and x[0].tobytes() > x[-1].tobytes() else 1)
+
+
+def _affine(layer: Layer, a: np.ndarray) -> np.ndarray:
+    # A reversed batch (see _orientation) is copied for this product alone,
+    # so BLAS receives it as it receives any other batch.
+    return np.ascontiguousarray(a) @ layer.weights.T + layer.bias
+
+
+def _encode_batch(model: ScorerModel, x: np.ndarray, from_first: bool = False):
+    """Forward pass over a (batch, n_in) matrix, keeping layer caches.  With
+    ``from_first``, ``x`` holds the rows' first-layer pre-activations (the
+    pixels of a model with no layer) and that layer's product is skipped."""
     acts = [x]
     pres = []
-    for layer in model.layers:
-        # A reversed batch (see backward) is copied for this product alone,
-        # so BLAS receives it as it receives any other batch.
-        z = np.ascontiguousarray(acts[-1]) @ layer.weights.T + layer.bias
+    for i, layer in enumerate(model.layers):
+        z = x if from_first and i == 0 else _affine(layer, acts[-1])
         pres.append(z)
         acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
     e = acts[-1]
@@ -203,9 +229,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _backward_batch(model: ScorerModel, x: np.ndarray, labels: np.ndarray,
-                    want_params: bool = False):
-    """Losses, input gradients and (optionally) parameter gradients."""
-    logits, (acts, pres, e, norms, denom, e_hat) = _encode_batch(model, x)
+                    want_params: bool = False, from_first: bool = False):
+    """Losses, gradients w.r.t. ``x`` and (optionally) parameter gradients;
+    ``from_first`` is as in ``_encode_batch``."""
+    logits, (acts, pres, e, norms, denom, e_hat) = _encode_batch(model, x, from_first)
     losses = cross_entropy(logits, labels)
     d_logits = softmax(logits)
     d_logits[np.arange(x.shape[0]), labels] -= 1.0
@@ -219,12 +246,14 @@ def _backward_batch(model: ScorerModel, x: np.ndarray, labels: np.ndarray,
 
     param_grads = [] if want_params else None
     grad = d_e
-    for layer, z, a_prev in zip(reversed(model.layers), reversed(pres), reversed(acts[:-1])):
+    for i in reversed(range(len(model.layers))):
+        layer = model.layers[i]
         if layer.activation == "relu":
-            grad = grad * (z > 0.0)  # subgradient 0 exactly at the kink
+            grad = grad * (pres[i] > 0.0)  # subgradient 0 exactly at the kink
         if want_params:
-            param_grads.append((grad.T @ a_prev, grad.sum(axis=0)))
-        grad = grad @ layer.weights
+            param_grads.append((grad.T @ acts[i], grad.sum(axis=0)))
+        if i or not from_first:
+            grad = grad @ layer.weights
     if want_params:
         param_grads.reverse()
     return losses, grad, logits, param_grads
@@ -235,15 +264,42 @@ def backward(model: ScorerModel, images: np.ndarray, labels) -> LossGrads:
     w.r.t. every pixel, for each row b of a (batch, *input_shape) array."""
     images, labels = check_batch(images, labels, model.input_shape, model.num_classes)
     x = images.reshape(len(images), -1)
-    # A GEMM row's bits can depend on its position in the batch (OpenBLAS's
-    # Haswell and Prescott kernels, and some shapes on others), so a batch and
-    # its exact reverse, as a swapped IG path sends, are evaluated in one
-    # orientation: first row's bytes no greater than the last's. The results
-    # come back as views in the caller's row order.
-    rows = slice(None, None, -1 if len(x) > 1 and x[0].tobytes() > x[-1].tobytes() else 1)
+    rows = _orientation(x)
     losses, grads, logits, _ = _backward_batch(model, x[rows], labels[rows])
     return LossGrads(losses=losses[rows], grads=grads[rows].reshape(images.shape),
                      logits=logits[rows])
+
+
+def integrate_path(model: ScorerModel, baseline: np.ndarray, target: np.ndarray,
+                   ts: np.ndarray, ws: np.ndarray, label):
+    """The straight path from ``baseline`` to ``target`` at nodes ``ts``,
+    evaluated in the coordinates of the first layer's pre-activations:
+    the weighted mean input gradient (weights ``ws``), and the loss and
+    logits at each node.
+
+    The first layer is affine, so its pre-activations along the path are
+    z(t) = z0 + t (zN - z0): one 2-row product gives the endpoints, and the
+    rest of the network runs on an (N+1)-row path of first-layer width
+    whose gradient comes back as dL/dz.  The input gradient's mean is the
+    mean of dL/dz times the first layer's weights, one more product, so no
+    (N+1)-row batch of images is built.  ``_fill_path`` builds the path and
+    ``_mirror_sum`` reduces it, and both batched products see their batch
+    in one orientation, so swapping the endpoints of a trapezoid path
+    negates IG bit for bit.
+    """
+    ends = check_images(np.stack((baseline, target)), model.input_shape).reshape(2, -1)
+    labels = check_labels(np.full(len(ts), label), len(ts), model.num_classes)
+    if model.layers:
+        rows = _orientation(ends)
+        ends = _affine(model.layers[0], ends[rows])[rows]
+    path = np.empty((len(ts), ends.shape[1]))
+    _fill_path(ends[0], ends[1], ts, path)
+    rows = _orientation(path)
+    losses, grads, logits, _ = _backward_batch(model, path[rows], labels, from_first=True)
+    mean = _mirror_sum(ws, grads[rows])
+    if model.layers:
+        mean = mean @ model.layers[0].weights
+    return mean.reshape(model.input_shape), losses[rows], logits[rows]
 
 
 _LEAST = {"epochs": 0, "batch": 1, "hidden": 1, "embed_dim": 1}

@@ -1,6 +1,7 @@
 """Path construction, quadrature exactness/convergence, symmetry, polarity."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from igprobe.attribution import (AttributionMap, PathSpec, SCHEMES, integrated_gradients,
                                  path_nodes, split_polarity)
-from igprobe.model import new_scorer
+from igprobe.model import ScorerModel, backward, new_scorer
 from igprobe.tensor import SeededRng
 from igprobe.verify import linear_loss_gradfn, power_loss_gradfn
 
@@ -129,29 +130,83 @@ def test_gradfn_wrong_row_count_names_step():
         integrated_gradients(short, PathSpec(scalar(0.0), scalar(1.0), 4), 0)
 
 
+
+def _with_target(x, fill):
+    x = x.copy()
+    x[1, 2, 0] = fill
+    return x
+
+
+@pytest.mark.parametrize("target, label, message", [
+    (lambda x: _with_target(x, np.nan), 1, r"input images contains non-finite values"),
+    (lambda x: _with_target(x, np.inf), 1, r"input images contains non-finite values"),
+    (lambda x: x[:4, :4], 1, r"input shape \(\d+, 4, 4, 3\) != \(batch, \*\(8, 8, 3\)\)"),
+    (lambda x: x, 4, r"label 4 out of range for 4 classes"),
+    (lambda x: x, 1.5, r"labels must be integers"),
+])
+def test_scorer_path_refusals_name_the_path_step(target, label, message):
+    # the scorer's own path checks its endpoints and label as a row batch is checked
+    model = new_scorer(5, (8, 8, 3), (16,), 8, 4)
+    x = target(SeededRng(6).uniform([8, 8, 3]))
+    with pytest.raises(RuntimeError, match=r"path step 0 to 4 \(t=0 to 1, one batched call\): "
+                                           + message):
+        integrated_gradients(model, PathSpec(np.zeros_like(x), x, 4), label)
+
+
+def test_scorer_path_builds_no_image_batch_and_callables_keep_theirs():
+    model = new_scorer(7, (32, 32, 3), (64,), 32, 4, 10.0)
+    rng = SeededRng(8)
+    spec = PathSpec(rng.uniform([32, 32, 3]), rng.uniform([32, 32, 3]), 50)
+    integrated_gradients(model, spec, 1)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fast = integrated_gradients(model, spec, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 51 * spec.baseline.nbytes  # one (N+1)-row batch of images
+
+    calls = []
+
+    def counting(images, labels):
+        calls.append(len(images))
+        return model(images, labels)
+
+    rows = integrated_gradients(counting, spec, 1)
+    assert calls == [51]
+    tol = 1e-12 * float(np.abs(rows.values).sum())
+    assert float(np.max(np.abs(fast.values - rows.values))) <= tol
+    assert fast.loss_baseline == pytest.approx(rows.loss_baseline, abs=1e-12)
+    assert fast.loss_target == pytest.approx(rows.loss_target, abs=1e-12)
+
+
 # ---------------------------------------------------------------- pinned bits
 # sha256 of the trapezoid map's bytes and of repr((loss_baseline,
-# loss_target)) on seeded scorers, recorded before the two schemes came to
-# share one node set: the node, reduction and endpoint code must keep every
-# bit of the default scheme.  The digests hold for this float64 BLAS build.
+# loss_target)) on seeded scorers: the node, reduction and endpoint code
+# must keep every bit of the default scheme.  The pins moved once, when a
+# ScorerModel came to integrate its path in first-layer coordinates: the
+# products then run over 2 endpoint rows and N+1 first-layer rows instead of
+# N+1 image rows, which changes rounding well below 1e-12 of the map (see
+# test_scorer_path_matches_per_node_loop).  The digests hold for this float64
+# BLAS build.
 
 TRAPEZOID_PINS = {
-    (8, 1): ("9a7e4308231fd729f5e36e181f8cde45584955bbf89b954b419d6da8dd3aa3fe",
+    (8, 1): ("23c7953fa8c1834d0ac7f9df97bb2f5a7d7724d7ee2614266a58c4ace4e33ef1",
              "e5939c3618b3ac9ac3388b93a25be3d5dec82d1d761b3b6864c8392820ad30f0"),
-    (8, 2): ("73c97ec7afacbc8a7231aa24e50be7b01f53053e1582f07e39dfbe978fabf455",
+    (8, 2): ("255a388c1e9d21dacdd86d80bcf6d12891c6238bdf1aa2b855177bfa4b9d3648",
              "e5939c3618b3ac9ac3388b93a25be3d5dec82d1d761b3b6864c8392820ad30f0"),
-    (8, 7): ("694382993d104e84fd1614b0d2fd5d847c8b83d1491ccaee5d30ecf0c27074ef",
+    (8, 7): ("e07743ae6e131d1c61eee2db598aff6676521ec35a5dff295bc2b41a08dde88a",
              "e5939c3618b3ac9ac3388b93a25be3d5dec82d1d761b3b6864c8392820ad30f0"),
-    (8, 50): ("9ebd8e9c20bb92aea4a43d7d34e53eaa0ed8369ea57a4f0b45287ee9d9a03db0",
-              "0ec1546d62195e7068182e34abb610d3108f53f3b97c39edb6900664b08beeb0"),
-    (32, 1): ("049f0accfc732949d8a67a54c4558ec6925fb945a9d79ce67f8bd938c00046f6",
+    (8, 50): ("cc57eaa7968e9c2138839004b0afbb13574e786a90a8021b8200a66796d73445",
+              "c2382ecc9ad0e2076631640ec708b47b356df53959f843232803b5fb3616dee3"),
+    (32, 1): ("55866d653726f8b59b614038ed497151747d983df5f5b2b1109aa72bc3108405",
               "fb5ca603d72e8ab54595bea8a0adb2b832118f522caa9e919f0abaee7b0416be"),
-    (32, 2): ("d50ede8fb93642f334d25f2dfa8f313f89b1a5cbdb5dc103102ee0735d532d73",
+    (32, 2): ("67c24f10c2249a06164bb331bc51123a2313018e3231290637450bea4f32268a",
               "fb5ca603d72e8ab54595bea8a0adb2b832118f522caa9e919f0abaee7b0416be"),
-    (32, 7): ("5c0c1065fc520b92acf45e9e0c3e7778802ce7ca99977c82857cff81d53e90ea",
-              "d5893f16feaa6d96b343307821e01094c9dd43a7792dc2112c18b6a43e2bf3c3"),
-    (32, 50): ("752f7a35eb19d545649ac07d3e6264c5a35d750674a7d091b0cf5b9651c1b924",
-               "90720c0616508b43a5c6e91f885350fb5f5a67b0b7a0adebac7a8115055a7d65"),
+    (32, 7): ("7eb30e36d4532f1be5233963a36617e1427f0ba3d3550af658ad5553439ed032",
+              "fb5ca603d72e8ab54595bea8a0adb2b832118f522caa9e919f0abaee7b0416be"),
+    (32, 50): ("202517ad314e3420e8ba7190c9c739f08c77806552e4729b00f4934036386dc2",
+               "de569ff0323d4d75e4dff152a122245e9da2a2d72752dbf604e073c080900400"),
 }
 
 
@@ -213,6 +268,50 @@ def test_batched_ig_matches_per_node_loop(side, steps, scheme):
         rev = integrated_gradients(model, PathSpec(x1, x0, steps, scheme), 1)
         assert np.array_equal(rev.values, -got.values)
 
+
+
+@pytest.mark.parametrize("hidden, dead", [((), False), ((64,), False), ((64, 64), False),
+                                          ((64,), True)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scorer_path_matches_per_node_loop(hidden, dead, scheme):
+    # A ScorerModel integrates in first-layer coordinates at any depth; the
+    # reference takes one image row per node through backward.
+    model = new_scorer(74, (8, 8, 3), hidden, 32, 4, 10.0)
+    rng = SeededRng(77)
+    x0, x1 = rng.uniform([8, 8, 3]), rng.uniform([8, 8, 3])
+    if dead:
+        # every first-layer unit dead at a black baseline; the second-layer
+        # bias keeps the embedding off zero there
+        x0 = np.zeros_like(x0)
+        model.layers[0].bias[:] = -0.5
+        model.layers[1].bias[:] = rng.normal([32])
+        assert np.any(model.layers[0].weights @ x1.reshape(-1) - 0.5 > 0.0)
+    spec = PathSpec(x0, x1, 50, scheme)
+    got = integrated_gradients(model, spec, 1)
+    ref = per_node_reference(model, spec, 1)
+    tol = 1e-12 * float(np.abs(ref.values).sum())
+    assert float(np.max(np.abs(got.values - ref.values))) <= tol
+    assert abs(got.sum - ref.sum) <= tol
+    ends = backward(model, np.stack([x0, x1]), [1, 1])
+    assert got.loss_baseline == pytest.approx(float(ends.losses[0]), abs=1e-12)
+    assert got.loss_target == pytest.approx(float(ends.losses[1]), abs=1e-12)
+    assert np.allclose(got.logits_baseline, ends.logits[0], rtol=0.0, atol=1e-12)
+    assert np.allclose(got.logits_target, ends.logits[1], rtol=0.0, atol=1e-12)
+    if scheme == "trapezoid":
+        rev = integrated_gradients(model, PathSpec(x1, x0, 50, scheme), 1)
+        assert np.array_equal(rev.values, -got.values)
+
+
+def test_scorer_without_layers_integrates_in_pixels():
+    # with no layer, the first-layer coordinates are the pixels themselves
+    emb = SeededRng(78).normal([3, 6])
+    model = ScorerModel(layers=[], class_embeddings=emb / np.linalg.norm(emb, axis=1)[:, None],
+                        temperature=5.0, input_shape=(1, 2, 3))
+    rng = SeededRng(79)
+    spec = PathSpec(rng.uniform([1, 2, 3]), rng.uniform([1, 2, 3]), 20)
+    got, ref = integrated_gradients(model, spec, 2), per_node_reference(model, spec, 2)
+    assert float(np.max(np.abs(got.values - ref.values))) <= 1e-12 * float(np.abs(ref.values).sum())
+    assert got.loss_target == pytest.approx(ref.loss_target, abs=1e-12)
 
 # ----------------------------------------------------------------- convergence
 
@@ -283,14 +382,17 @@ def test_swap_negates_micromodel_attribution_exactly():
 def test_swap_negates_scorer_attribution_exactly_at_any_class_count(classes):
     # At these head sizes a GEMM row's bits depend on its place in the batch
     # even under OpenBLAS's SkylakeX kernels, so a swapped path is exact only
-    # because backward evaluates a batch and its reverse in one orientation.
-    model = new_scorer(1, (8, 8, 3), (64,), 32, classes, 10.0)
+    # because the scorer's path products see a path and its reverse in one
+    # orientation, at any depth.
     rng = SeededRng(43)
-    for _ in range(3):
-        x0, x1 = rng.uniform([8, 8, 3]), rng.uniform([8, 8, 3])
-        fwd = integrated_gradients(model, PathSpec(x0, x1, 50), 1)
-        rev = integrated_gradients(model, PathSpec(x1, x0, 50), 1)
-        assert np.array_equal(rev.values, -fwd.values)
+    for hidden in ((64,), (64, 64)):
+        model = new_scorer(1, (8, 8, 3), hidden, 32, classes, 10.0)
+        for _ in range(3):
+            x0, x1 = rng.uniform([8, 8, 3]), rng.uniform([8, 8, 3])
+            fwd = integrated_gradients(model, PathSpec(x0, x1, 50), 1)
+            rev = integrated_gradients(model, PathSpec(x1, x0, 50), 1)
+            assert np.array_equal(rev.values, -fwd.values)
+
 
 
 # ---------------------------------------------------------- completeness report

@@ -604,7 +604,7 @@ def test_attribute_artifacts_are_pinned(tmp_path, ckpt):
                for name in ("attributions.csv", "overlays.json")}
     assert digests == {
         "attributions.csv": "50c2899d3c6b0208f82c5338c615dc67eefdad47400ced5e06725e89eb418bdf",
-        "overlays.json": "1367ecef57184b9919e5c52421a3d53434609950ccb053ad60edf890c028d332",
+        "overlays.json": "b4a673100233d245f8b2386e0d6a4045542c3c646a70fb4602ee2f471112fd2f",
     }
 
 
@@ -636,7 +636,7 @@ def test_checkpoint_manifests_and_overlay_are_pinned(tmp_path, monkeypatch, samp
         "attribute.manifest.json": "1bb3994f82dc73ec7a7ac8008800daa5738cc1ae4f4348fe770e37b124ca183f",
         "overlay.manifest.json": "8679c380fddb16a3880e44b05e8a42a529653b887d5488ae077697bd2970e64c",
         "report.manifest.json": "43069ccf60a91274e6946c7bbc957497d292dbeb4b85f5a1ad0b0f4b58224850",
-        "overlay.json": "d2630a6358c7035757f00d6d72f69a3b974bf6e3e83f85b7a2a025db7bd03b46",
+        "overlay.json": "12180776e1bcd498fe992a4613abf3e57ec1eb636bdb41c5154af4733f09347f",
         "overlay_negative.ppm": "a174f2e2877e71f64f8b3f726147b7dcb3a669414ccf76358bc23b18f4de8ffb",
         "overlay_positive.ppm": "4de88032886f95b854991c74f7d13e83198f54bc3fe83251e5ca826786542cbd",
         "overlay_both.ppm": "fd5377ce59de3d6542b8349ebe65d1c35888ad720b13cb5d527f8ae2f2ec5439",
