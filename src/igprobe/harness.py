@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from .attribution import (DEFAULT_SCHEME, DEFAULT_STEPS, AttributionMap, PathSpe
                           check_quadrature, integrated_gradients)
 from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
 from .data import Dataset, read_csv_rows
-from .model import Scorer, softmax
+from .model import Scorer, ScorerModel, softmax
 from .tensor import argmax
 
 
@@ -95,17 +99,22 @@ def prepare_input(image: np.ndarray, quality: QualityLevel,
     return out
 
 
-def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) -> list[dict]:
-    """The one per-image loop: per image, ``{q: work(item, base, x)}`` over
-    ``qualities``, with the original ``base`` prepared first and ``x`` the input
-    prepared at ``q``.  A failure names ``what``, the image and the quality.
-    A scorer of another class count than ``dataset``'s is refused first."""
-    if scorer.num_classes != dataset.num_classes:
-        raise ValueError(f"scorer expects {scorer.num_classes} classes, "
-                         f"dataset has {dataset.num_classes}")
-    hw = scorer.input_shape[:2]
+def _workers(scorer: Scorer, n_items: int) -> int:
+    """How many processes share an image loop: one per usable CPU, and at most
+    one per image, for a ``ScorerModel`` where ``os.sched_getaffinity`` names
+    the usable CPUs (Linux); 1 for any other scorer.  A ``ProviderClient``
+    owns one child process and its pipes, which a forked copy must not share,
+    and a plain callable may hold state of the calling process."""
+    if not (isinstance(scorer, ScorerModel) and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_items))
+
+
+def _visit(items, qualities, hw, work):
+    """Per item in order, ``{q: work(item, base, x)}`` until one fails: the
+    results and, after a failure, ``(image id, quality, exception)``."""
     results = []
-    for item in dataset.items:
+    for item in items:
         image, q = item.image, ORIGINAL  # converted to float once
         try:
             base = prepare_input(image, ORIGINAL, hw)
@@ -113,9 +122,96 @@ def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) ->
             for q in qualities:
                 by_q[q] = work(item, base, base if q == ORIGINAL else prepare_input(image, q, hw))
         except Exception as exc:
-            raise RuntimeError(f"{what} failed on image {item.id!r} at quality {q}: "
-                               f"{exc}") from exc
+            return results, (item.id, q, exc)
         results.append(by_q)
+    return results, None
+
+
+def _reply_and_exit(run, chunk, out) -> NoReturn:
+    """In a forked child: ``run(chunk)``, pickled through ``out``, then
+    ``os._exit``, so the child never returns into the caller, runs no atexit
+    handler and flushes none of the parent's buffers.  It exits 0 only once
+    the whole reply is written.  An exception that does not survive pickling
+    is sent as its message text."""
+    code = 1
+    try:
+        results, failure = run(chunk)
+        if failure:
+            try:
+                pickle.loads(pickle.dumps(failure[2]))
+            except Exception:
+                failure = (*failure[:2], str(failure[2]))
+        out.write(pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL))
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _join(run, chunks):
+    """``run`` over each chunk of images: the first in this process, every
+    other in a child forked for it.  Returns the results joined in chunk
+    order up to the first failure, and that failure or None.  On any way
+    out, every child not yet joined is killed and reaped."""
+    pids, pipes = [], []  # children not yet reaped, read ends not yet closed
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _reply_and_exit(run, chunk, out)
+                pids.append(pid)
+        results, failure = run(chunks[0])
+        for pid, pipe, chunk in zip(list(pids), pipes, chunks[1:]):
+            if failure:
+                break
+            with pipe:
+                reply = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if status or not reply:
+                raise RuntimeError(f"the process for images {chunk[0].id!r} to {chunk[-1].id!r} "
+                                   f"ended without a reply (exit status "
+                                   f"{os.waitstatus_to_exitcode(status)})")
+            more, failure = pickle.loads(reply)
+            results += more
+        return results, failure
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) -> list[dict]:
+    """The one per-image loop: per image, ``{q: work(item, base, x)}`` over
+    ``qualities``, with the original ``base`` prepared first and ``x`` the
+    input prepared at ``q``.  A scorer of another class count than
+    ``dataset``'s is refused first.
+
+    The images are split into one contiguous chunk per worker (``_workers``):
+    this process does the first chunk, and a child forked after the scorer
+    and dataset are loaded does each other.  The results are joined in image
+    order, so they do not depend on the split.  The first failure in image
+    order is raised as a ``RuntimeError`` naming ``what``, the image and the
+    quality; a child that ends without a reply is named by its first and
+    last image."""
+    if scorer.num_classes != dataset.num_classes:
+        raise ValueError(f"scorer expects {scorer.num_classes} classes, "
+                         f"dataset has {dataset.num_classes}")
+    hw = scorer.input_shape[:2]
+    items = dataset.items
+    n = _workers(scorer, len(items))
+    bounds = [len(items) * i // n for i in range(n + 1)]
+    results, failure = _join(lambda chunk: _visit(chunk, qualities, hw, work),
+                             [items[a:b] for a, b in zip(bounds, bounds[1:])])
+    if failure:
+        image_id, q, exc = failure
+        cause = exc if isinstance(exc, BaseException) else None  # None for a child's text
+        raise RuntimeError(f"{what} failed on image {image_id!r} at quality {q}: {exc}") from cause
     return results
 
 
@@ -125,7 +221,10 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
 
     The table has one row, called ``name``.  Each prepared image is scored
     on its own call to ``logits``: a batch of rows may round differently
-    from one row.
+    from one row.  A ``ScorerModel`` scores its images in forked processes,
+    one per usable CPU, and the predictions are joined in image order (see
+    ``_each_image``), so the table does not depend on the split.  Any other
+    scorer runs in this process.
     """
     qualities = check_qualities(qualities)
     if metric not in METRICS:

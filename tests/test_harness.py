@@ -1,6 +1,12 @@
 """Quality-sweep metrics, attribution maps, and their CSV round-trips."""
 
+import gc
+import os
 import re
+import signal
+import time
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +205,8 @@ def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatc
 
     for name in calls:
         monkeypatch.setattr(harness, name, counting(name))
+    # one process, so that the counter sees every image: a forked child counts its own
+    monkeypatch.setattr(harness, "_workers", lambda scorer, n_items: 1)
     table = sweep_precision(model, data, qualities)
     n = len(data.items) * len(qualities)
     assert calls == {"degrade_jpeg": n, "resize_bicubic": n}
@@ -419,6 +427,158 @@ def test_attribute_batch_golden_record():
         assert [by_q[q].sum for q in (50, 25)] == pytest.approx(gigs, abs=1e-9)
         for q in (50, 25):
             assert by_q[q].completeness_gap < 1e-6
+
+
+# ---------------------------------------------------------------- images over processes
+
+
+def five_images():
+    """Five 12x12 images and an 8x8 scorer, so every prepared input is
+    resized too; 5 images split unevenly over 2 or 3 workers."""
+    data = gen_synthetic(31, classes=5, per_class=1, side=12)
+    return data, new_scorer(32, (8, 8, 3), (16,), 8, 5, class_names=data.class_names)
+
+
+def pin_workers(monkeypatch, n):
+    monkeypatch.setattr(harness, "_workers", lambda scorer, n_items: n)
+
+
+@contextmanager
+def leaves_nothing_behind():
+    """The block leaves no child process unreaped and no pipe unclosed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_follow_the_scorer_and_the_usable_cpus(monkeypatch):
+    data, model = five_images()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert harness._workers(model, 5) == 3
+    assert harness._workers(model, 2) == 2  # at most one per image
+    assert harness._workers(model, 0) == 1
+    assert harness._workers(FakeScorer(model, model.input_shape, model.num_classes), 5) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_loop_gives_the_serial_results_bit_for_bit(monkeypatch, workers):
+    data, model = five_images()
+    qualities = [ORIGINAL, 75, 25]
+    pin_workers(monkeypatch, 1)
+    table = sweep_precision(model, data, qualities)
+    maps = attribute_batch(model, data, qualities, steps=8)
+    pin_workers(monkeypatch, workers)
+    with leaves_nothing_behind():
+        probe = harness._each_image(model, data, [ORIGINAL], "probing",
+                                    lambda item, base, x: (os.getpid(), item.id))
+        assert sweep_precision(model, data, qualities) == table
+        forked = attribute_batch(model, data, qualities, steps=8)
+
+    # one contiguous chunk per worker, this process's first, joined in image order
+    pids, ids = zip(*(by_q[ORIGINAL] for by_q in probe))
+    assert list(ids) == [it.id for it in data.items]
+    assert pids[0] == os.getpid() and len(set(pids)) == workers
+    assert sum(a != b for a, b in zip(pids, pids[1:])) == workers - 1
+    for got, want in zip(forked, maps, strict=True):
+        assert list(got) == list(want)
+        for q in want:
+            for field in ("values", "sum", "completeness_gap", "logits_baseline",
+                          "logits_target"):
+                assert np.array_equal(getattr(got[q], field), getattr(want[q], field)), field
+
+
+class Refused(Exception):
+    """An exception pickle cannot rebuild: ``__init__`` takes two
+    arguments, and ``args`` holds one message."""
+
+    def __init__(self, image_id, q):
+        super().__init__(f"{image_id} refused at quality {q}")
+
+
+ERRORS = {"picklable": lambda image_id: ValueError(f"no pixels for {image_id}"),
+          "unpicklable": lambda image_id: Refused(image_id, 75)}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("error", sorted(ERRORS))
+@pytest.mark.parametrize("bad", [(3,), (0, 3), (2, 4), (1, 2, 4)])
+def test_a_failure_reads_as_in_one_process(monkeypatch, workers, error, bad):
+    # chunks: [0, 1] [2, 3, 4] over 2 workers, [0] [1, 2] [3, 4] over 3
+    data, model = five_images()
+    ids = {data.items[i].id for i in bad}
+
+    def work(item, base, x):
+        if item.id in ids and x is not base:
+            raise ERRORS[error](item.id)
+        return 0
+
+    def message():
+        with pytest.raises(RuntimeError) as exc:
+            harness._each_image(model, data, [ORIGINAL, 75], "probing", work)
+        return str(exc.value)
+
+    pin_workers(monkeypatch, 1)
+    serial = message()
+    assert serial.startswith(f"probing failed on image {data.items[bad[0]].id!r} at quality 75: ")
+    pin_workers(monkeypatch, workers)
+    with leaves_nothing_behind():
+        assert message() == serial
+
+
+@pytest.mark.parametrize("ending, status", [(lambda: os._exit(0), 0), (lambda: os._exit(3), 3),
+                                            (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)])
+def test_a_child_that_ends_without_a_reply_is_named(monkeypatch, ending, status):
+    data, model = five_images()
+    parent = os.getpid()
+
+    def work(item, base, x):
+        if os.getpid() != parent:
+            ending()
+        return 0
+
+    pin_workers(monkeypatch, 2)
+    want = (f"the process for images {data.items[2].id!r} to {data.items[4].id!r} "
+            f"ended without a reply (exit status {status})")
+    with leaves_nothing_behind():
+        with pytest.raises(RuntimeError, match=f"^{re.escape(want)}$"):
+            harness._each_image(model, data, [ORIGINAL, 75], "probing", work)
+
+
+@pytest.mark.parametrize("error, raised", [(ValueError, RuntimeError),
+                                           (KeyboardInterrupt, KeyboardInterrupt)])
+def test_the_parent_kills_its_children_when_it_stops_early(monkeypatch, error, raised):
+    data, model = five_images()
+    parent = os.getpid()
+
+    def work(item, base, x):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise error("stop")
+
+    pin_workers(monkeypatch, 3)
+    start = time.monotonic()
+    with leaves_nothing_behind():
+        with pytest.raises(raised, match="stop"):
+            harness._each_image(model, data, [ORIGINAL, 75], "probing", work)
+    assert time.monotonic() - start < 30
+
+
+def test_a_scorer_other_than_a_scorer_model_runs_in_this_process(monkeypatch):
+    data, model = five_images()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    calls = []
+
+    def counting(images, labels):
+        calls.append(os.getpid())
+        return model(images, labels)
+
+    sweep_precision(FakeScorer(counting, model.input_shape, model.num_classes), data,
+                    [ORIGINAL, 75, 25])
+    assert calls == [os.getpid()] * (len(data.items) * 3)
 
 
 # ---------------------------------------------------------------- csv io

@@ -1,6 +1,7 @@
 """Gradient-provider wire protocol: handshake, payloads, failure paths."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -176,7 +177,10 @@ def test_client_starts_no_thread(monkeypatch):
     assert after_failure == threading.active_count() == before
 
 
-def test_sweep_sends_one_message_per_image_per_quality(wire):
+def test_sweep_sends_one_message_per_image_per_quality(wire, monkeypatch):
+    # however many CPUs are usable, a provider's sweep runs in this process,
+    # whose wire log sees every message
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     data = gen_synthetic(5, classes=CLASSES, per_class=2, side=8)  # resized to SIDE
     with spawn() as client:
         sweep_precision(client, data, [ORIGINAL, 50])
