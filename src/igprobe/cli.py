@@ -262,9 +262,14 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
     write_attribution_csv(dataset, cfg.qualities, maps, out_dir / "attributions.csv")
     overlay_meta = []
     for item, stem, by_q in zip(dataset.items, stems, maps):
-        base = prepare_input(item.image, ORIGINAL, hw)
-        overlay_meta.append({"id": item.id, "quality": overlay_q, **_write_overlays(
-            out_dir, f"{stem}_q{overlay_q}", base, by_q[overlay_q].values)})
+        try:  # item.image reads a loaded image's file again
+            base = prepare_input(item.image, ORIGINAL, hw)
+            written = _write_overlays(out_dir, f"{stem}_q{overlay_q}", base,
+                                      by_q[overlay_q].values)
+        except (ValueError, OSError) as exc:
+            raise RuntimeError(f"overlay failed on image {item.id!r} "
+                               f"at quality {overlay_q}: {exc}") from exc
+        overlay_meta.append({"id": item.id, "quality": overlay_q, **written})
     _write_json(out_dir / "overlays.json", overlay_meta)
     print(f"attributed {len(maps)} images at steps={cfg.steps} ({cfg.scheme}); "
           f"wrote attributions.csv and {3 * len(overlay_meta)} overlays to {out_dir}")

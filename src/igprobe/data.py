@@ -3,32 +3,73 @@
 from __future__ import annotations
 
 import csv
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .imgio import read_pixels
+from .imgio import decode_pixels
 from .tensor import SeededRng, require_integer
 
 
-@dataclass
-class DatasetItem:
-    """One labelled image.  ``pixels`` holds it as stored: H x W x 3 uint8
-    as read from a file (an eighth of the float64 size), or float64 in
-    [0, 1] where the values are not 8-bit, as for synthetic data."""
+@dataclass(frozen=True)
+class ImageFile:
+    """An image file as ``load_dataset`` checked it: its path, the shape of
+    its pixels and a CRC-32 of its bytes, but not the pixels themselves."""
 
-    pixels: np.ndarray
-    label: int
-    id: str
+    path: Path
+    shape: tuple[int, int, int]
+    crc: int
+
+    @classmethod
+    def check(cls, path: Path) -> ImageFile:
+        """Read and decode image file ``path``, keeping what ``read`` must find again."""
+        data = path.read_bytes()
+        return cls(path, decode_pixels(path, data).shape, zlib.crc32(data))
+
+    def read(self) -> np.ndarray:
+        """The file's H x W x 3 uint8 pixels, read again.  A file whose bytes
+        or shape are no longer the ones checked is refused."""
+        data = self.path.read_bytes()
+        crc = zlib.crc32(data)
+        if crc != self.crc:
+            raise ValueError(f"{self.path} changed after the dataset was loaded "
+                             f"(CRC-32 {crc:08x}, loaded as {self.crc:08x})")
+        pixels = decode_pixels(self.path, data)
+        if pixels.shape != self.shape:
+            raise ValueError(f"{self.path}: shape {pixels.shape}, loaded as {self.shape}")
+        return pixels
+
+
+class DatasetItem:
+    """One labelled image.  ``pixels`` is the image as stored: H x W x 3
+    uint8 (an eighth of the float64 size), or float64 in [0, 1] where the
+    values are not 8-bit, as for synthetic data.  An item made from an
+    ``ImageFile``, as ``load_dataset`` makes them, holds only that record:
+    each access of ``pixels`` reads the file's uint8 pixels again."""
+
+    def __init__(self, pixels: np.ndarray | ImageFile, label: int, id: str):
+        self._stored, self.label, self.id = pixels, label, id
+
+    @property
+    def pixels(self) -> np.ndarray:
+        stored = self._stored
+        return stored.read() if isinstance(stored, ImageFile) else stored
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The image's shape, known without reading its file."""
+        return self._stored.shape
 
     @property
     def image(self) -> np.ndarray:
         """The image as H x W x 3 float64 in [0, 1]: a fresh copy of 8-bit
         pixels on each access, the ``pixels`` object itself otherwise."""
-        if self.pixels.dtype == np.uint8:
-            return self.pixels.astype(np.float64) / 255.0
-        return self.pixels
+        pixels = self.pixels
+        if pixels.dtype == np.uint8:
+            return pixels.astype(np.float64) / 255.0
+        return pixels
 
 
 @dataclass
@@ -42,7 +83,7 @@ class Dataset:
 
     @property
     def image_shape(self) -> tuple[int, int, int]:
-        return self.items[0].pixels.shape
+        return self.items[0].shape
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -61,7 +102,10 @@ def load_dataset(directory: str | Path) -> Dataset:
     """Load ``labels.csv`` (filename,class_name) plus the image files it names.
 
     Class indices follow first appearance order in the CSV; item order
-    is CSV order.
+    is CSV order.  Every listed file is read and checked here, and any bad
+    row is refused, before anything else runs.  An item then keeps only its
+    file's path, shape and CRC-32 (``ImageFile``), not its pixels: the loop
+    that uses an image reads the file again (``DatasetItem.pixels``).
     """
     directory = Path(directory)
     csv_path = directory / "labels.csv"
@@ -94,19 +138,19 @@ def load_dataset(directory: str | Path) -> Dataset:
             problems.append(f"row {line_no}: missing image file {filename!r}")
             continue
         try:
-            pixels = read_pixels(path)
-        except ValueError as exc:
+            file = ImageFile.check(path)
+        except (ValueError, OSError) as exc:
             problems.append(f"row {line_no}: {exc}")
             continue
-        items.append(DatasetItem(pixels=pixels, label=class_names.index(class_name), id=filename))
+        items.append(DatasetItem(file, class_names.index(class_name), filename))
 
-    shapes = {it.pixels.shape for it in items}
+    shapes = {it.shape for it in items}
     if len(shapes) > 1:
-        counts = sorted(shapes, key=lambda s: sum(1 for it in items if it.pixels.shape == s))
+        counts = sorted(shapes, key=lambda s: sum(1 for it in items if it.shape == s))
         majority = counts[-1]
         for it in items:
-            if it.pixels.shape != majority:
-                problems.append(f"{it.id}: shape {it.pixels.shape} != {majority}")
+            if it.shape != majority:
+                problems.append(f"{it.id}: shape {it.shape} != {majority}")
     if problems:
         raise ValueError("dataset errors:\n  " + "\n  ".join(problems))
     if not items:

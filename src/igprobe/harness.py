@@ -111,12 +111,14 @@ def _workers(scorer: Scorer, n_items: int) -> int:
 
 
 def _visit(items, qualities, hw, work):
-    """Per item in order, ``{q: work(item, base, x)}`` until one fails: the
-    results and, after a failure, ``(image id, quality, exception)``."""
+    """Per item in order, its image read once and then ``{q: work(item, base,
+    x)}``, until one fails: the results and, after a failure, ``(image id,
+    quality, exception)``; a failed read fails at the original quality."""
     results = []
     for item in items:
-        image, q = item.image, ORIGINAL  # converted to float once
+        q = ORIGINAL
         try:
+            image = item.image  # read and converted to float once
             base = prepare_input(image, ORIGINAL, hw)
             by_q = {}
             for q in qualities:
@@ -194,11 +196,13 @@ def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) ->
 
     The images are split into one contiguous chunk per worker (``_workers``):
     this process does the first chunk, and a child forked after the scorer
-    and dataset are loaded does each other.  The results are joined in image
-    order, so they do not depend on the split.  The first failure in image
-    order is raised as a ``RuntimeError`` naming ``what``, the image and the
-    quality; a child that ends without a reply is named by its first and
-    last image."""
+    and dataset are loaded does each other.  Each image is read when the
+    loop reaches it (``DatasetItem.image``), so a worker reads only its own
+    chunk's files, and no process holds every image's pixels.  The results
+    are joined in image order, so they do not depend on the split.  The
+    first failure in image order, a failed read included, is raised as a
+    ``RuntimeError`` naming ``what``, the image and the quality; a child that
+    ends without a reply is named by its first and last image."""
     if scorer.num_classes != dataset.num_classes:
         raise ValueError(f"scorer expects {scorer.num_classes} classes, "
                          f"dataset has {dataset.num_classes}")

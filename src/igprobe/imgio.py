@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,7 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1
 
 
-def _read_ppm_pixels(path: Path) -> np.ndarray:
-    data = path.read_bytes()
+def _decode_ppm(path: Path, data: bytes) -> np.ndarray:
     tokens, offset = _read_header_tokens(data, 4)
     if tokens[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (magic {tokens[0]!r})")
@@ -86,12 +86,18 @@ def write_image(path: str | Path, img: np.ndarray) -> None:
         _PILImage.fromarray(_to_u8(check_image(img))).save(path, format="PNG")
 
 
-def read_pixels(path: str | Path) -> np.ndarray:
-    """Read PPM or PNG, by file suffix, as the file's H x W x 3 uint8 pixels."""
+def decode_pixels(path: str | Path, data: bytes) -> np.ndarray:
+    """The H x W x 3 uint8 pixels of ``data``, the bytes of image file
+    ``path``: PPM or PNG, by the file suffix."""
     path = Path(path)
     if _format(path) == ".ppm":
-        return _read_ppm_pixels(path)
-    return np.asarray(_PILImage.open(path).convert("RGB"))
+        return _decode_ppm(path, data)
+    return np.asarray(_PILImage.open(io.BytesIO(data)).convert("RGB"))
+
+
+def read_pixels(path: str | Path) -> np.ndarray:
+    """Read PPM or PNG, by file suffix, as the file's H x W x 3 uint8 pixels."""
+    return decode_pixels(path, Path(path).read_bytes())
 
 
 def read_image(path: str | Path) -> np.ndarray:

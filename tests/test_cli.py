@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, config precedence, artifacts."""
 
+import collections
 import csv
 import hashlib
 import json
@@ -16,14 +17,15 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from igprobe import verify
+from igprobe import cli, harness, verify
 from igprobe.cli import build_parser, main
 from igprobe.codec import degrade_jpeg
 from igprobe.data import gen_synthetic
 from igprobe.harness import attribute_batch, sweep_precision
 from igprobe.imgio import read_image, write_image
-from igprobe.model import load_model
+from igprobe.model import load_model, new_scorer, save_model
 from igprobe.provider import provider_connect
+from igprobe.tensor import SeededRng
 
 TINY = ["--synthetic", "--classes", "2", "--per-class", "1", "--side", "8"]
 # train's scorer flags for TINY's data
@@ -689,6 +691,99 @@ def test_checkpoint_refuses_a_dataset_in_another_class_order(tmp_path, capsys, c
     assert not out.exists()
     # a provider's class names are its own labels, so they are not compared
     assert run([*argv, *MOCK, "--out", out]) == 0
+
+
+def write_data(directory, source):
+    """``source``'s images as PPM files under ``directory``, with labels.csv."""
+    directory.mkdir()
+    for it in source.items:
+        write_image(directory / f"{it.id}.ppm", it.image)
+    (directory / "labels.csv").write_text("filename,class_name\n" + "".join(
+        f"{it.id}.ppm,{source.class_names[it.label]}\n" for it in source.items))
+    return directory
+
+
+def test_sweep_reads_each_image_file_twice(tmp_path, monkeypatch, ckpt):
+    # once when the dataset is checked, once when the loop scores the image
+    source = gen_synthetic(5, classes=2, per_class=3, side=8)
+    data = write_data(tmp_path / "data", source)
+    reads = collections.Counter()
+    read_bytes = Path.read_bytes
+
+    def counting(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    # one process, so that the counter sees every read: a forked child counts its own
+    monkeypatch.setattr(harness, "_workers", lambda scorer, n_items: 1)
+    assert run(["sweep", "--data", data, "--checkpoint", ckpt, "--qualities", "original,75,25",
+                "--out", tmp_path / "o"]) == 0
+    assert {name: n for name, n in reads.items() if name.endswith(".ppm")} == {
+        f"{it.id}.ppm": 2 for it in source.items}
+
+
+@pytest.mark.parametrize("fault", ["changed file", "write error"])
+def test_an_overlay_failure_names_the_image_and_the_quality(tmp_path, monkeypatch, capsys, ckpt,
+                                                            fault):
+    source = gen_synthetic(5, classes=2, per_class=2, side=8)
+    data = write_data(tmp_path / "data", source)
+    bad = f"{source.items[2].id}.ppm"
+    if fault == "changed file":  # after the attribution loop, before the overlays
+        attribute = cli.attribute_batch
+
+        def then_change(*args, **kwargs):
+            maps = attribute(*args, **kwargs)
+            write_image(data / bad, np.zeros((8, 8, 3)))
+            return maps
+
+        monkeypatch.setattr(cli, "attribute_batch", then_change)
+        cause = f"{data / bad} changed after the dataset was loaded"
+    else:
+        write = cli.write_image
+
+        def failing(path, img):
+            if Path(path).name.startswith(bad):
+                raise OSError(28, "No space left on device")
+            write(path, img)
+
+        monkeypatch.setattr(cli, "write_image", failing)
+        cause = "[Errno 28] No space left on device"
+    assert run(["attribute", "--data", data, "--checkpoint", ckpt, "--qualities", "original,50",
+                "--steps", "2", "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: overlay failed on image {bad!r} at quality 50: {cause}"), err
+
+
+# Starts argv[1:] and prints its exit status and peak RSS (KB) as os.wait4 reports them.
+PEAK_RSS = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_sweep_memory_is_flat_in_the_corpus_size(tmp_path):
+    # On Linux a process's peak RSS counts that of the process it was spawned
+    # from, so a small launcher, not this test process, starts each sweep.
+    ckpt = tmp_path / "checkpoint.json"
+    save_model(new_scorer(1, (16, 16, 3), (16,), 8, 2), ckpt)
+    peaks = {}
+    for count in (40, 400):
+        data = tmp_path / f"d{count}"
+        data.mkdir()
+        for i in range(count):
+            write_image(data / f"{i:03d}.ppm", SeededRng(i).uniform([96, 96, 3]))
+        (data / "labels.csv").write_text("filename,class_name\n" + "".join(
+            f"{i:03d}.ppm,c{i % 2}\n" for i in range(count)))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "igprobe", "sweep",
+             "--data", data, "--checkpoint", ckpt, "--qualities", "original,25",
+             "--out", tmp_path / f"o{count}"], env=_child_env(), capture_output=True, text=True)
+        code, peaks[count] = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+    # 360 more 96x96 images would hold 9.95 MB more as 8-bit pixels
+    assert abs(peaks[400] - peaks[40]) < 2 * 1024, peaks
 
 
 def test_sweep_and_attribute_sharing_a_directory_keep_their_manifests(tmp_path, ckpt):

@@ -75,6 +75,19 @@ def test_load_aggregates_multiple_problems(tmp_path):
     assert "duplicate id" in msg and "missing.ppm" in msg and "columns" in msg
 
 
+def test_an_image_file_that_cannot_be_read_is_refused_with_its_row(tmp_path):
+    put_image(tmp_path, "a.ppm")
+    (tmp_path / "b.ppm").mkdir()
+    (tmp_path / "labels.csv").write_text(
+        "filename,class_name\na.ppm,cat\nb.ppm,dog\nc.ppm,dog\n")
+    with pytest.raises(ValueError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value).splitlines() == [
+        "dataset errors:",
+        f"  row 3: [Errno 21] Is a directory: '{tmp_path / 'b.ppm'}'",
+        "  row 4: missing image file 'c.ppm'"]
+
+
 # ------------------------------------------------------------------- synthetic
 
 def test_loaded_dataset_stays_8_bit(tmp_path):
@@ -89,8 +102,9 @@ def test_loaded_dataset_stays_8_bit(tmp_path):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the pixels are 1.38 MB as uint8 and would be 11.06 MB as float64
-    assert held < 2.5e6
+    # the pixels are 1.38 MB as uint8 and would be 11.06 MB as float64; a
+    # loaded item holds only its file's path, shape and CRC-32, under 1 KB
+    assert held < 1e5
     assert ds.image_shape == (96, 96, 3)
     for it in ds.items:
         assert it.pixels.dtype == np.uint8

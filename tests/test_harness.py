@@ -567,6 +567,50 @@ def test_the_parent_kills_its_children_when_it_stops_early(monkeypatch, error, r
     assert time.monotonic() - start < 30
 
 
+def five_files(directory):
+    """``five_images`` written as PPM files and loaded back, so that the loop
+    reads each image from its file."""
+    data, model = five_images()
+    for it in data.items:
+        write_ppm(directory / f"{it.id}.ppm", it.image)
+    (directory / "labels.csv").write_text("filename,class_name\n" + "".join(
+        f"{it.id}.ppm,{data.class_names[it.label]}\n" for it in data.items))
+    return load_dataset(directory), model
+
+
+def _same_length(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+
+
+# a change after loading: (how, what the read reports)
+FILE_CHANGES = {
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-7]), "changed after"),
+    "same length": (_same_length, "changed after"),
+    "shape": (lambda path: write_ppm(path, np.zeros((12, 16, 3))), "changed after"),
+    "deleted": (lambda path: path.unlink(), "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("change", sorted(FILE_CHANGES))
+@pytest.mark.parametrize("changed", [(1,), (3,), (1, 3), (3, 4)],
+                         ids=["chunk0", "child", "chunk0+child", "child+child"])
+def test_a_file_changed_after_loading_fails_where_it_is_read(tmp_path, monkeypatch, change,
+                                                             changed):
+    # chunks over 2 workers: [0, 1] in this process, [2, 3, 4] in a child
+    data, model = five_files(tmp_path)
+    how, cause = FILE_CHANGES[change]
+    for i in changed:
+        how(tmp_path / data.items[i].id)
+    pin_workers(monkeypatch, 2)
+    with leaves_nothing_behind():
+        with pytest.raises(RuntimeError) as exc:
+            sweep_precision(model, data, [ORIGINAL, 75])
+    first = data.items[changed[0]].id
+    assert str(exc.value).startswith(f"scoring failed on image {first!r} at quality original: ")
+    assert f"{tmp_path / first}" in str(exc.value) and cause in str(exc.value)
+
+
 def test_a_scorer_other_than_a_scorer_model_runs_in_this_process(monkeypatch):
     data, model = five_images()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

@@ -102,12 +102,12 @@ class _StubPIL:
                 stub.calls.append(("save", path.name, format, pixels.tobytes()))
         return Saved()
 
-    def open(self, path):
+    def open(self, fh):
         stub = self
 
         class Opened:
             def convert(self, mode):
-                stub.calls.append(("open", path.name, mode))
+                stub.calls.append(("open", fh.read(), mode))
                 return np.zeros((1, 2, 3), dtype=np.uint8)
         return Opened()
 
@@ -118,10 +118,11 @@ def test_png_suffix_reaches_pillow_both_ways(tmp_path, monkeypatch, name):
     monkeypatch.setattr(imgio, "_PILImage", stub)
     monkeypatch.setattr(imgio, "HAS_PNG", True)
     write_image(tmp_path / name, golden_image())
+    assert not (tmp_path / name).exists()
+    (tmp_path / name).write_bytes(b"PNG file bytes")  # Pillow decodes the bytes read
     assert read_pixels(tmp_path / name).shape == (1, 2, 3)
     assert stub.calls == [("save", name, "PNG", GOLDEN_2X2[len(b"P6\n2 2\n255\n"):]),
-                          ("open", name, "RGB")]
-    assert not (tmp_path / name).exists()
+                          ("open", b"PNG file bytes", "RGB")]
 
 
 @pytest.mark.parametrize("name, message", [
