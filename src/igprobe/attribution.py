@@ -143,6 +143,7 @@ def _integrate_rows(gradfn: GradFn, baseline: np.ndarray, target: np.ndarray,
 @dataclass
 class AttributionMap:
     values: np.ndarray  # per-pixel signed attribution, input-shaped
+    baseline: np.ndarray  # the path's start, over which ``values`` are drawn
     loss_baseline: float
     loss_target: float
     logits_baseline: np.ndarray  # (num_classes,)
@@ -182,6 +183,7 @@ def integrated_gradients(gradfn: GradFn, spec: PathSpec, label: int) -> Attribut
                            f"(t={ts[0]:g} to {ts[-1]:g}, one batched call): {exc}") from exc
     return AttributionMap(
         values=(spec.target - spec.baseline) * mean_grad,
+        baseline=spec.baseline,
         loss_baseline=float(losses[0]),
         loss_target=float(losses[last]),
         logits_baseline=logits[0],

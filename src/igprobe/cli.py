@@ -24,9 +24,8 @@ from . import __version__
 from .attribution import DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES, check_quadrature, split_polarity
 from .codec import ORIGINAL, check_quality, degrade_jpeg
 from .data import Dataset, DatasetItem, check_synthetic_setting, gen_synthetic, load_dataset
-from .harness import (METRICS, attribute_batch, check_qualities, prepare_input,
-                      read_precision_csv, sweep_precision, write_attribution_csv,
-                      write_precision_csv)
+from .harness import (METRICS, attribute_batch, check_qualities, read_precision_csv,
+                      sweep_precision, write_attribution_csv, write_precision_csv)
 from .imgio import read_image, write_image
 from .model import (TrainConfig, check_labels, check_train_setting, load_model, mean_loss,
                     new_scorer, read_json_object, save_model, train)
@@ -229,14 +228,14 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _write_overlays(out_dir: Path, stem: str, base, values) -> dict:
-    """Write one ``<stem>_<mode>.ppm`` per polarity mode of the attribution
-    ``values`` over ``base``; returns their ``ig_scale`` and mode -> file name."""
-    pol = split_polarity(values)
+def _write_overlays(out_dir: Path, stem: str, att) -> dict:
+    """Write one ``<stem>_<mode>.ppm`` per polarity mode of the map ``att``
+    over its baseline; returns their ``ig_scale`` and mode -> file name."""
+    pol = split_polarity(att.values)
     files = {}
     for mode in POLARITY_MODES:
         fname = f"{stem}_{mode}.ppm"
-        write_image(out_dir / fname, render_overlay(base, pol, mode))
+        write_image(out_dir / fname, render_overlay(att.baseline, pol, mode))
         files[mode] = fname
     return {"ig_scale": pol.scale, "files": files}
 
@@ -257,22 +256,20 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
     with _scorer(cfg, dataset) as (_, scorer):
         maps = attribute_batch(scorer, dataset, cfg.qualities,
                                steps=cfg.steps, scheme=cfg.scheme)
-        hw = scorer.input_shape[:2]
     out_dir = _out_dir(cfg)
     write_attribution_csv(dataset, cfg.qualities, maps, out_dir / "attributions.csv")
     overlay_meta = []
     for item, stem, by_q in zip(dataset.items, stems, maps):
-        try:  # item.image reads a loaded image's file again
-            base = prepare_input(item.image, ORIGINAL, hw)
-            written = _write_overlays(out_dir, f"{stem}_q{overlay_q}", base,
-                                      by_q[overlay_q].values)
+        try:
+            written = _write_overlays(out_dir, f"{stem}_q{overlay_q}", by_q[overlay_q])
         except (ValueError, OSError) as exc:
             raise RuntimeError(f"overlay failed on image {item.id!r} "
                                f"at quality {overlay_q}: {exc}") from exc
         overlay_meta.append({"id": item.id, "quality": overlay_q, **written})
     _write_json(out_dir / "overlays.json", overlay_meta)
     print(f"attributed {len(maps)} images at steps={cfg.steps} ({cfg.scheme}); "
-          f"wrote attributions.csv and {3 * len(overlay_meta)} overlays to {out_dir}")
+          f"wrote attributions.csv and "
+          f"{sum(len(m['files']) for m in overlay_meta)} overlays to {out_dir}")
     return 0
 
 
@@ -290,9 +287,8 @@ def cmd_overlay(cfg: argparse.Namespace) -> int:
                       [str(k) for k in range(scorer.num_classes)])  # classes: label indices
         att = attribute_batch(scorer, one, [ORIGINAL, cfg.quality],
                               cfg.steps, cfg.scheme)[0][cfg.quality]
-        hw = scorer.input_shape[:2]
     out_dir = _out_dir(cfg)
-    written = _write_overlays(out_dir, "overlay", prepare_input(img, ORIGINAL, hw), att.values)
+    written = _write_overlays(out_dir, "overlay", att)
     _write_json(out_dir / "overlay.json",
                 {"quality": str(cfg.quality), "label": cfg.label, "ig_sum": att.sum,
                  "completeness_gap": att.completeness_gap, **written})

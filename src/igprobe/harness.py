@@ -245,7 +245,8 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
 def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = DEFAULT_STEPS,
                     scheme: str = DEFAULT_SCHEME) -> list[dict[QualityLevel, AttributionMap]]:
     """Per image, one attribution map per compressed quality: baseline =
-    resized original, target = the compressed-and-resized image.
+    resized original, target = the compressed-and-resized image.  An
+    image's maps hold its one prepared original as their ``baseline``.
 
     Each map is one ``integrated_gradients`` path: a ``ScorerModel``
     integrates it in first-layer coordinates, any other scorer takes its

@@ -29,13 +29,14 @@ def write_ppm(path: str | Path, img: np.ndarray) -> None:
     Path(path).write_bytes(header + _to_u8(img).tobytes())
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First ``count`` whitespace-separated tokens, skipping # comments."""
+def _read_header_tokens(path: Path, data: bytes, count: int) -> tuple[list[bytes], int]:
+    """First ``count`` whitespace-separated tokens of file ``path``'s bytes
+    ``data``, skipping # comments."""
     tokens: list[bytes] = []
     i = 0
     while len(tokens) < count:
         if i >= len(data):
-            raise ValueError("truncated PPM header")
+            raise ValueError(f"{path}: truncated PPM header")
         c = data[i:i + 1]
         if c == b"#":
             while i < len(data) and data[i:i + 1] != b"\n":
@@ -52,10 +53,14 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def _decode_ppm(path: Path, data: bytes) -> np.ndarray:
-    tokens, offset = _read_header_tokens(data, 4)
+    tokens, offset = _read_header_tokens(path, data, 4)
     if tokens[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (magic {tokens[0]!r})")
-    w, h, maxval = (int(t) for t in tokens[1:4])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:4])
+    except ValueError:
+        raise ValueError(f"{path}: PPM width, height and maxval must be integers, "
+                         f"got {b' '.join(tokens[1:4])!r}") from None
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     if w < 1 or h < 1:

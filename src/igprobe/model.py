@@ -341,6 +341,22 @@ def _require_finite_layers(model: ScorerModel, when: str) -> None:
                 raise ValueError(f"non-finite {name} in layer {i} {when}")
 
 
+def _stack_images(dataset: "Dataset") -> np.ndarray:
+    """Every item's image, in item order, copied into one preallocated
+    (items, H, W, 3) float64 array, so no second copy of the stack is held.
+    An image shaped unlike the first is refused."""
+    items = dataset.items
+    if not items:
+        raise ValueError("the dataset has no images")
+    out = np.empty((len(items), *items[0].shape))
+    for row, it in zip(out, items):
+        image = it.image
+        if image.shape != row.shape:
+            raise ValueError(f"image {it.id!r} is shaped {image.shape}, not {row.shape}")
+        row[...] = image
+    return out
+
+
 def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerModel:
     """Plain SGD on the cross-entropy loss; class embeddings stay frozen.
 
@@ -353,7 +369,7 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
     y_all = check_labels([it.label for it in items], len(items), model.num_classes)
 
     out = copy.deepcopy(model)
-    x_all = np.stack([it.image.reshape(-1) for it in items])
+    x_all = _stack_images(dataset).reshape(len(items), -1)
     rng = SeededRng(cfg.seed)
 
     for epoch in range(1, cfg.epochs + 1):
@@ -370,7 +386,7 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
 
 
 def mean_loss(model: ScorerModel, dataset: "Dataset") -> float:
-    logits = forward(model, np.stack([it.image for it in dataset.items]))
+    logits = forward(model, _stack_images(dataset))
     return float(cross_entropy(logits, np.array([it.label for it in dataset.items])).mean())
 
 

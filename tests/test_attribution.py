@@ -238,7 +238,8 @@ def per_node_reference(gradfn, spec: PathSpec, label: int) -> AttributionMap:
     for t, w in zip(ts, ws):
         acc = acc + w * one(spec.baseline + t * delta).grads[0]
     at0, at1 = one(spec.baseline), one(spec.target)
-    return AttributionMap(values=delta * acc, loss_baseline=float(at0.losses[0]),
+    return AttributionMap(values=delta * acc, baseline=spec.baseline,
+                          loss_baseline=float(at0.losses[0]),
                           loss_target=float(at1.losses[0]),
                           logits_baseline=at0.logits[0], logits_target=at1.logits[0])
 
@@ -405,7 +406,8 @@ def test_report_linear_gap_under_1e12():
 
 
 def test_report_zero_delta_uses_floor():
-    att = AttributionMap(values=np.ones((1, 1, 1)), loss_baseline=0.5, loss_target=0.5,
+    att = AttributionMap(values=np.ones((1, 1, 1)), baseline=np.zeros((1, 1, 1)),
+                         loss_baseline=0.5, loss_target=0.5,
                          logits_baseline=np.zeros(1), logits_target=np.zeros(1))
     assert att.sum == 1.0 and att.completeness_gap == 1.0
     assert att.rel_gap == pytest.approx(1.0 / 1e-12)

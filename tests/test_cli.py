@@ -26,6 +26,7 @@ from igprobe.imgio import read_image, write_image
 from igprobe.model import load_model, new_scorer, save_model
 from igprobe.provider import provider_connect
 from igprobe.tensor import SeededRng
+from igprobe.viz import POLARITY_MODES
 
 TINY = ["--synthetic", "--classes", "2", "--per-class", "1", "--side", "8"]
 # train's scorer flags for TINY's data
@@ -107,6 +108,15 @@ def test_out_of_range_quality_is_usage_error(tmp_path, sample_ppm, capsys, argv)
     err = capsys.readouterr().err
     assert "usage error: bad value for" in err and "must be in [1, 100]" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("header", [b"P6\n4", b"P6\n4 abc\n255\n"])
+def test_a_bad_ppm_header_names_the_file(tmp_path, capsys, header):
+    bad = tmp_path / "bad.ppm"
+    bad.write_bytes(header)
+    code = run(["degrade", "--quality", "50", "--in", bad, "--out", tmp_path / "out.ppm"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_missing_input_file_is_exit_1(tmp_path, capsys):
@@ -703,8 +713,11 @@ def write_data(directory, source):
     return directory
 
 
-def test_sweep_reads_each_image_file_twice(tmp_path, monkeypatch, ckpt):
-    # once when the dataset is checked, once when the loop scores the image
+@pytest.mark.parametrize("argv", [["sweep"], ["attribute", "--steps", "2"]],
+                         ids=["sweep", "attribute"])
+def test_each_image_file_is_read_twice(tmp_path, monkeypatch, ckpt, argv):
+    # once when the dataset is checked, once when the loop reaches the image;
+    # attribute's overlays are drawn over each map's baseline, not a third read
     source = gen_synthetic(5, classes=2, per_class=3, side=8)
     data = write_data(tmp_path / "data", source)
     reads = collections.Counter()
@@ -717,42 +730,70 @@ def test_sweep_reads_each_image_file_twice(tmp_path, monkeypatch, ckpt):
     monkeypatch.setattr(Path, "read_bytes", counting)
     # one process, so that the counter sees every read: a forked child counts its own
     monkeypatch.setattr(harness, "_workers", lambda scorer, n_items: 1)
-    assert run(["sweep", "--data", data, "--checkpoint", ckpt, "--qualities", "original,75,25",
+    assert run([*argv, "--data", data, "--checkpoint", ckpt, "--qualities", "original,75,25",
                 "--out", tmp_path / "o"]) == 0
     assert {name: n for name, n in reads.items() if name.endswith(".ppm")} == {
         f"{it.id}.ppm": 2 for it in source.items}
 
 
-@pytest.mark.parametrize("fault", ["changed file", "write error"])
-def test_an_overlay_failure_names_the_image_and_the_quality(tmp_path, monkeypatch, capsys, ckpt,
-                                                            fault):
+def test_a_file_changed_after_the_loop_leaves_the_attribute_outputs_as_they_were(
+        tmp_path, monkeypatch, ckpt):
+    # Every output is made from what the loop read: a file rewritten once
+    # attribute_batch has returned is not read again.
+    source = gen_synthetic(5, classes=2, per_class=2, side=8)
+    argv = ["attribute", "--checkpoint", ckpt, "--qualities", "original,50", "--steps", "2"]
+    assert run([*argv, "--data", write_data(tmp_path / "kept", source),
+                "--out", tmp_path / "kept_out"]) == 0
+    data = write_data(tmp_path / "changed", source)
+    attribute = cli.attribute_batch
+
+    def then_change(*args, **kwargs):
+        maps = attribute(*args, **kwargs)
+        for it in source.items:
+            write_image(data / f"{it.id}.ppm", np.zeros((8, 8, 3)))
+        return maps
+
+    monkeypatch.setattr(cli, "attribute_batch", then_change)
+    assert run([*argv, "--data", data, "--out", tmp_path / "changed_out"]) == 0
+    kept = sorted(p.name for p in (tmp_path / "kept_out").iterdir()
+                  if not p.name.endswith(".manifest.json"))
+    assert "attributions.csv" in kept and "overlays.json" in kept
+    overlays = [n for n in kept if n.endswith(".ppm")]
+    assert len(overlays) == len(POLARITY_MODES) * len(source.items)
+    for name in kept:
+        assert ((tmp_path / "changed_out" / name).read_bytes()
+                == (tmp_path / "kept_out" / name).read_bytes()), name
+
+
+def test_attribute_counts_the_overlays_it_wrote(tmp_path, monkeypatch, capsys, ckpt):
+    # the polarity modes alone decide how many overlays an image gets
+    monkeypatch.setattr(cli, "POLARITY_MODES", ("negative", "both"))
+    out = tmp_path / "o"
+    assert run(["attribute", *TINY, "--checkpoint", ckpt, "--qualities", "original,50",
+                "--steps", "2", "--out", out]) == 0
+    written = sorted(p.name for p in out.glob("*.ppm"))
+    assert len(written) == 4 and not [n for n in written if n.endswith("_positive.ppm")]
+    assert f"wrote attributions.csv and 4 overlays to {out}" in capsys.readouterr().out
+
+
+def test_an_overlay_write_error_names_the_image_and_the_quality(tmp_path, monkeypatch, capsys,
+                                                                ckpt):
     source = gen_synthetic(5, classes=2, per_class=2, side=8)
     data = write_data(tmp_path / "data", source)
     bad = f"{source.items[2].id}.ppm"
-    if fault == "changed file":  # after the attribution loop, before the overlays
-        attribute = cli.attribute_batch
+    write = cli.write_image
 
-        def then_change(*args, **kwargs):
-            maps = attribute(*args, **kwargs)
-            write_image(data / bad, np.zeros((8, 8, 3)))
-            return maps
+    def failing(path, img):
+        if Path(path).name.startswith(bad):
+            raise OSError(28, "No space left on device")
+        write(path, img)
 
-        monkeypatch.setattr(cli, "attribute_batch", then_change)
-        cause = f"{data / bad} changed after the dataset was loaded"
-    else:
-        write = cli.write_image
-
-        def failing(path, img):
-            if Path(path).name.startswith(bad):
-                raise OSError(28, "No space left on device")
-            write(path, img)
-
-        monkeypatch.setattr(cli, "write_image", failing)
-        cause = "[Errno 28] No space left on device"
+    monkeypatch.setattr(cli, "write_image", failing)
     assert run(["attribute", "--data", data, "--checkpoint", ckpt, "--qualities", "original,50",
                 "--steps", "2", "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: overlay failed on image {bad!r} at quality 50: {cause}"), err
+    assert err.startswith(f"error: overlay failed on image {bad!r} at quality 50: "
+                          "[Errno 28] No space left on device"), err
 
 
 # Starts argv[1:] and prints its exit status and peak RSS (KB) as os.wait4 reports them.

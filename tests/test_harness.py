@@ -180,14 +180,19 @@ def test_sweep_computes_no_gradient_rows(monkeypatch):
     assert got.rows == want.rows
 
 
+def loaded(directory, source):
+    """``source``'s images written as PPM files under ``directory``, with
+    labels.csv, and loaded back, so that the loop reads each from its file."""
+    for it in source.items:
+        write_ppm(directory / f"{it.id}.ppm", it.image)
+    (directory / "labels.csv").write_text("filename,class_name\n" + "".join(
+        f"{it.id}.ppm,{source.class_names[it.label]}\n" for it in source.items))
+    return load_dataset(directory)
+
+
 def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatch):
     # 12x12 files for an 8x8 scorer, so every prepared image is resized too
-    source = gen_synthetic(6, classes=2, per_class=3, side=12)
-    for it in source.items:
-        write_ppm(tmp_path / f"{it.id}.ppm", it.image)
-    (tmp_path / "labels.csv").write_text("filename,class_name\n" + "".join(
-        f"{it.id}.ppm,{source.class_names[it.label]}\n" for it in source.items))
-    data = load_dataset(tmp_path)
+    data = loaded(tmp_path, gen_synthetic(6, classes=2, per_class=3, side=12))
     as_float = Dataset(items=[DatasetItem(pixels=it.image, label=it.label, id=it.id)
                               for it in data.items], class_names=data.class_names)
     model = new_scorer(12, (8, 8, 3), (16,), 8, 2)
@@ -217,6 +222,22 @@ def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatc
     maps = attribute_batch(model, data, qualities, steps=2)
     assert calls == {"degrade_jpeg": n, "resize_bicubic": n}
     assert [list(by_q) for by_q in maps] == [[75, 25]] * len(data.items)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_map_keeps_the_resized_original_it_started_from(tmp_path, monkeypatch, workers):
+    # 12x12 files for an 8x8 scorer: the baseline is the original resized, and
+    # an image's maps share that one array, in this process and through a
+    # child's pickled reply alike
+    data = loaded(tmp_path, gen_synthetic(6, classes=2, per_class=2, side=12))
+    pin_workers(monkeypatch, workers)
+    maps = attribute_batch(new_scorer(12, (8, 8, 3), (16,), 8, 2), data, [ORIGINAL, 75, 25],
+                           steps=2)
+    for item, by_q in zip(data.items, maps, strict=True):
+        want = prepare_input(item.image, ORIGINAL, (8, 8))
+        assert by_q[75].baseline is by_q[25].baseline
+        assert by_q[75].baseline.shape == want.shape == (8, 8, 3)
+        assert by_q[75].baseline.tobytes() == want.tobytes()
 
 
 def test_sweep_accuracy_metric():
@@ -571,11 +592,7 @@ def five_files(directory):
     """``five_images`` written as PPM files and loaded back, so that the loop
     reads each image from its file."""
     data, model = five_images()
-    for it in data.items:
-        write_ppm(directory / f"{it.id}.ppm", it.image)
-    (directory / "labels.csv").write_text("filename,class_name\n" + "".join(
-        f"{it.id}.ppm,{data.class_names[it.label]}\n" for it in data.items))
-    return load_dataset(directory), model
+    return loaded(directory, data), model
 
 
 def _same_length(path):
@@ -684,6 +701,7 @@ def test_attribution_csv_layout(tmp_path):
     data = Dataset(items=[DatasetItem(pixels=np.zeros((1, 1, 3)), label=1, id="img_0")],
                    class_names=["dog", "cat"])
     att = AttributionMap(values=np.array([[[0.123456789, 0.0, 0.0]]]),
+                         baseline=np.zeros((1, 1, 3)),
                          loss_baseline=0.0, loss_target=0.0,
                          logits_baseline=np.array([0.0, np.log(3.0)]),
                          logits_target=np.array([0.0, 0.0]))

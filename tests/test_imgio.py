@@ -62,6 +62,18 @@ def test_rejects_truncated_pixels(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"P6\n4", "truncated PPM header"),
+    (b"P6\n4 abc\n255\n", "PPM width, height and maxval must be integers, got b'4 abc 255'"),
+])
+def test_a_bad_header_names_the_file(tmp_path, header, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError) as caught:
+        read_image(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 def test_rejects_unknown_suffix(tmp_path):
     with pytest.raises(ValueError, match="format"):
         write_image(tmp_path / "img.bmp", golden_image())

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igprobe import model as model_module
-from igprobe.data import gen_synthetic
+from igprobe.data import Dataset, DatasetItem, gen_synthetic, load_dataset
+from igprobe.imgio import write_image
 from igprobe.model import (Layer, ScorerModel, TrainConfig, backward, forward,
                            cross_entropy, gradient_check, load_model, mean_loss,
                            new_scorer, save_model, softmax, train)
@@ -256,6 +258,34 @@ def test_mean_loss_is_the_mean_cross_entropy_of_forward():
     assert mean_loss(model, data) == float(cross_entropy(forward(model, images), labels).mean())
     with pytest.raises(ValueError, match=r"input shape \(20, 8, 8, 3\) != \(batch, \*\(4, 4, 3\)\)"):
         mean_loss(new_scorer(9, (4, 4, 3), (16,), 8, 2), data)
+    mixed = Dataset([*data.items, DatasetItem(np.zeros((4, 4, 3)), 0, "small")],
+                    data.class_names)
+    with pytest.raises(ValueError, match=r"image 'small' is shaped \(4, 4, 3\), not \(8, 8, 3\)"):
+        mean_loss(model, mixed)
+
+
+def test_mean_loss_holds_one_stack_of_a_loaded_dataset(tmp_path):
+    # Each loaded image is read and converted when the stack reaches it, into
+    # the one preallocated array: a list of float copies beside the stack
+    # would double the peak.
+    source = gen_synthetic(6, classes=2, per_class=40, side=32)
+    for it in source.items:
+        write_image(tmp_path / f"{it.id}.ppm", it.image)
+    (tmp_path / "labels.csv").write_text("filename,class_name\n" + "".join(
+        f"{it.id}.ppm,{source.class_names[it.label]}\n" for it in source.items))
+    data = load_dataset(tmp_path)
+    model = new_scorer(9, (32, 32, 3), (16,), 8, 2)
+    stack_bytes = len(data.items) * 32 * 32 * 3 * 8
+    tracemalloc.start()
+    try:
+        loss = mean_loss(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack_bytes, (peak, stack_bytes)
+    images = np.stack([it.image for it in data.items])
+    labels = np.array([it.label for it in data.items])
+    assert loss == float(cross_entropy(forward(model, images), labels).mean())
 
 
 def test_train_lr_zero_is_identity():
