@@ -10,10 +10,10 @@ evaluated at the endpoint nodes of the same path, which hold the
 baseline and the target exactly, so the reported completeness gap
 measures quadrature error and nothing else.
 
-A ``ScorerModel`` integrates the path itself, in the coordinates of its
-first layer's pre-activations (``ScorerModel.integrate_path``); any other
-gradient function gets the N+1 path images as the rows of one call.
-Either way ``_fill_path`` builds the path and ``_mirror_sum`` reduces it.
+``_integrate_rows`` is the one path integrator: ``_fill_path`` builds the
+path, one gradient call evaluates its N+1 points as rows, and
+``_mirror_sum`` reduces them.  A ``ScorerModel`` passes it the path in its
+first layer's pre-activations (``ScorerModel.integrate_path``).
 """
 
 from __future__ import annotations
@@ -126,8 +126,9 @@ def _mirror_sum(ws: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _integrate_rows(gradfn: GradFn, baseline: np.ndarray, target: np.ndarray,
                     ts: np.ndarray, ws: np.ndarray, label: int):
-    """``integrate_path`` for any gradient function: all N+1 path images go
-    to ``gradfn`` as the rows of one call, row 0 the baseline."""
+    """Weighted mean gradient (weights ``ws``) and per-node losses and logits
+    along the path at nodes ``ts``: its N+1 points go to ``gradfn`` as the
+    rows of one call, row 0 the baseline, and must come back one per row."""
     rows = len(ts)
     batch = np.empty((rows,) + baseline.shape)
     _fill_path(baseline, target, ts, batch)
@@ -167,11 +168,11 @@ class AttributionMap:
 def integrated_gradients(gradfn: GradFn, spec: PathSpec, label: int) -> AttributionMap:
     """Quadrature approximation of the path integral of the loss gradient.
 
-    A gradient function with an ``integrate_path`` member, as
-    ``ScorerModel`` has, evaluates the path itself; any other gets all N+1
-    path nodes as one batch.  Either returns the weighted mean gradient
-    and the losses and logits per node; the endpoint losses and logits are
-    those of nodes 0 (baseline) and N (target).
+    ``_integrate_rows`` evaluates the path, in the coordinates of a
+    gradient function's ``integrate_path`` member where it has one, as
+    ``ScorerModel`` does.  It returns the weighted mean gradient and the
+    losses and logits per node; the endpoint losses and logits are those
+    of nodes 0 (baseline) and N (target).
     """
     ts, ws = path_nodes(spec)
     last = len(ts) - 1

@@ -192,6 +192,9 @@ def cmd_degrade(cfg: argparse.Namespace) -> int:
 
 def cmd_train(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
+    # train and mean_loss each stack every image: read each file once for both
+    dataset = Dataset([DatasetItem(it.pixels, it.label, it.id) for it in dataset.items],
+                      dataset.class_names)
     model = new_scorer(cfg.seed, dataset.image_shape, cfg.hidden, cfg.embed_dim,
                        dataset.num_classes, cfg.temperature, dataset.class_names)
     model = train(model, dataset, TrainConfig(lr=cfg.lr, epochs=cfg.epochs,

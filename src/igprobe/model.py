@@ -17,12 +17,13 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .attribution import _fill_path, _mirror_sum
+from .attribution import _integrate_rows
 from .tensor import SeededRng, Tensor, require_finite, require_integer
 
 if TYPE_CHECKING:
@@ -98,7 +99,29 @@ class ScorerModel:
 
     def integrate_path(self, baseline: np.ndarray, target: np.ndarray, ts: np.ndarray,
                        ws: np.ndarray, label):
-        return integrate_path(self, baseline, target, ts, ws, label)
+        """The straight path from ``baseline`` to ``target`` at nodes ``ts``,
+        integrated in the coordinates of the first layer's pre-activations:
+        the weighted mean input gradient (weights ``ws``), and the loss and
+        logits at each node.
+
+        The first layer is affine, so its pre-activations along the path are
+        z(t) = z0 + t (zN - z0): one 2-row product gives the endpoints, and
+        ``_integrate_rows`` integrates that path with a gradient function
+        that returns dL/dz, so no (N+1)-row batch of images is built.  The
+        input gradient's mean is the mean of dL/dz times the first layer's
+        weights, one more product.  Both batched products see their batch in
+        one orientation, so swapping the endpoints of a trapezoid path
+        negates IG bit for bit.
+        """
+        ends = check_images(np.stack((baseline, target)), self.input_shape).reshape(2, -1)
+        if self.layers:
+            rows = _orientation(ends)
+            ends = _affine(self.layers[0], ends[rows])[rows]
+        mean, losses, logits = _integrate_rows(partial(_oriented_backward, self, from_first=True),
+                                               ends[0], ends[1], ts, ws, label)
+        if self.layers:
+            mean = mean @ self.layers[0].weights
+        return mean.reshape(self.input_shape), losses, logits
 
 
 @dataclass
@@ -118,7 +141,8 @@ class Scorer(Protocol):
     its input shape, its class count and a batch ``logits`` call.
     ``ScorerModel`` and a connected ``ProviderClient`` both have this form.
     ``integrated_gradients`` also uses an ``integrate_path`` member where a
-    scorer has one, as ``ScorerModel`` does."""
+    scorer has one, as ``ScorerModel`` does: it changes the path's
+    coordinates and leaves the integration to ``_integrate_rows``."""
     @property
     def input_shape(self) -> tuple[int, int, int]: ...  # (H, W, C)
 
@@ -161,12 +185,6 @@ def check_images(images, input_shape: tuple) -> np.ndarray:
     if images.shape[1:] != tuple(input_shape):
         raise ValueError(f"input shape {images.shape} != (batch, *{tuple(input_shape)})")
     return require_finite(images, "input images")
-
-
-def check_batch(images, labels, input_shape: tuple, num_classes: int):
-    """Finite float64 images shaped (batch, *input_shape) and their labels."""
-    images = check_images(images, input_shape)
-    return images, check_labels(labels, images.shape[0], num_classes)
 
 
 def _orientation(x: np.ndarray) -> slice:
@@ -259,47 +277,24 @@ def _backward_batch(model: ScorerModel, x: np.ndarray, labels: np.ndarray,
     return losses, grad, logits, param_grads
 
 
+def _oriented_backward(model: ScorerModel, x: np.ndarray, labels,
+                       from_first: bool = False) -> LossGrads:
+    """``_backward_batch`` over the rows of matrix ``x`` in their
+    ``_orientation``, with results in the caller's row order."""
+    labels = check_labels(labels, len(x), model.num_classes)
+    rows = _orientation(x)
+    losses, grads, logits, _ = _backward_batch(model, x[rows], labels[rows],
+                                               from_first=from_first)
+    return LossGrads(losses=losses[rows], grads=grads[rows], logits=logits[rows])
+
+
 def backward(model: ScorerModel, images: np.ndarray, labels) -> LossGrads:
     """Exact gradient of the cross-entropy of forward(images[b]) at labels[b]
     w.r.t. every pixel, for each row b of a (batch, *input_shape) array."""
-    images, labels = check_batch(images, labels, model.input_shape, model.num_classes)
-    x = images.reshape(len(images), -1)
-    rows = _orientation(x)
-    losses, grads, logits, _ = _backward_batch(model, x[rows], labels[rows])
-    return LossGrads(losses=losses[rows], grads=grads[rows].reshape(images.shape),
-                     logits=logits[rows])
-
-
-def integrate_path(model: ScorerModel, baseline: np.ndarray, target: np.ndarray,
-                   ts: np.ndarray, ws: np.ndarray, label):
-    """The straight path from ``baseline`` to ``target`` at nodes ``ts``,
-    evaluated in the coordinates of the first layer's pre-activations:
-    the weighted mean input gradient (weights ``ws``), and the loss and
-    logits at each node.
-
-    The first layer is affine, so its pre-activations along the path are
-    z(t) = z0 + t (zN - z0): one 2-row product gives the endpoints, and the
-    rest of the network runs on an (N+1)-row path of first-layer width
-    whose gradient comes back as dL/dz.  The input gradient's mean is the
-    mean of dL/dz times the first layer's weights, one more product, so no
-    (N+1)-row batch of images is built.  ``_fill_path`` builds the path and
-    ``_mirror_sum`` reduces it, and both batched products see their batch
-    in one orientation, so swapping the endpoints of a trapezoid path
-    negates IG bit for bit.
-    """
-    ends = check_images(np.stack((baseline, target)), model.input_shape).reshape(2, -1)
-    labels = check_labels(np.full(len(ts), label), len(ts), model.num_classes)
-    if model.layers:
-        rows = _orientation(ends)
-        ends = _affine(model.layers[0], ends[rows])[rows]
-    path = np.empty((len(ts), ends.shape[1]))
-    _fill_path(ends[0], ends[1], ts, path)
-    rows = _orientation(path)
-    losses, grads, logits, _ = _backward_batch(model, path[rows], labels, from_first=True)
-    mean = _mirror_sum(ws, grads[rows])
-    if model.layers:
-        mean = mean @ model.layers[0].weights
-    return mean.reshape(model.input_shape), losses[rows], logits[rows]
+    images = check_images(images, model.input_shape)
+    result = _oriented_backward(model, images.reshape(len(images), -1), labels)
+    result.grads = result.grads.reshape(images.shape)
+    return result
 
 
 _LEAST = {"epochs": 0, "batch": 1, "hidden": 1, "embed_dim": 1}
@@ -552,7 +547,7 @@ def load_model(path: str | Path) -> ScorerModel:
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a scorer checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+        raise ValueError(f"{where}: unsupported version {doc.get('version')}")
     layers = []
     for i, l in enumerate(_field(doc, "layers", list, where)):
         at = f"{where} layer {i}"
@@ -561,7 +556,7 @@ def load_model(path: str | Path) -> ScorerModel:
         try:
             layers.append(Layer(weights, bias, activation))
         except ValueError as exc:
-            raise ValueError(f"layer {i}: {exc}") from None
+            raise ValueError(f"{at}: {exc}") from None
     input_shape, class_names = doc.get("input_shape"), doc.get("class_names", [])
     check_declaration(input_shape, class_names, where)
     class_embeddings = _unpack(doc, "class_embeddings", where)

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .model import LossGrads, check_batch, check_declaration, cross_entropy
+from .model import LossGrads, check_declaration, check_images, check_labels, cross_entropy
 
 DEFAULT_TIMEOUT = 30.0
 LOSS_TOLERANCE = 1e-4
@@ -154,7 +154,8 @@ class ProviderClient:
         return self(images, np.zeros(len(images), dtype=np.intp)).logits
 
     def __call__(self, images: np.ndarray, labels) -> LossGrads:
-        images, labels = check_batch(images, labels, self.input_shape, self.num_classes)
+        images = check_images(images, self.input_shape)
+        labels = check_labels(labels, len(images), self.num_classes)
         request_id = self._next_id
         self._next_id += 1
         payload = json.dumps({"type": "grad", "id": request_id, "images": encode_f32(images),

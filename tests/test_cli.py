@@ -19,6 +19,7 @@ import pytest
 
 from igprobe import cli, harness, verify
 from igprobe.cli import build_parser, main
+from igprobe.attribution import split_polarity
 from igprobe.codec import degrade_jpeg
 from igprobe.data import gen_synthetic
 from igprobe.harness import attribute_batch, sweep_precision
@@ -586,6 +587,23 @@ def test_report_needs_source(tmp_path, capsys):
 # ---------------------------------------------------------------- attribute & overlay
 
 
+def test_attribute_draws_overlays_at_the_chosen_quality(tmp_path, ckpt):
+    out = tmp_path / "att"
+    qualities = ["original", 75, 50, 25]
+    assert run(["attribute", *TINY, "--checkpoint", ckpt, "--seed", "4",
+                "--qualities", ",".join(map(str, qualities)), "--overlay-quality", "50",
+                "--steps", "2", "--out", out]) == 0
+    source = gen_synthetic(4, classes=2, per_class=1, side=8)
+    maps = attribute_batch(load_model(ckpt), source, qualities, steps=2)
+    meta = json.loads((out / "overlays.json").read_text())
+    assert [entry["id"] for entry in meta] == [it.id for it in source.items]
+    assert {p.name for p in out.glob("*.ppm")} == {
+        f"{it.id}_q50_{mode}.ppm" for it in source.items for mode in POLARITY_MODES}
+    for entry, by_q in zip(meta, maps):
+        assert entry["quality"] == 50
+        assert entry["ig_scale"] == split_polarity(by_q[50].values).scale
+
+
 def test_attribute_writes_csv_and_overlays(tmp_path, ckpt):
     out = tmp_path / "att"
     assert run(["attribute", *TINY, "--checkpoint", ckpt, "--seed", "4",
@@ -713,11 +731,16 @@ def write_data(directory, source):
     return directory
 
 
-@pytest.mark.parametrize("argv", [["sweep"], ["attribute", "--steps", "2"]],
-                         ids=["sweep", "attribute"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--checkpoint", "CKPT", "--qualities", "original,75,25"],
+    ["attribute", "--checkpoint", "CKPT", "--qualities", "original,75,25", "--steps", "2"],
+    ["train", *SCORER],
+], ids=["sweep", "attribute", "train"])
 def test_each_image_file_is_read_twice(tmp_path, monkeypatch, ckpt, argv):
     # once when the dataset is checked, once when the loop reaches the image;
-    # attribute's overlays are drawn over each map's baseline, not a third read
+    # attribute's overlays are drawn over each map's baseline, not a third read,
+    # and train's mean loss is taken over the pixels its epochs read
+    argv = [ckpt if a == "CKPT" else a for a in argv]
     source = gen_synthetic(5, classes=2, per_class=3, side=8)
     data = write_data(tmp_path / "data", source)
     reads = collections.Counter()
@@ -730,8 +753,7 @@ def test_each_image_file_is_read_twice(tmp_path, monkeypatch, ckpt, argv):
     monkeypatch.setattr(Path, "read_bytes", counting)
     # one process, so that the counter sees every read: a forked child counts its own
     monkeypatch.setattr(harness, "_workers", lambda scorer, n_items: 1)
-    assert run([*argv, "--data", data, "--checkpoint", ckpt, "--qualities", "original,75,25",
-                "--out", tmp_path / "o"]) == 0
+    assert run([*argv, "--data", data, "--out", tmp_path / "o"]) == 0
     assert {name: n for name, n in reads.items() if name.endswith(".ppm")} == {
         f"{it.id}.ppm": 2 for it in source.items}
 
@@ -853,6 +875,22 @@ def test_bad_quality_list_is_usage_error_before_any_work(tmp_path, capsys, ckpt,
     out = tmp_path / "o"
     assert run([*argv, *TINY, "--checkpoint", ckpt, "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["train"], 2, "need a dataset: --data DIR or --synthetic"),
+    (["sweep", "--checkpoint", "CKPT"], 2, "need a dataset: --data DIR or --synthetic"),
+    (["sweep", "--checkpoint", "CKPT", "--data", "HEADER_ONLY"], 1, "labels.csv: no items"),
+], ids=["train-no-source", "sweep-no-source", "sweep-header-only"])
+def test_a_command_with_no_images_is_refused_before_any_work(tmp_path, capsys, ckpt,
+                                                             argv, code, message):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "labels.csv").write_text("filename,class_name\n")
+    argv = [{"CKPT": ckpt, "HEADER_ONLY": tmp_path / "data"}.get(a, a) for a in argv]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == code
+    assert capsys.readouterr().err.rstrip().endswith(message)
     assert not out.exists()
 
 

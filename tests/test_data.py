@@ -1,5 +1,6 @@
 """Dataset directory ingestion and the seeded synthetic corpus."""
 
+import gc
 import hashlib
 import tracemalloc
 
@@ -111,6 +112,26 @@ def test_loaded_dataset_stays_8_bit(tmp_path):
         image = it.image
         assert image.dtype == np.float64
         assert image.tobytes() == read_image(tmp_path / it.id).tobytes()
+
+
+def test_a_loaded_item_holds_under_560_bytes(tmp_path):
+    # enough files that the per-item cost, not the dataset's fixed cost, is bounded
+    names = [f"img_{i:04d}.ppm" for i in range(1000)]
+    for name in names:
+        (tmp_path / name).write_bytes(b"P6\n8 8\n255\n" + bytes(range(192)))
+    (tmp_path / "labels.csv").write_text(
+        "filename,class_name\n" + "".join(f"{n},c{i % 3}\n" for i, n in enumerate(names)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path)
+        gc.collect()  # a full collection frees the free lists' temporaries too
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an item keeps its id, its label and an ImageFile with a str path, about
+    # 460 B; a pathlib.Path there, with its cached parts, makes it about 650 B
+    assert held / len(ds.items) < 560
 
 
 def test_synthetic_image_is_its_float_pixels():

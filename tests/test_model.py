@@ -365,9 +365,12 @@ def test_checkpoint_roundtrip(tmp_path):
     ("bias", "layer 1: bias contains non-finite"),
     ("class_embeddings", "class embeddings contains non-finite"),
     ("temperature", "temperature must be positive and finite"),
-], ids=["weights", "bias", "class_embeddings", "temperature"])
+    ("version", "unsupported version 2"),
+    ("activation", "layer 1: unknown activation 'tanh'"),
+], ids=["weights", "bias", "class_embeddings", "temperature", "version", "activation"])
 def test_checkpoint_rejects_non_finite_values(tmp_path, field, message):
     # JSON writes and reads NaN, so a checkpoint corrupted on disk parses.
+    # A checkpoint that parses but that this version cannot use is refused too.
     path = tmp_path / "model.json"
     save_model(new_scorer(17, (8, 8, 3), (16, 12), 8, 5), path)
     doc = json.loads(path.read_text())
@@ -375,11 +378,16 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, field, message):
         doc["temperature"] = float("nan")
     elif field == "class_embeddings":
         doc["class_embeddings"]["data"][2 * 8 + 3] = float("nan")
+    elif field == "version":
+        doc["version"] = 2
+    elif field == "activation":
+        doc["layers"][1]["activation"] = "tanh"
     else:
         doc["layers"][1][field]["data"][0] = float("nan")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as exc:
         load_model(path)
+    assert str(exc.value).startswith(f"checkpoint {path}")
 
 
 def test_save_model_refuses_non_finite_layers(tmp_path):
