@@ -88,11 +88,12 @@ class Dataset:
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    """Each row of CSV file ``path``, read as UTF-8 whatever the locale, with
-    the line it ends on; every CSV input is read here.  A file that cannot
+    """Each row of CSV file ``path``, read as UTF-8 whatever the locale, a
+    leading byte-order mark ignored, with the line it ends on; every CSV
+    input is read here.  A file that cannot
     be opened, decoded or parsed is refused naming ``path``."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             return [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

@@ -110,10 +110,11 @@ def _workers(scorer: Scorer, n_items: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_items))
 
 
-def _visit(items, qualities, hw, work):
+def _visit(items, qualities, hw, work, what):
     """Per item in order, its image read once and then ``{q: work(item, base,
-    x)}``, until one fails: the results and, after a failure, ``(image id,
-    quality, exception)``; a failed read fails at the original quality."""
+    x)}``.  The first failure is raised as a ``RuntimeError`` naming
+    ``what``, the image and the quality, chained from its cause; a failed
+    read fails at the original quality."""
     results = []
     for item in items:
         q = ORIGINAL
@@ -124,26 +125,24 @@ def _visit(items, qualities, hw, work):
             for q in qualities:
                 by_q[q] = work(item, base, base if q == ORIGINAL else prepare_input(image, q, hw))
         except Exception as exc:
-            return results, (item.id, q, exc)
+            raise RuntimeError(f"{what} failed on image {item.id!r} at quality {q}: {exc}") from exc
         results.append(by_q)
-    return results, None
+    return results
 
 
 def _reply_and_exit(run, chunk, out) -> NoReturn:
-    """In a forked child: ``run(chunk)``, pickled through ``out``, then
-    ``os._exit``, so the child never returns into the caller, runs no atexit
-    handler and flushes none of the parent's buffers.  It exits 0 only once
-    the whole reply is written.  An exception that does not survive pickling
-    is sent as its message text."""
+    """In a forked child: the reply is ``run(chunk)``, or the text of the
+    exception it raised, pickled through ``out``; then ``os._exit``, so the
+    child never returns into the caller, runs no atexit handler and flushes
+    none of the parent's buffers.  It exits 0 only once the whole reply is
+    written; anything but an ``Exception`` ends it with no reply."""
     code = 1
     try:
-        results, failure = run(chunk)
-        if failure:
-            try:
-                pickle.loads(pickle.dumps(failure[2]))
-            except Exception:
-                failure = (*failure[:2], str(failure[2]))
-        out.write(pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL))
+        try:
+            reply = run(chunk)
+        except Exception as exc:
+            reply = str(exc)
+        out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
         out.flush()
         code = 0
     finally:
@@ -153,7 +152,8 @@ def _reply_and_exit(run, chunk, out) -> NoReturn:
 def _join(run, chunks):
     """``run`` over each chunk of images: the first in this process, every
     other in a child forked for it.  Returns the results joined in chunk
-    order up to the first failure, and that failure or None.  On any way
+    order.  The first failure in chunk order is raised: the first chunk's
+    as ``run`` raised it, a child's text as a ``RuntimeError``.  On any way
     out, every child not yet joined is killed and reaped."""
     pids, pipes = [], []  # children not yet reaped, read ends not yet closed
     try:
@@ -165,10 +165,8 @@ def _join(run, chunks):
                 if pid == 0:
                     _reply_and_exit(run, chunk, out)
                 pids.append(pid)
-        results, failure = run(chunks[0])
+        results = run(chunks[0])
         for pid, pipe, chunk in zip(list(pids), pipes, chunks[1:]):
-            if failure:
-                break
             with pipe:
                 reply = pipe.read()
             status = os.waitpid(pid, 0)[1]
@@ -177,9 +175,11 @@ def _join(run, chunks):
                 raise RuntimeError(f"the process for images {chunk[0].id!r} to {chunk[-1].id!r} "
                                    f"ended without a reply (exit status "
                                    f"{os.waitstatus_to_exitcode(status)})")
-            more, failure = pickle.loads(reply)
+            more = pickle.loads(reply)
+            if isinstance(more, str):
+                raise RuntimeError(more)
             results += more
-        return results, failure
+        return results
     finally:
         for pipe in pipes:
             pipe.close()
@@ -201,8 +201,9 @@ def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) ->
     chunk's files, and no process holds every image's pixels.  The results
     are joined in image order, so they do not depend on the split.  The
     first failure in image order, a failed read included, is raised as a
-    ``RuntimeError`` naming ``what``, the image and the quality; a child that
-    ends without a reply is named by its first and last image."""
+    ``RuntimeError`` naming ``what``, the image and the quality, where it
+    happens (``_visit``); a child sends only its text (``_join``).  A child
+    that ends without a reply is named by its first and last image."""
     if scorer.num_classes != dataset.num_classes:
         raise ValueError(f"scorer expects {scorer.num_classes} classes, "
                          f"dataset has {dataset.num_classes}")
@@ -210,13 +211,8 @@ def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) ->
     items = dataset.items
     n = _workers(scorer, len(items))
     bounds = [len(items) * i // n for i in range(n + 1)]
-    results, failure = _join(lambda chunk: _visit(chunk, qualities, hw, work),
-                             [items[a:b] for a, b in zip(bounds, bounds[1:])])
-    if failure:
-        image_id, q, exc = failure
-        cause = exc if isinstance(exc, BaseException) else None  # None for a child's text
-        raise RuntimeError(f"{what} failed on image {image_id!r} at quality {q}: {exc}") from cause
-    return results
+    return _join(lambda chunk: _visit(chunk, qualities, hw, work, what),
+                 [items[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,

@@ -29,6 +29,21 @@ def test_load_two_rows_two_classes(tmp_path):
     assert [it.id for it in ds.items] == ["a.ppm", "b.ppm"]
 
 
+def test_labels_csv_with_a_byte_order_mark_loads_as_without(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    text = "filename,class_name\na.ppm,cat\nb.ppm,dog\n"
+    loaded = []
+    for name, mark in [("plain", b""), ("marked", b"\xef\xbb\xbf")]:
+        directory = tmp_path / name
+        directory.mkdir()
+        put_image(directory, "a.ppm", 1)
+        put_image(directory, "b.ppm", 2)
+        (directory / "labels.csv").write_bytes(mark + text.encode("utf-8"))
+        ds = load_dataset(directory)
+        loaded.append((ds.class_names, [(it.id, it.label) for it in ds.items]))
+    assert loaded[1] == loaded[0] == (["cat", "dog"], [("a.ppm", 0), ("b.ppm", 1)])
+
+
 def test_load_missing_file_names_the_row(tmp_path):
     put_image(tmp_path, "a.ppm")
     (tmp_path / "labels.csv").write_text(

@@ -665,6 +665,15 @@ def test_precision_csv_roundtrip_exact(tmp_path):
     assert back.rows == table.rows  # repr round-trip is lossless
 
 
+def test_precision_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    table = PrecisionTable(rows={"a": {ORIGINAL: 1.0, 50: 0.625}}, qualities=[ORIGINAL, 50])
+    path = tmp_path / "precision.csv"
+    write_precision_csv(table, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = read_precision_csv(path)
+    assert back.qualities == table.qualities and back.rows == table.rows
+
+
 def test_precision_csv_bytes_deterministic(tmp_path):
     table = sweep_precision(brightness_scorer(), brightness_dataset(),
                             [ORIGINAL, 75, 25])

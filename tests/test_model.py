@@ -403,7 +403,13 @@ def test_save_model_refuses_non_finite_layers(tmp_path):
     ((8, 8, 3), {"class_names": [1, 2, 3]}, "class names must be a JSON list of strings"),
     ((8, 8, 1), {}, "input_shape must be [H, W, 3] with integers H, W >= 1, got [8, 8, 1]"),
     ((8, 8, 3), {"class_names": ["a", "b"]}, "2 class names for 3 class embedding rows"),
-], ids=["numbers-as-names", "one-channel", "too-few-names"])
+    ((8, 8, 3), {"layers": {}}, "field 'layers' must be a list, got dict"),
+    ((8, 8, 3), {"temperature": "hot"}, "field 'temperature' must be a number, got str"),
+    ((8, 8, 3), {"class_embeddings": {"data": [0.0] * 24, "shape": [3, 9]}},
+     "field 'class_embeddings': cannot reshape array of size 24 into shape (3,9)"),
+    ((8, 8, 3), {"input_shape": [8, 4, 3]}, "layer 0 expects fan-in 192, chain provides 96"),
+], ids=["numbers-as-names", "one-channel", "too-few-names", "layers-not-a-list",
+        "temperature-not-a-number", "data-does-not-fit-shape", "fan-in-off-input-shape"])
 def test_checkpoint_refuses_a_declaration_it_cannot_keep(tmp_path, model, edit, message):
     path = tmp_path / "model.json"
     save_model(new_scorer(17, model, (16,), 8, 3, class_names=["a", "b", "c"]), path)

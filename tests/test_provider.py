@@ -240,6 +240,43 @@ def test_hello_classes_are_a_list_of_strings(classes):
         provider_connect([sys.executable, "-c", HELLO_PROVIDER, hello])
 
 
+def test_hello_lists_at_least_one_class():
+    hello = json.dumps({"type": "hello", "classes": [], "input_shape": [SIDE, SIDE, 3]})
+    with pytest.raises(ProviderError, match="^handshake: hello lists no classes$"):
+        provider_connect([sys.executable, "-c", HELLO_PROVIDER, hello])
+
+
+# A provider that says the hello given as its first argument, then answers
+# every request line with its second argument.
+FIXED_PROVIDER = ("import sys\nprint(sys.argv[1], flush=True)\n"
+                  "for _ in sys.stdin: print(sys.argv[2], flush=True)")
+TWO_CLASS_HELLO = json.dumps({"type": "hello", "classes": ["a", "b"],
+                              "input_shape": [SIDE, SIDE, 3]})
+WRONG_SHAPE_REPLY = json.dumps({"type": "grad_result", "id": 0, "losses": [0.0, 0.0],
+                                "logits": [[0.0, 0.0]],
+                                "grads": encode_f32(np.zeros(N_INPUTS))})
+
+
+# reply line -> (the refusal, whether it kills the provider)
+FIXED_REPLIES = {
+    "not an object": ("[1, 2]", "grad request 0 is not a JSON object: [1, 2]", True),
+    "wrong type": ('{"type": "hello"}', "expected grad_result for request 0, got 'hello'", True),
+    "wrong shape": (WRONG_SHAPE_REPLY, "reply to request 0: losses shape (2,) and logits shape "
+                                       "(1, 2), expected (1,) and (1, 2)", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_REPLIES))
+def test_a_reply_it_cannot_use_is_refused(case):
+    reply, message, kills = FIXED_REPLIES[case]
+    with provider_connect([sys.executable, "-c", FIXED_PROVIDER, TWO_CLASS_HELLO,
+                           reply]) as client:
+        with pytest.raises(ProviderError, match=f"^{re.escape(message)}$"):
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
+        # a refused shape leaves the provider running, as a refused value does
+        assert (client._proc.poll() is not None) == kills
+
+
 # ---------------------------------------------------------------- request failures
 
 
