@@ -27,8 +27,8 @@ from .data import Dataset, DatasetItem, check_synthetic_setting, gen_synthetic, 
 from .harness import (METRICS, attribute_batch, check_qualities, read_precision_csv,
                       sweep_precision, write_attribution_csv, write_precision_csv)
 from .imgio import read_image, write_image
-from .model import (TrainConfig, check_labels, check_train_setting, load_model, mean_loss,
-                    new_scorer, read_json_object, save_model, train)
+from .model import (TrainConfig, check_train_setting, load_model, mean_loss, new_scorer,
+                    read_json_object, save_model, train)
 from .provider import provider_connect
 from .verify import CHECKS, format_results, run_checks
 from .viz import POLARITY_MODES, emit_chart_svg, emit_table, render_overlay
@@ -145,13 +145,10 @@ def _load_data(cfg: argparse.Namespace) -> Dataset:
 
 
 @contextmanager
-def _scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
+def _scorer(cfg: argparse.Namespace):
     """Yield (row name, scorer) from --checkpoint or --provider; a provider is closed on exit.
 
-    A checkpoint that names its classes must name ``dataset``'s, in the same
-    order: label indices mean nothing otherwise.  A provider's class names
-    are its own labels and are not compared.
-    """
+    The image loop checks that the scorer fits a dataset (``harness._each_image``)."""
     if bool(cfg.checkpoint) == bool(cfg.provider):
         raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD")
     if cfg.checkpoint:
@@ -161,11 +158,7 @@ def _scorer(cfg: argparse.Namespace, dataset: Dataset | None = None):
         except UnicodeDecodeError:
             raise ValueError(f"checkpoint {cfg.checkpoint}: file name is not UTF-8 text, "
                              "and its stem names the table row") from None
-        model = load_model(cfg.checkpoint)
-        if dataset is not None and model.class_names and model.class_names != dataset.class_names:
-            raise ValueError(f"checkpoint {cfg.checkpoint} scores classes {model.class_names}, "
-                             f"but the dataset lists classes {dataset.class_names}")
-        yield name, model
+        yield name, load_model(cfg.checkpoint)
         return
     with provider_connect(shlex.split(cfg.provider)) as client:
         yield "provider", client
@@ -223,7 +216,7 @@ def _write_table_and_chart(cfg: argparse.Namespace, table) -> Path:
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     dataset = _load_data(cfg)
-    with _scorer(cfg, dataset) as (name, scorer):
+    with _scorer(cfg) as (name, scorer):
         table = sweep_precision(scorer, dataset, cfg.qualities, metric=cfg.metric, name=name)
     out_dir = _write_table_and_chart(cfg, table)
     write_precision_csv(table, out_dir / "precision.csv")
@@ -256,7 +249,7 @@ def cmd_attribute(cfg: argparse.Namespace) -> int:
     overlay_q = _overlay_quality(cfg)
     dataset = _load_data(cfg)
     stems = _overlay_stems(dataset)
-    with _scorer(cfg, dataset) as (_, scorer):
+    with _scorer(cfg) as (_, scorer):
         maps = attribute_batch(scorer, dataset, cfg.qualities,
                                steps=cfg.steps, scheme=cfg.scheme)
     out_dir = _out_dir(cfg)
@@ -285,9 +278,8 @@ def cmd_overlay(cfg: argparse.Namespace) -> int:
         raise UsageError("overlay needs a compressed --quality, got original")
     img = read_image(cfg.input_path)
     with _scorer(cfg) as (_, scorer):
-        check_labels([cfg.label], 1, scorer.num_classes)
         one = Dataset([DatasetItem(img, cfg.label, str(cfg.input_path))],
-                      [str(k) for k in range(scorer.num_classes)])  # classes: label indices
+                      scorer.class_names or [str(k) for k in range(scorer.num_classes)])
         att = attribute_batch(scorer, one, [ORIGINAL, cfg.quality],
                               cfg.steps, cfg.scheme)[0][cfg.quality]
     out_dir = _out_dir(cfg)

@@ -21,7 +21,7 @@ from .attribution import (DEFAULT_SCHEME, DEFAULT_STEPS, AttributionMap, PathSpe
                           check_quadrature, integrated_gradients)
 from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
 from .data import Dataset, read_csv_rows
-from .model import Scorer, ScorerModel, softmax
+from .model import Scorer, ScorerModel, check_labels, softmax
 from .tensor import argmax
 
 
@@ -191,8 +191,9 @@ def _join(run, chunks):
 def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) -> list[dict]:
     """The one per-image loop: per image, ``{q: work(item, base, x)}`` over
     ``qualities``, with the original ``base`` prepared first and ``x`` the
-    input prepared at ``q``.  A scorer of another class count than
-    ``dataset``'s is refused first.
+    input prepared at ``q``.  Before any image is read, the scorer must fit
+    ``dataset``: its class count, then a ``ScorerModel``'s class names in order
+    if it names them (a provider's are its own), then every item's label.
 
     The images are split into one contiguous chunk per worker (``_workers``):
     this process does the first chunk, and a child forked after the scorer
@@ -207,8 +208,14 @@ def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) ->
     if scorer.num_classes != dataset.num_classes:
         raise ValueError(f"scorer expects {scorer.num_classes} classes, "
                          f"dataset has {dataset.num_classes}")
+    if (isinstance(scorer, ScorerModel) and scorer.class_names
+            and scorer.class_names != dataset.class_names):
+        raise ValueError(f"the scorer scores classes {scorer.class_names}, "
+                         f"but the dataset lists classes {dataset.class_names}")
     hw = scorer.input_shape[:2]
     items = dataset.items
+    if items:  # no labels at all would be refused as floats
+        check_labels([it.label for it in items], len(items), scorer.num_classes)
     n = _workers(scorer, len(items))
     bounds = [len(items) * i // n for i in range(n + 1)]
     return _join(lambda chunk: _visit(chunk, qualities, hw, work, what),
@@ -224,7 +231,8 @@ def sweep_precision(scorer: Scorer, dataset: Dataset, qualities,
     from one row.  A ``ScorerModel`` scores its images in forked processes,
     one per usable CPU, and the predictions are joined in image order (see
     ``_each_image``), so the table does not depend on the split.  Any other
-    scorer runs in this process.
+    scorer runs in this process.  A scorer that does not fit ``dataset`` is
+    refused before any image is read (``_each_image``).
     """
     qualities = check_qualities(qualities)
     if metric not in METRICS:
@@ -247,7 +255,8 @@ def attribute_batch(scorer: Scorer, dataset: Dataset, qualities, steps: int = DE
     Each map is one ``integrated_gradients`` path: a ``ScorerModel``
     integrates it in first-layer coordinates, any other scorer takes its
     N+1 path nodes as the rows of one call.  The path's endpoint nodes hold
-    the logits that ``write_attribution_csv`` reads.
+    the logits that ``write_attribution_csv`` reads.  A scorer that does not
+    fit ``dataset`` is refused before any image is read (``_each_image``).
     """
     qualities = check_qualities(qualities)
     check_quadrature(steps, scheme)

@@ -180,10 +180,12 @@ def check_labels(labels, batch: int, num_classes: int) -> np.ndarray:
 
 
 def check_images(images, input_shape: tuple) -> np.ndarray:
-    """Finite float64 images shaped (batch, *input_shape)."""
+    """Finite float64 images shaped (batch, *input_shape), batch >= 1."""
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:] != tuple(input_shape):
         raise ValueError(f"input shape {images.shape} != (batch, *{tuple(input_shape)})")
+    if not len(images):
+        raise ValueError(f"a batch of no images, shape {images.shape}")
     return require_finite(images, "input images")
 
 

@@ -57,6 +57,16 @@ def test_check_image_messages(bad, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("img, message", [
+    (np.zeros((4, 4)), "image must be H x W x 3, got shape (4, 4)"),
+    (np.zeros((0, 4, 3)), "image has empty dimensions: (0, 4, 3)"),
+], ids=["two-dimensional", "no-rows"])
+def test_degrade_refuses_an_image_of_another_shape(img, message):
+    with pytest.raises(ValueError) as exc:
+        degrade_jpeg(img, 50)
+    assert str(exc.value) == message
+
+
 def test_check_image_reports_non_finite_before_range():
     img = np.full((4, 4, 3), 0.5)
     img[0, 0, 0] = np.nan
@@ -237,6 +247,12 @@ def test_psnr_shape_mismatch():
 def test_resize_constant_exact():
     out = resize_bicubic(np.full((9, 7, 3), 0.37), 23, 31)
     assert np.all(out == 0.37)
+
+
+def test_resize_refuses_an_empty_output_size():
+    with pytest.raises(ValueError) as exc:
+        resize_bicubic(np.full((4, 4, 3), 0.5), 0, 4)
+    assert str(exc.value) == "output size must be >= 1, got 0 x 4"
 
 
 def test_resize_same_size_identity():

@@ -4,6 +4,7 @@ import gc
 import os
 import re
 import signal
+import sys
 import time
 import warnings
 from contextlib import contextmanager
@@ -41,6 +42,7 @@ from igprobe.model import (
     train,
 )
 from igprobe.imgio import write_ppm
+from igprobe.provider import provider_connect
 from igprobe.tensor import argmax
 
 
@@ -344,6 +346,70 @@ def test_a_scorer_of_another_class_count_is_refused_before_any_image():
     for run in (sweep_precision, attribute_batch):
         with pytest.raises(ValueError, match="^scorer expects 2 classes, dataset has 3$"):
             run(brightness_scorer(), data, [ORIGINAL, 50])
+
+
+def four_classes(seed: int = 41):
+    """Four 8x8 images, one per class, and an untrained 4-class scorer that
+    names the dataset's classes in the dataset's order."""
+    data = gen_synthetic(seed, classes=4, per_class=1, side=8)
+    return data, new_scorer(seed + 1, (8, 8, 3), (16,), 8, 4, class_names=data.class_names)
+
+
+@pytest.fixture
+def prepared(monkeypatch):
+    """The images ``prepare_input`` is asked for, counted."""
+    calls = []
+    prepare = harness.prepare_input
+
+    def counting(image, quality, resize_to):
+        calls.append(quality)
+        return prepare(image, quality, resize_to)
+
+    monkeypatch.setattr(harness, "prepare_input", counting)
+    return calls
+
+
+@pytest.mark.parametrize("run", [sweep_precision, attribute_batch])
+def test_a_scorer_model_refuses_a_dataset_in_another_class_order(prepared, run):
+    # the scorer's classes, listed in reverse: every label index names another class
+    data, model = four_classes()
+    names = data.class_names
+    reversed_data = Dataset([DatasetItem(it.pixels, 3 - it.label, it.id) for it in data.items],
+                            names[::-1])
+    with pytest.raises(ValueError) as exc:
+        run(model, reversed_data, [ORIGINAL, 50])
+    assert str(exc.value) == (f"the scorer scores classes {names}, "
+                              f"but the dataset lists classes {names[::-1]}")
+    assert prepared == []
+
+
+@pytest.mark.parametrize("run", [sweep_precision, attribute_batch])
+def test_a_label_outside_the_scorers_classes_is_refused_before_any_image(prepared, run):
+    data, model = four_classes()
+    data.items.append(DatasetItem(data.items[0].pixels, 7, "x"))
+    with pytest.raises(ValueError, match=r"^label 7 out of range for 4 classes$"):
+        run(model, data, [ORIGINAL, 25])
+    assert prepared == []
+
+
+def test_a_scorer_that_names_no_classes_and_a_provider_are_not_compared():
+    data, model = four_classes()
+    model.class_names = []
+    assert sweep_precision(model, data, [ORIGINAL, 50]).qualities == [ORIGINAL, 50]
+    # the mock provider calls its classes class_0 .. class_3, the dataset does not
+    command = [sys.executable, "-m", "igprobe.mock_provider", "--seed", "3", "--classes", "4",
+               "--side", "8"]
+    with provider_connect(command) as client:
+        assert client.class_names != data.class_names
+        assert len(attribute_batch(client, data, [ORIGINAL, 50], steps=2)) == len(data.items)
+
+
+def test_an_empty_dataset_passes_the_fit_check():
+    _, model = four_classes()
+    empty = Dataset([], model.class_names)
+    with pytest.raises(ValueError, match="^empty prediction list$"):
+        sweep_precision(model, empty, [ORIGINAL, 50])
+    assert attribute_batch(model, empty, [ORIGINAL, 50]) == []
 
 
 # ---------------------------------------------------------------- attribution batches
@@ -670,6 +736,16 @@ def test_precision_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
     path = tmp_path / "precision.csv"
     write_precision_csv(table, path)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = read_precision_csv(path)
+    assert back.qualities == table.qualities and back.rows == table.rows
+
+
+def test_precision_csv_skips_a_blank_line(tmp_path):
+    table = PrecisionTable(rows={"a": {ORIGINAL: 1.0, 50: 0.625}}, qualities=[ORIGINAL, 50])
+    path = tmp_path / "precision.csv"
+    write_precision_csv(table, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(header + rows[0] + "\n" + "".join(rows[1:]), encoding="utf-8")
     back = read_precision_csv(path)
     assert back.qualities == table.qualities and back.rows == table.rows
 

@@ -65,6 +65,7 @@ def test_rejects_truncated_pixels(tmp_path):
 @pytest.mark.parametrize("header, message", [
     (b"P6\n4", "truncated PPM header"),
     (b"P6\n4 abc\n255\n", "PPM width, height and maxval must be integers, got b'4 abc 255'"),
+    (b"P6\n0 4\n255\n", "bad dimensions 0 x 4"),
 ])
 def test_a_bad_header_names_the_file(tmp_path, header, message):
     path = tmp_path / "bad.ppm"

@@ -69,6 +69,14 @@ def test_forward_shape_mismatch():
         forward(model, np.zeros((1, 2, 1, 4)))
 
 
+def test_a_batch_of_no_images_is_refused():
+    model = new_scorer(3, (4, 4, 3), (8,), 6, 2)
+    empty = np.empty((0, 4, 4, 3))
+    for call in (model.logits, lambda x: model(x, []), lambda x: backward(model, x, [])):
+        with pytest.raises(ValueError, match=r"^a batch of no images, shape \(0, 4, 4, 3\)$"):
+            call(empty)
+
+
 def test_scorer_members_call_module_functions_by_name(monkeypatch):
     # A wrapper installed over model.forward or model.backward (the
     # benchmark's tracer does this) must see the scorer's own calls.
@@ -399,6 +407,13 @@ def test_save_model_refuses_non_finite_layers(tmp_path):
     assert not path.exists()
 
 
+def one_layer(weights: list, bias: int) -> list:
+    """A checkpoint's ``layers`` field of one zero ReLU layer, weights shaped
+    ``weights`` and ``bias`` bias entries."""
+    return [{"weights": {"data": [0.0] * math.prod(weights), "shape": weights},
+             "bias": {"data": [0.0] * bias, "shape": [bias]}, "activation": "relu"}]
+
+
 @pytest.mark.parametrize("model,edit,message", [
     ((8, 8, 3), {"class_names": [1, 2, 3]}, "class names must be a JSON list of strings"),
     ((8, 8, 1), {}, "input_shape must be [H, W, 3] with integers H, W >= 1, got [8, 8, 1]"),
@@ -408,8 +423,18 @@ def test_save_model_refuses_non_finite_layers(tmp_path):
     ((8, 8, 3), {"class_embeddings": {"data": [0.0] * 24, "shape": [3, 9]}},
      "field 'class_embeddings': cannot reshape array of size 24 into shape (3,9)"),
     ((8, 8, 3), {"input_shape": [8, 4, 3]}, "layer 0 expects fan-in 192, chain provides 96"),
+    ((8, 8, 3), {"layers": one_layer([3072], 16)},
+     "layer 0: layer weights must be rank-2 and bias rank-1"),
+    ((8, 8, 3), {"layers": one_layer([16, 192], 15)},
+     "layer 0: layer fan-out mismatch: weights (16, 192), bias (15,)"),
+    ((8, 8, 3), {"class_embeddings": {"data": [0.0] * 24, "shape": [24]}},
+     "class embeddings must be a (classes, dim) matrix"),
+    # the saved unit-norm embeddings stay: their norms are checked before their width
+    ((8, 8, 3), {"layers": one_layer([7, 192], 7)}, "encoder output dim 7 != class embedding dim 8"),
 ], ids=["numbers-as-names", "one-channel", "too-few-names", "layers-not-a-list",
-        "temperature-not-a-number", "data-does-not-fit-shape", "fan-in-off-input-shape"])
+        "temperature-not-a-number", "data-does-not-fit-shape", "fan-in-off-input-shape",
+        "weights-not-rank-2", "bias-off-fan-out", "embeddings-not-a-matrix",
+        "encoder-off-embedding-dim"])
 def test_checkpoint_refuses_a_declaration_it_cannot_keep(tmp_path, model, edit, message):
     path = tmp_path / "model.json"
     save_model(new_scorer(17, model, (16,), 8, 3, class_names=["a", "b", "c"]), path)

@@ -1,5 +1,6 @@
 """Gradient-provider wire protocol: handshake, payloads, failure paths."""
 
+import gc
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +198,30 @@ def test_client_validates_input_shape_and_label():
             client(np.zeros((1, SIDE, SIDE, 3)), [9])
 
 
+def test_a_batch_of_no_images_is_refused_before_any_request(wire):
+    with spawn() as client:
+        for call in (client.logits, lambda x: client(x, [])):
+            with pytest.raises(ValueError, match=r"^a batch of no images, shape \(0, 6, 6, 3\)$"):
+                call(np.empty((0, SIDE, SIDE, 3)))
+        assert wire.sent == []
+        # the provider was never asked, so it still answers
+        assert client(np.zeros((1, SIDE, SIDE, 3)), [0]).losses.shape == (1,)
+
+
 # ---------------------------------------------------------------- handshake failures
+
+
+def test_a_command_that_cannot_spawn_is_refused_and_its_stderr_file_closed():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ProviderError) as exc:
+            provider_connect(["/nonexistent/provider-cmd", "--x"])
+        message = str(exc.value)
+        del exc  # its traceback holds the client, and with it the stderr file
+        gc.collect()
+    assert message == ("cannot spawn provider ['/nonexistent/provider-cmd', '--x']: [Errno 2] "
+                       "No such file or directory: '/nonexistent/provider-cmd'")
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_hello_timeout():
