@@ -69,10 +69,11 @@ def _usage_type(name: str, convert):
     return parse
 
 
-def _outside_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
-    """The --config file's values, as flag text, then IGPROBE_OUTPUT_DIR, for this subcommand.
-
-    A key that no subcommand takes is a usage error; a key that only other
+def _outside_flags(args: argparse.Namespace, subparsers: dict) -> list[str]:
+    """The --config file's values, then IGPROBE_OUTPUT_DIR, as this subcommand's
+    flags ``--flag=text`` (so a value that begins with "-" is still the flag's):
+    a list as comma text, a bare flag written for true and left out for false.
+    A key that no subcommand takes is a usage error; one that only other
     subcommands take is ignored, so one file can drive train, sweep and attribute.
     """
     values = {}
@@ -85,26 +86,21 @@ def _outside_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
     unknown = [k for k in values if k not in known]
     if unknown:
         raise UsageError(f"unknown config keys {unknown}")
-
-    actions = {a.dest: a for a in subparsers[args.subcommand]._actions}
-    defaults = {}
-    for name, value in values.items():
-        action = actions.get(name)
-        if action is None or value is None:
+    if os.environ.get(ENV_OUTPUT_DIR):
+        values["out"] = os.environ[ENV_OUTPUT_DIR]
+    flags = []
+    for action in subparsers[args.subcommand]._actions:
+        value = values.get(action.dest)
+        if value is None:
             continue
-        if action.nargs == 0:  # a bare flag: true sets it
+        if action.nargs == 0:  # a bare flag
             if not isinstance(value, bool):
-                raise UsageError(f"bad value for {name}: {value!r} (expected true or false)")
-            defaults[name] = value
-            continue
-        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        # argparse converts a string default with the flag's type but checks no choices
-        if action.choices and text not in action.choices:
-            raise UsageError(f"{name} must be one of {action.choices}, got {text!r}")
-        defaults[name] = text
-    if "out" in actions and os.environ.get(ENV_OUTPUT_DIR):
-        defaults["out"] = os.environ[ENV_OUTPUT_DIR]
-    return defaults
+                raise UsageError(f"bad value for {action.dest}: {value!r} (expected true or false)")
+            flags += [action.option_strings[0]] if value else []
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags.append(f"{action.option_strings[0]}={text}")
+    return flags
 
 
 def _out_dir(cfg: argparse.Namespace) -> Path:
@@ -148,7 +144,7 @@ def _load_data(cfg: argparse.Namespace) -> Dataset:
 def _scorer(cfg: argparse.Namespace):
     """Yield (row name, scorer) from --checkpoint or --provider; a provider is closed on exit.
 
-    The image loop checks that the scorer fits a dataset (``harness._each_image``)."""
+    The image loop checks that the scorer fits a dataset (``model.check_fit``)."""
     if bool(cfg.checkpoint) == bool(cfg.provider):
         raise UsageError("exactly one model source required: --checkpoint PATH, --provider CMD")
     if cfg.checkpoint:
@@ -446,16 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, its --config values and IGPROBE_OUTPUT_DIR parsed as flags before
+    the command line's (``_outside_flags``): the last flag wins, each checked as if typed."""
     # What an output stream's encoding cannot hold is printed escaped and fails no run.
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(errors="backslashreplace")
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
         subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
-        subparsers[args.subcommand].set_defaults(**_outside_defaults(args, subparsers))
-        args = parser.parse_args(argv)
+        at = argv.index(args.subcommand) + 1
+        args = parser.parse_args([*argv[:at], *_outside_flags(args, subparsers), *argv[at:]])
         code = COMMANDS[args.subcommand](args)
         if "out" in vars(args):  # degrade's --out is its output image; verify writes nothing
             _write_manifest(args)

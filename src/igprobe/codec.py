@@ -259,6 +259,7 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     Output is clamped to [0, 1].
     """
     img = check_image(img)
+    out_h, out_w = require_integer(out_h, "output height"), require_integer(out_w, "output width")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be >= 1, got {out_h} x {out_w}")
     out = _resize_axis(img, out_h, axis=0)

@@ -21,7 +21,7 @@ from .attribution import (DEFAULT_SCHEME, DEFAULT_STEPS, AttributionMap, PathSpe
                           check_quadrature, integrated_gradients)
 from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
 from .data import Dataset, read_csv_rows
-from .model import Scorer, ScorerModel, check_labels, softmax
+from .model import Scorer, ScorerModel, check_fit, softmax
 from .tensor import argmax
 
 
@@ -192,8 +192,7 @@ def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) ->
     """The one per-image loop: per image, ``{q: work(item, base, x)}`` over
     ``qualities``, with the original ``base`` prepared first and ``x`` the
     input prepared at ``q``.  Before any image is read, the scorer must fit
-    ``dataset``: its class count, then a ``ScorerModel``'s class names in order
-    if it names them (a provider's are its own), then every item's label.
+    ``dataset`` (``check_fit``).
 
     The images are split into one contiguous chunk per worker (``_workers``):
     this process does the first chunk, and a child forked after the scorer
@@ -205,17 +204,9 @@ def _each_image(scorer: Scorer, dataset: Dataset, qualities, what: str, work) ->
     ``RuntimeError`` naming ``what``, the image and the quality, where it
     happens (``_visit``); a child sends only its text (``_join``).  A child
     that ends without a reply is named by its first and last image."""
-    if scorer.num_classes != dataset.num_classes:
-        raise ValueError(f"scorer expects {scorer.num_classes} classes, "
-                         f"dataset has {dataset.num_classes}")
-    if (isinstance(scorer, ScorerModel) and scorer.class_names
-            and scorer.class_names != dataset.class_names):
-        raise ValueError(f"the scorer scores classes {scorer.class_names}, "
-                         f"but the dataset lists classes {dataset.class_names}")
+    check_fit(scorer, dataset)
     hw = scorer.input_shape[:2]
     items = dataset.items
-    if items:  # no labels at all would be refused as floats
-        check_labels([it.label for it in items], len(items), scorer.num_classes)
     n = _workers(scorer, len(items))
     bounds = [len(items) * i // n for i in range(n + 1)]
     return _join(lambda chunk: _visit(chunk, qualities, hw, work, what),

@@ -179,6 +179,24 @@ def check_labels(labels, batch: int, num_classes: int) -> np.ndarray:
     return labels.astype(np.intp)
 
 
+def check_fit(scorer: Scorer, dataset: "Dataset") -> np.ndarray:
+    """``dataset``'s labels, once ``scorer`` is found to fit it: the class
+    count, then a ``ScorerModel``'s class names in order if it names them (a
+    provider's are its own), then every item's label.  The image loop,
+    ``train`` and ``mean_loss`` each check here before any image is read."""
+    if scorer.num_classes != dataset.num_classes:
+        raise ValueError(f"scorer expects {scorer.num_classes} classes, "
+                         f"dataset has {dataset.num_classes}")
+    if (isinstance(scorer, ScorerModel) and scorer.class_names
+            and scorer.class_names != dataset.class_names):
+        raise ValueError(f"the scorer scores classes {scorer.class_names}, "
+                         f"but the dataset lists classes {dataset.class_names}")
+    labels = [it.label for it in dataset.items]
+    if not labels:  # no labels at all would be refused as floats
+        return np.empty(0, dtype=np.intp)
+    return check_labels(labels, len(labels), scorer.num_classes)
+
+
 def check_images(images, input_shape: tuple) -> np.ndarray:
     """Finite float64 images shaped (batch, *input_shape), batch >= 1."""
     images = np.asarray(images, dtype=np.float64)
@@ -358,15 +376,15 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
     """Plain SGD on the cross-entropy loss; class embeddings stay frozen.
 
     Deterministic for a given seed: batch order comes from the seeded
-    permutation stream, summation order is fixed.
+    permutation stream, summation order is fixed.  A model that does not
+    fit ``dataset`` (``check_fit``) is refused before any image is read, and
+    images not shaped as its input before any step.
     """
     items = dataset.items
-    if len(items) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    y_all = check_labels([it.label for it in items], len(items), model.num_classes)
+    y_all = check_fit(model, dataset)
 
     out = copy.deepcopy(model)
-    x_all = _stack_images(dataset).reshape(len(items), -1)
+    x_all = check_images(_stack_images(dataset), model.input_shape).reshape(len(items), -1)
     rng = SeededRng(cfg.seed)
 
     for epoch in range(1, cfg.epochs + 1):
@@ -383,8 +401,10 @@ def train(model: ScorerModel, dataset: "Dataset", cfg: TrainConfig) -> ScorerMod
 
 
 def mean_loss(model: ScorerModel, dataset: "Dataset") -> float:
-    logits = forward(model, _stack_images(dataset))
-    return float(cross_entropy(logits, np.array([it.label for it in dataset.items])).mean())
+    """The mean cross-entropy of ``forward`` over ``dataset``; a model that
+    does not fit it (``check_fit``) is refused before any image is read."""
+    labels = check_fit(model, dataset)
+    return float(cross_entropy(forward(model, _stack_images(dataset)), labels).mean())
 
 
 def gradient_check(model: ScorerModel, image: np.ndarray, k: int, h: float = 1e-5) -> dict:

@@ -107,8 +107,8 @@ class ProviderClient:
         deadline = time.monotonic() + timeout
         try:
             stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
-        except ValueError as exc:  # the pipes were closed by an earlier failure
-            raise self._fail(f"provider write failed: {exc}") from exc
+        except ValueError:  # the pipes were closed by close() or an earlier failure
+            raise self._fail(f"{what}: the provider is closed") from None
         pending = memoryview(request)
         with selectors.DefaultSelector() as selector:
             selector.register(stdout, selectors.EVENT_READ)
@@ -135,7 +135,7 @@ class ProviderClient:
                         try:
                             code = self._proc.wait(timeout=EXIT_WAIT)
                         except subprocess.TimeoutExpired:
-                            code = self._proc.poll()
+                            raise self._fail(f"provider closed its stdout during {what}") from None
                         raise self._fail(f"provider exited (code {code}) during {what}")
         end = self._unread.index(b"\n") + 1
         line = bytes(self._unread[:end])

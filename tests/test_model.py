@@ -131,6 +131,8 @@ def test_loss_label_out_of_range():
     for k in (3, -1):
         with pytest.raises(ValueError, match="out of range"):
             backward(model, np.zeros((1, 1, 1, 3)), [k])
+    with pytest.raises(ValueError, match=re.escape("expected 2 labels, got shape (1,)")):
+        backward(model, np.zeros((2, 1, 1, 3)), [0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,6 +201,11 @@ def test_gradient_check_trained_model_under_1e5():
     model = train(model, data, TrainConfig(lr=0.05, epochs=8, batch=8, seed=2))
     res = gradient_check(model, SeededRng(14).uniform([16, 16, 3]), 2)
     assert res["max_rel_err"] < 1e-5
+
+
+def test_gradient_check_refuses_a_step_that_is_not_positive():
+    with pytest.raises(ValueError, match="^step h must be positive$"):
+        gradient_check(identity_model(3), np.zeros((1, 1, 3)), 0, h=0)
 
 
 def test_gradient_check_flags_relu_kink():
@@ -344,8 +351,56 @@ def test_new_scorer_refuses_widths_below_one(hidden, embed_dim, message):
 def test_train_empty_dataset_rejected():
     data = make_separable()
     empty = type(data)(items=[], class_names=data.class_names)
-    with pytest.raises(ValueError):
-        train(new_scorer(9, (8, 8, 3), (16,), 8, 2), empty, TrainConfig())
+    model = new_scorer(9, (8, 8, 3), (16,), 8, 2)
+    with pytest.raises(ValueError, match="^the dataset has no images$"):
+        train(model, empty, TrainConfig())
+    with pytest.raises(ValueError, match="^the dataset has no images$"):
+        mean_loss(model, empty)
+
+
+def _misfits():
+    data = gen_synthetic(2, classes=4, per_class=10, side=8)
+    names = data.class_names
+
+    def relabelled(label):
+        return Dataset([DatasetItem(it.pixels, label if i == 3 else it.label, it.id)
+                        for i, it in enumerate(data.items)], names)
+
+    return {
+        "class order": (new_scorer(1, (8, 8, 3), (16,), 8, 4, class_names=names[::-1]), data,
+                        f"the scorer scores classes {names[::-1]}, "
+                        f"but the dataset lists classes {names}"),
+        "class count": (new_scorer(1, (8, 8, 3), (16,), 8, 5), data,
+                        "scorer expects 5 classes, dataset has 4"),
+        "negative label": (new_scorer(1, (8, 8, 3), (16,), 8, 4), relabelled(-1),
+                           "label -1 out of range for 4 classes"),
+        "label past the classes": (new_scorer(1, (8, 8, 3), (16,), 8, 4), relabelled(7),
+                                   "label 7 out of range for 4 classes"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_misfits()))
+@pytest.mark.parametrize("call", ["train", "mean_loss"])
+def test_train_and_mean_loss_refuse_a_dataset_the_model_does_not_fit(monkeypatch, call, case):
+    # the fit is checked before any image is read, as the image loop checks it
+    model, data, message = _misfits()[case]
+
+    def unread(dataset):
+        raise AssertionError("an image was read")
+
+    monkeypatch.setattr(model_module, "_stack_images", unread)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if call == "train":
+            train(model, data, TrainConfig(epochs=1))
+        else:
+            mean_loss(model, data)
+
+
+def test_train_refuses_images_shaped_unlike_its_input():
+    data = gen_synthetic(2, classes=4, per_class=10, side=8)
+    with pytest.raises(ValueError, match=re.escape(
+            "input shape (40, 8, 8, 3) != (batch, *(4, 4, 3))")):
+        train(new_scorer(1, (4, 4, 3), (16,), 8, 4), data, TrainConfig(epochs=1))
 
 
 # ----------------------------------------------------------------- checkpoints

@@ -344,6 +344,48 @@ def test_provider_exit_reported_with_stderr():
     assert "synthetic crash" in str(exc.value)
 
 
+# A provider that says the hello given as its first argument, reads one
+# request, closes its stdout and runs on.
+STDOUT_CLOSING_PROVIDER = ("import os, sys\nprint(sys.argv[1], flush=True)\n"
+                           "sys.stdin.readline(); os.close(1); sys.stdin.read()")
+
+
+def test_a_provider_that_closes_its_stdout_and_runs_on_is_not_called_exited(monkeypatch):
+    monkeypatch.setattr(provider, "EXIT_WAIT", 0.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        client = provider_connect([sys.executable, "-c", STDOUT_CLOSING_PROVIDER,
+                                   TWO_CLASS_HELLO])
+        with pytest.raises(ProviderError) as exc:
+            client(np.zeros((1, SIDE, SIDE, 3)), [0])
+        message = str(exc.value)
+        del exc, client  # the traceback holds the client, and with it its pipes
+        gc.collect()
+    assert message == "provider closed its stdout during grad request 0"
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_a_call_to_a_closed_provider_says_it_is_closed():
+    # closed by a failure, then by close(): nothing is written to either
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        failed = spawn("exit")
+        with pytest.raises(ProviderError, match="provider exited"):
+            failed(np.zeros((1, SIDE, SIDE, 3)), [0])
+        closed = spawn()
+        closed.close()
+        messages = []
+        for client in (failed, closed):
+            with pytest.raises(ProviderError) as exc:
+                client(np.zeros((1, SIDE, SIDE, 3)), [0])
+            messages.append(str(exc.value))
+        del exc, client, failed, closed
+        gc.collect()
+    assert messages == ["grad request 1: the provider is closed",
+                        "grad request 0: the provider is closed"]
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_reply_deadline_is_timeout_per_row():
     # 3 rows reply after 3 * 0.7 s = 2.1 s: past one 1 s timeout, inside three.
     assert SLOW_ROW_S == 0.7

@@ -31,6 +31,8 @@ def test_argmax_singleton():
 def test_argmax_empty_rejected():
     with pytest.raises(ValueError):
         argmax(np.zeros(0))
+    with pytest.raises(ValueError, match="^argmax expects a rank-1 tensor, got rank 2$"):
+        argmax(np.zeros((2, 2)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -91,6 +93,8 @@ def test_rng_permutation_is_permutation():
     p = SeededRng(5).permutation(17)
     assert sorted(p.tolist()) == list(range(17))
     assert np.array_equal(SeededRng(5).permutation(17), p)
+    with pytest.raises(ValueError, match="^permutation needs n >= 1$"):
+        SeededRng(5).permutation(0)
 
 
 @settings(max_examples=30, deadline=None)
