@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -527,18 +528,138 @@ def save_model(model: ScorerModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _json_object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
+    return doc
+
+
 def read_json_object(path: str | Path, where: str) -> dict:
     """The JSON object that file ``path`` holds; every refusal names ``where``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ValueError(f"cannot read {where}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be an object, got {type(doc).__name__}")
-    return doc
+    return _json_object(doc, where)
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+# Bytes of a "data" list that are read at a time.
+_SLICE_BYTES = 1 << 16
+_DATA_LIST = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*\[')  # JSON whitespace only
+# The bytes of numbers: digits, signs, points, exponents, the letters of NaN
+# and Infinity, commas and JSON whitespace.
+_NUMBER_BYTES = b"-+.0123456789eENaInfity, \t\n\r"
+
+
+def _numbers_only(raw: bytes, start: int, stop: int) -> bool:
+    """Whether ``raw[start:stop]`` holds only ``_NUMBER_BYTES``, checked a
+    slice at a time so that no copy of a whole list is made."""
+    return not any(raw[at:min(at + _SLICE_BYTES, stop)].translate(None, _NUMBER_BYTES)
+                   for at in range(start, stop, _SLICE_BYTES))
+
+
+def _syntax_error(raw: bytes, at: int, msg: str, where: str) -> ValueError:
+    """json's refusal ``msg`` at byte ``at`` of file text ``raw``, with the
+    line, column and character that json gives for that point."""
+    text = raw[:at].decode("utf-8")
+    return ValueError(f"cannot read {where}: {json.JSONDecodeError(msg, text, len(text))}")
+
+
+def _read_numbers(raw: bytes, start: int, stop: int, where: str) -> Tensor:
+    """The numbers of list text ``raw[start:stop]`` (brackets excluded) in
+    one float64 array sized by the text's commas.  json parses the text in
+    slices of about ``_SLICE_BYTES`` that end at a comma, so no Python list
+    as long as the array is held."""
+    out = np.empty(raw.count(b",", start, stop) + 1)
+    filled = 0
+    while True:
+        end = stop
+        if stop - start > _SLICE_BYTES:
+            end = raw.rfind(b",", start, start + _SLICE_BYTES)
+            if end < 0:  # no comma in the slice: one number is longer than it
+                end = raw.find(b",", start, stop)
+                end = stop if end < 0 else end
+        try:
+            values = json.loads(b"[%b]" % raw[start:end])
+        except json.JSONDecodeError as exc:  # exc.pos counts the "[" put before the slice
+            raise _syntax_error(raw, start + exc.pos - 1, exc.msg, where) from None
+        if not values:  # whitespace alone: "[]", or a gap before or after a comma
+            if len(out) > 1:
+                raise _syntax_error(raw, end, "Expecting value", where)
+            return out[:0]
+        out[filled:filled + len(values)] = values
+        filled += len(values)
+        if end == stop:
+            return out
+        start = end + 1
+
+
+def _read_checkpoint(path: str | Path, where: str) -> dict:
+    """The JSON object that checkpoint file ``path`` holds, with each
+    ``"data"`` list of numbers read by ``_read_numbers`` into a float64
+    array.  A ``"data"`` of any other value stays as json reads it.
+
+    Each such list's text is replaced by a number literal that appears
+    nowhere in the file: ``mark`` and the list's index.  ``json.loads`` reads
+    that much smaller text as UTF-8, and its ``parse_float`` reads each list
+    where its literal is, in document order.  So json still judges every
+    number's syntax and gives every value's bits, a refusal names the file's
+    own line and column, and the load holds the file's bytes and the arrays,
+    never a Python float per weight.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read {where}: {exc}") from None
+    lists = []  # each list's text between its brackets, as (start, stop) in raw
+    for head in _DATA_LIST.finditer(raw):
+        start, stop = head.end(), raw.find(b"]", head.end())
+        if stop >= 0 and _numbers_only(raw, start, stop):
+            lists.append((start, stop))
+    # The file's text around the lists, each list's brackets cut out with it.
+    edges = [0, *(edge for start, stop in lists for edge in (start - 1, stop + 1)), len(raw)]
+    pieces = [raw[a:b] for a, b in zip(edges[::2], edges[1::2])]
+    mark = b"1E-0"
+    while any(mark in piece for piece in pieces):
+        mark += b"0"
+    # A space ends each literal where its list ended.
+    literals = [b"%b%d " % (mark, k) for k in range(len(lists))] + [b""]
+
+    def in_file(at: int) -> int:
+        """Byte ``at`` of the text json reads, as a byte of ``raw``; a byte of
+        a literal is its list's "["."""
+        for piece_start, piece, literal in zip(edges[::2], pieces, literals):
+            if at <= len(piece):
+                return piece_start + at
+            at -= len(piece)
+            if at < len(literal):
+                return piece_start + len(piece)
+            at -= len(literal)
+
+    text_mark = mark.decode()
+
+    def number(literal: str):
+        if literal.startswith(text_mark):
+            return _read_numbers(raw, *lists[int(literal[len(text_mark):])], where)
+        return float(literal)
+
+    try:
+        text = b"".join(part for pair in zip(pieces, literals) for part in pair).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = in_file(exc.start)
+        exc.object, exc.start, exc.end = raw, at, at + exc.end - exc.start
+        raise ValueError(f"cannot read {where}: {exc}") from None
+    try:
+        doc = json.loads(text, parse_float=number)
+    except json.JSONDecodeError as exc:
+        raise _syntax_error(raw, in_file(len(text[:exc.pos].encode())), exc.msg, where) from None
+    return _json_object(doc, where)
+
+
+# What a checkpoint field must be, by the type it reads as; a flat list of
+# numbers reads as an array.
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", (int, float): "a number",
+               np.ndarray: "a flat list of numbers"}
 
 
 def _field(obj, key: str, kind, where: str):
@@ -553,11 +674,14 @@ def _field(obj, key: str, kind, where: str):
 
 
 def _unpack(doc: dict, key: str, where: str) -> Tensor:
+    """Field ``key`` of checkpoint object ``doc``: its ``"data"``, which
+    ``_read_checkpoint`` read as an array, in its ``"shape"``.  A ``"data"``
+    that is not a flat list of numbers is refused, naming the field."""
     obj = _field(doc, key, dict, where)
     where = f"{where} field {key!r}"
-    data, shape = _field(obj, "data", list, where), _field(obj, "shape", list, where)
+    data, shape = _field(obj, "data", np.ndarray, where), _field(obj, "shape", list, where)
     try:
-        return np.array(data, dtype=np.float64).reshape(shape)
+        return data.reshape(shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -565,7 +689,7 @@ def _unpack(doc: dict, key: str, where: str) -> Tensor:
 def load_model(path: str | Path) -> ScorerModel:
     """Read a checkpoint, naming the first missing or mistyped field."""
     where = f"checkpoint {path}"
-    doc = read_json_object(path, where)
+    doc = _read_checkpoint(path, where)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a scorer checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -44,11 +44,13 @@ def require_finite(t: Tensor, name: str = "tensor") -> Tensor:
 def require_integer(value, name: str, least: int | None = None) -> int:
     """``value`` as an int if it is a whole number, and at least ``least`` if
     given.  An int, a numpy integer or a float such as 50.0 is whole; a bool,
-    2.5, NaN or text is refused, naming ``name``."""
+    2.5, NaN or text is refused, naming ``name``.  Text is shown quoted, so
+    that ``"4"`` does not read as the number 4."""
     whole = isinstance(value, (int, np.integer)) or (
         isinstance(value, (float, np.floating)) and float(value).is_integer())
     if isinstance(value, bool) or not whole:
-        raise ValueError(f"{name} must be an integer, got {value}")
+        raise ValueError(f"{name} must be an integer, got "
+                         f"{repr(value) if isinstance(value, str) else value}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)

@@ -255,7 +255,7 @@ def test_resize_refuses_an_empty_output_size():
     assert str(exc.value) == "output size must be >= 1, got 0 x 4"
     # a size that is not a whole number is named, not left to fail inside numpy
     for size, message in (((2.5, 4), "output height must be an integer, got 2.5"),
-                          (("4", 4), "output height must be an integer, got 4"),
+                          (("4", 4), "output height must be an integer, got '4'"),
                           ((4, True), "output width must be an integer, got True")):
         with pytest.raises(ValueError) as exc:
             resize_bicubic(np.full((4, 4, 3), 0.5), *size)

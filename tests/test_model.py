@@ -509,3 +509,149 @@ def test_checkpoint_rejects_foreign_json(tmp_path):
     path.write_text('{"hello": 1}')
     with pytest.raises(ValueError, match="checkpoint"):
         load_model(path)
+
+
+@pytest.mark.parametrize("edit,kind", [
+    (lambda bias: [True] + bias[1:], "list"),
+    (lambda bias: ["0.5"] + bias[1:], "list"),
+    (lambda bias: [bias], "list"),
+    (lambda bias: [None] + bias[1:], "list"),
+    (lambda bias: {"values": bias}, "dict"),
+    (lambda bias: "0.5", "str"),
+], ids=["true", "text", "nested", "null", "object", "string"])
+def test_checkpoint_refuses_data_that_is_not_a_flat_list_of_numbers(tmp_path, edit, kind):
+    # numpy would convert each of these to floats (true as 1.0, "0.5" as 0.5,
+    # [[...]] as a matrix that reshapes to the bias), so each is refused.
+    path = tmp_path / "model.json"
+    save_model(new_scorer(17, (8, 8, 3), (16,), 8, 3), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["bias"]["data"] = edit(doc["layers"][0]["bias"]["data"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == (f"checkpoint {path} layer 0 field 'bias' field 'data' "
+                              f"must be a flat list of numbers, got {kind}")
+
+
+def bits(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
+@example([0.0, -0.0])
+@example([5e-324, -5e-324])
+@example([1.7976931348623157e308, -1.7976931348623157e308])
+@example([2.2250738585072014e-308, -2.2250738585072014e-308])
+def test_checkpoint_keeps_every_weight_bit_for_bit(tmp_path_factory, values):
+    v = np.array(values)
+    model = ScorerModel(layers=[Layer(np.stack([v, -v, v[::-1]], axis=1), v, "identity")],
+                        class_embeddings=np.full((2, len(v)), 1 / math.sqrt(len(v))),
+                        temperature=1.0, input_shape=(1, 1, 3))
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert bits(loaded.layers[0].weights) == bits(model.layers[0].weights)
+    assert bits(loaded.layers[0].bias) == bits(v)
+    assert bits(loaded.class_embeddings) == bits(model.class_embeddings)
+
+
+@pytest.mark.parametrize("slice_bytes", [7, 1 << 16], ids=["short-slices", "default-slices"])
+def test_checkpoint_layouts_load_to_the_same_arrays(tmp_path, monkeypatch, slice_bytes):
+    monkeypatch.setattr(model_module, "_SLICE_BYTES", slice_bytes)
+    path = tmp_path / "model.json"
+    save_model(new_scorer(17, (8, 8, 3), (16,), 8, 3), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["bias"]["data"] = list(range(-8, 8))
+    layer = doc["layers"][0]
+    want = [np.array(layer["weights"]["data"]).reshape(16, 192), np.arange(-8.0, 8.0),
+            np.array(doc["class_embeddings"]["data"]).reshape(3, 8)]
+    indented = json.dumps(doc, indent=2)
+    for text in (json.dumps(doc), indented, indented.replace("\n", "\r\n")):
+        path.write_bytes(text.encode())
+        loaded = load_model(path)
+        got = [loaded.layers[0].weights, loaded.layers[0].bias, loaded.class_embeddings]
+        assert [bits(g) for g in got] == [bits(w) for w in want]
+
+
+def test_an_empty_data_list_reads_as_an_empty_array(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": {"data": []}, "b": {"data": [ \r\n ]}}')
+    doc = model_module._read_checkpoint(path, "doc")
+    for key in "ab":
+        assert doc[key]["data"].dtype == np.float64 and doc[key]["data"].shape == (0,)
+
+
+def test_a_class_name_that_looks_like_a_data_list_is_kept(tmp_path):
+    names = ['", "data": [1, 2]', '"data": [3]', "data"]
+    path = tmp_path / "model.json"
+    model = new_scorer(17, (8, 8, 3), (16,), 8, 3, class_names=names)
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.class_names == names
+    assert bits(loaded.class_embeddings) == bits(model.class_embeddings)
+
+
+def test_a_file_that_holds_the_readers_stand_in_text_reads_as_it_is(tmp_path):
+    # Each "data" list of numbers is replaced, while the file is read, by a
+    # number literal the file does not hold; 1E-00 is the first it would try.
+    path = tmp_path / "model.json"
+    save_model(new_scorer(17, (8, 8, 3), (16,), 8, 3, class_names=["1E-00", "1E-01", "a"]), path)
+    doc = json.loads(path.read_text())
+    doc["temperature"] = 1.0
+    doc["layers"][0]["bias"]["data"] = "BIAS"
+    text = json.dumps(doc).replace('"temperature": 1.0', '"temperature": 1E-00').replace(
+        '"BIAS"', "[" + ", ".join(["1E-00", "1E-01"] * 8) + "]")
+    path.write_text(text)
+    loaded = load_model(path)
+    assert loaded.temperature == 1.0
+    assert loaded.class_names == ["1E-00", "1E-01", "a"]
+    assert bits(loaded.layers[0].bias) == bits(np.array([1.0, 0.1] * 8))
+    assert bits(loaded.class_embeddings) == bits(np.array(doc["class_embeddings"]["data"]))
+
+
+def in_last_list(text: str, old: str, new: str) -> str:
+    """``text`` with the first ``old`` in its last "data" list made ``new``."""
+    at = text.index(old, text.rindex('"data": ['))
+    return text[:at] + new + text[at + len(old):]
+
+
+@pytest.mark.parametrize("slice_bytes", [7, 1 << 16], ids=["short-slices", "default-slices"])
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text.replace('"activation": "identity"', '"activation" "identity"'),
+    lambda text: text + "x",
+    lambda text: in_last_list(text, ",", ",,"),
+    lambda text: in_last_list(text, ",", " 1,"),
+    lambda text: in_last_list(text, "]", ",]"),
+    lambda text: in_last_list(text, "[", "[,"),
+], ids=["after-the-lists", "after-the-object", "empty-value", "missing-comma", "trailing-comma",
+        "leading-comma"])
+def test_a_syntax_error_names_the_files_own_line_and_column(tmp_path, monkeypatch, corrupt,
+                                                            slice_bytes):
+    monkeypatch.setattr(model_module, "_SLICE_BYTES", slice_bytes)
+    path = tmp_path / "model.json"
+    save_model(new_scorer(17, (8, 8, 3), (16,), 8, 3, class_names=["é", "ß", "c"]), path)
+    text = corrupt(json.dumps(json.loads(path.read_text()), indent=2, ensure_ascii=False))
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"cannot read checkpoint {path}: {want.value}"
+
+
+def test_loading_a_checkpoint_holds_no_python_float_per_weight(tmp_path):
+    # The benchmark's shapes.  A Python float per weight, as json.loads of the
+    # whole file gives, peaks at about 10.9 MB for these 1.6 MB of weights.
+    model = new_scorer(1, (32, 32, 3), (64, 32), 32, 4)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    weight_bytes = model.class_embeddings.nbytes + sum(
+        layer.weights.nbytes + layer.bias.nbytes for layer in model.layers)
+    tracemalloc.start()
+    try:
+        load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size + 1.5 * weight_bytes, (peak, path.stat().st_size)

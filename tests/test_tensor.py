@@ -117,11 +117,13 @@ def test_require_finite_rejects_nan_and_inf():
     (lambda: check_quality(50.7), "quality must be an integer, got 50.7"),
     (lambda: check_quality(True), "quality must be an integer, got True"),
     (lambda: PathSpec(np.zeros(2), np.ones(2), 2.5), "steps must be an integer, got 2.5"),
+    (lambda: PathSpec(np.zeros(2), np.ones(2), "50"), "steps must be an integer, got '50'"),
     (lambda: TrainConfig(batch=2.5), "batch must be an integer, got 2.5"),
     (lambda: TrainConfig(epochs=1.5), "epochs must be an integer, got 1.5"),
     (lambda: new_scorer(1, (4, 4, 3), [2.5], 3, 2), "hidden must be an integer, got 2.5"),
     (lambda: gen_synthetic(1, 2, 2.5, 8), "per_class must be an integer, got 2.5"),
-], ids=["quality-float", "quality-bool", "steps", "batch", "epochs", "hidden", "per-class"])
+], ids=["quality-float", "quality-bool", "steps", "steps-text", "batch", "epochs", "hidden",
+        "per-class"])
 def test_library_counts_refuse_non_integers(make, message):
     # a count that is not a whole number names its setting rather than being truncated
     with pytest.raises(ValueError, match=re.escape(message)):
