@@ -137,12 +137,17 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def _quantize_plane(planes: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """DCT -> quantize -> dequantize -> inverse DCT of each 8x8 block of (..., H, W) planes."""
+def _dct_blocks(planes: np.ndarray) -> np.ndarray:
+    """The DCT of each 8x8 block of (..., H, W) planes, as (..., H/8, W/8, 8, 8)."""
     *lead, h, w = planes.shape
-    blocks = planes.reshape(*lead, h // 8, 8, w // 8, 8).swapaxes(-3, -2)
-    recon = _round_half_away(dct8x8(blocks) / table) * table
-    return idct8x8(recon).swapaxes(-3, -2).reshape(planes.shape)
+    return dct8x8(planes.reshape(*lead, h // 8, 8, w // 8, 8).swapaxes(-3, -2))
+
+
+def _quantized_planes(coef: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Quantize -> dequantize -> inverse DCT of ``_dct_blocks`` output, back as planes."""
+    *lead, hb, wb, _, _ = coef.shape
+    recon = _round_half_away(coef / table) * table
+    return idct8x8(recon).swapaxes(-3, -2).reshape(*lead, hb * 8, wb * 8)
 
 
 def _rgb_to_ycbcr(rgb255: np.ndarray) -> np.ndarray:
@@ -180,32 +185,60 @@ def _subsample_420(planes: np.ndarray) -> np.ndarray:
             + (planes[..., 1::2, 0::2] + planes[..., 1::2, 1::2])) / 4
 
 
+@dataclass(frozen=True)
+class JpegCoefficients:
+    """The half of a JPEG round trip that no quality level changes: the
+    blockwise DCT of an image's level-shifted, edge-padded Y plane and Cb/Cr
+    stack, as (H/8, W/8, 8, 8) and (2, H'/8, W'/8, 8, 8) blocks."""
+    luma: np.ndarray
+    chroma: np.ndarray  # H' = H/2 and W' = W/2 when subsampled
+    shape: tuple[int, int]  # the image's own height and width
+    subsample: bool  # 4:2:0 chroma, the mode of every level below SUBSAMPLE_BELOW
+
+
+def jpeg_forward(img: np.ndarray, subsample: bool) -> JpegCoefficients:
+    """The forward half of a JPEG round trip: colour transform, padding,
+    the 4:2:0 average if ``subsample``, and the forward DCT."""
+    img = check_image(img)
+    ycc = _pad_to_multiple(_rgb_to_ycbcr(img * 255.0), 16 if subsample else 8)
+    chroma = _subsample_420(ycc[1:]) if subsample else ycc[1:]
+    return JpegCoefficients(luma=_dct_blocks(ycc[0] - 128.0), chroma=_dct_blocks(chroma - 128.0),
+                            shape=img.shape[:2], subsample=subsample)
+
+
+def jpeg_back(coef: JpegCoefficients, q: QualityLevel) -> np.ndarray:
+    """The back half of a JPEG round trip at compressed quality ``q``:
+    quantization, dequantization, inverse DCT, nearest-neighbour chroma
+    upsampling, the colour transform back and the clamp into [0, 1].  ``q``
+    must take the subsampling mode that ``coef`` was made in."""
+    q = check_quality(q)
+    if q == ORIGINAL:
+        raise ValueError("jpeg_back needs a compressed quality, got original")
+    if (q < SUBSAMPLE_BELOW) != coef.subsample:
+        raise ValueError(f"quality {q} takes {'4:2:0' if q < SUBSAMPLE_BELOW else '4:4:4'} "
+                         f"chroma, the coefficients are {'4:2:0' if coef.subsample else '4:4:4'}")
+    tables = quant_table(q)
+    h, w = coef.shape
+    y = _quantized_planes(coef.luma, tables.luma) + 128.0
+    chroma = _quantized_planes(coef.chroma, tables.chroma) + 128.0
+    if coef.subsample:
+        chroma = chroma.repeat(2, axis=-2).repeat(2, axis=-1)
+    rgb = _ycbcr_to_rgb(y[:h, :w], *chroma[:, :h, :w])
+    return np.clip(rgb / 255.0, 0.0, 1.0)
+
+
 def degrade_jpeg(img: np.ndarray, q: QualityLevel) -> np.ndarray:
     """JPEG-style lossy round trip at quality ``q``; ORIGINAL passes through.
 
     Chroma is 4:2:0 subsampled (2x2 box average down, nearest-neighbor
     up) for q < ``SUBSAMPLE_BELOW``, 4:4:4 otherwise, mirroring common
-    encoder behavior.
+    encoder behavior.  The round trip is ``jpeg_back(jpeg_forward(img, ...), q)``.
     """
     img = check_image(img)
     q = check_quality(q)
     if q == ORIGINAL:
         return img
-
-    tables = quant_table(q)
-    subsample = q < SUBSAMPLE_BELOW
-    pad = 16 if subsample else 8
-
-    h, w = img.shape[0], img.shape[1]
-    ycc = _pad_to_multiple(_rgb_to_ycbcr(img * 255.0), pad)
-    y = _quantize_plane(ycc[0] - 128.0, tables.luma) + 128.0
-    chroma = _subsample_420(ycc[1:]) if subsample else ycc[1:]
-    chroma = _quantize_plane(chroma - 128.0, tables.chroma) + 128.0
-    if subsample:
-        chroma = chroma.repeat(2, axis=-2).repeat(2, axis=-1)
-
-    rgb = _ycbcr_to_rgb(y[:h, :w], *chroma[:, :h, :w])
-    return np.clip(rgb / 255.0, 0.0, 1.0)
+    return jpeg_back(jpeg_forward(img, q < SUBSAMPLE_BELOW), q)
 
 
 def cubic_kernel(t: np.ndarray) -> np.ndarray:
@@ -239,17 +272,26 @@ def _axis_taps(in_len: int, out_len: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     taps, weights = _axis_taps(arr.shape[axis], out_len)
-    # Tap k of every output position, gathered along ``axis`` itself.
-    p = [arr.take(taps[:, k], axis=axis) for k in range(4)]
     wshape = (out_len,) + (1,) * (arr.ndim - 1 - axis)
-    w = [weights[:, k].reshape(wshape) for k in range(4)]
     # Anchored form of the 4-tap dot product: the floor tap carries the
     # residual kernel mass, so constants survive bit-exactly whatever
-    # the rounding of the individual weights.
-    anchor = p[1]
-    return anchor + (w[0] * (p[0] - anchor)
-                     + w[2] * (p[2] - anchor)
-                     + w[3] * (p[3] - anchor))
+    # the rounding of the individual weights.  Tap k of every output
+    # position is gathered along ``axis`` itself, one tap at a time, and the
+    # sum runs in place in the order anchor + ((t0 + t2) + t3), where
+    # tk = (tap k - anchor) * weight k.
+    anchor = arr.take(taps[:, 1], axis=axis)
+
+    def term(k):
+        out = arr.take(taps[:, k], axis=axis)
+        out -= anchor
+        out *= weights[:, k].reshape(wshape)
+        return out
+
+    total = term(0)
+    total += term(2)
+    total += term(3)
+    total += anchor
+    return total
 
 
 def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -258,13 +300,24 @@ def resize_bicubic(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     Uses half-pixel center alignment and the Keys kernel at ``CUBIC_A``.
     Output is clamped to [0, 1].
     """
-    img = check_image(img)
+    return resize_each(check_image(img)[None], out_h, out_w)[0]
+
+
+def resize_each(images: np.ndarray, out_h: int, out_w: int) -> list[np.ndarray]:
+    """``resize_bicubic`` of each image of an (N, H, W, 3) stack, in one
+    pass over the stack.  Every step is elementwise, so each result has the
+    bits of its own call; each owns its data, so none keeps the stack alive."""
+    stack = np.asarray(images, dtype=np.float64)
+    if stack.ndim != 4:
+        raise ValueError(f"resize_each expects an (N, H, W, 3) stack, got shape {stack.shape}")
+    for img in stack:
+        check_image(img)
     out_h, out_w = require_integer(out_h, "output height"), require_integer(out_w, "output width")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be >= 1, got {out_h} x {out_w}")
-    out = _resize_axis(img, out_h, axis=0)
-    out = _resize_axis(out, out_w, axis=1)
-    return np.clip(out, 0.0, 1.0)
+    out = _resize_axis(stack, out_h, axis=1)
+    out = _resize_axis(out, out_w, axis=2)
+    return [np.clip(level, 0.0, 1.0) for level in out]
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

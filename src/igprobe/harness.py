@@ -19,7 +19,8 @@ import numpy as np
 
 from .attribution import (DEFAULT_SCHEME, DEFAULT_STEPS, AttributionMap, PathSpec,
                           check_quadrature, integrated_gradients)
-from .codec import ORIGINAL, QualityLevel, check_quality, degrade_jpeg, resize_bicubic
+from .codec import (ORIGINAL, SUBSAMPLE_BELOW, QualityLevel, check_image, check_quality, jpeg_back,
+                    jpeg_forward, resize_each)
 from .data import Dataset, read_csv_rows
 from .model import Scorer, ScorerModel, check_fit, softmax
 from .tensor import argmax
@@ -90,13 +91,39 @@ def check_qualities(qualities) -> list[QualityLevel]:
     return qualities
 
 
+def prepare_inputs(image: np.ndarray, qualities,
+                   resize_to: tuple[int, int]) -> list[np.ndarray]:
+    """``image`` prepared at each of ``qualities``, in order: degraded at
+    native resolution, then resized to the scorer input.  The JPEG forward
+    half runs once per subsampling mode and the back half once per level
+    (``degrade_jpeg`` is their composition), and an image not of the scorer's
+    size is resized once, as the stack of its levels (``resize_each``).  So
+    each input has the bits of its level prepared alone, and a resized one
+    owns its data."""
+    image = check_image(image)
+    qualities = [check_quality(q) for q in qualities]
+    forward = {}  # subsample -> the image's JpegCoefficients in that mode
+
+    def degraded(q):
+        if q == ORIGINAL:
+            return image
+        subsample = q < SUBSAMPLE_BELOW
+        if subsample not in forward:
+            forward[subsample] = jpeg_forward(image, subsample)
+        return jpeg_back(forward[subsample], q)
+
+    if image.shape[:2] == tuple(resize_to):
+        return [degraded(q) for q in qualities]
+    stack = np.empty((len(qualities), *image.shape))
+    for level, q in zip(stack, qualities):
+        level[...] = degraded(q)
+    return resize_each(stack, *resize_to)
+
+
 def prepare_input(image: np.ndarray, quality: QualityLevel,
                   resize_to: tuple[int, int]) -> np.ndarray:
     """Degrade at native resolution, then resize to the scorer input."""
-    out = degrade_jpeg(image, quality)
-    if out.shape[:2] != tuple(resize_to):
-        out = resize_bicubic(out, resize_to[0], resize_to[1])
-    return out
+    return prepare_inputs(image, [quality], resize_to)[0]
 
 
 def _workers(scorer: Scorer, n_items: int) -> int:
@@ -111,19 +138,21 @@ def _workers(scorer: Scorer, n_items: int) -> int:
 
 
 def _visit(items, qualities, hw, work, what):
-    """Per item in order, its image read once and then ``{q: work(item, base,
-    x)}``.  The first failure is raised as a ``RuntimeError`` naming
-    ``what``, the image and the quality, chained from its cause; a failed
-    read fails at the original quality."""
+    """Per item in order, its image read and prepared at every level once
+    (``prepare_inputs``), then ``{q: work(item, base, x)}``.  The first
+    failure is raised as a ``RuntimeError`` naming ``what``, the image and
+    the quality, chained from its cause; a failed read or preparation fails
+    at the original quality."""
+    levels = [ORIGINAL] + [q for q in qualities if q != ORIGINAL]
     results = []
     for item in items:
         q = ORIGINAL
         try:
-            image = item.image  # read and converted to float once
-            base = prepare_input(image, ORIGINAL, hw)
+            prepared = dict(zip(levels, prepare_inputs(item.image, levels, hw)))
+            base = prepared[ORIGINAL]
             by_q = {}
             for q in qualities:
-                by_q[q] = work(item, base, base if q == ORIGINAL else prepare_input(image, q, hw))
+                by_q[q] = work(item, base, prepared[q])
         except Exception as exc:
             raise RuntimeError(f"{what} failed on image {item.id!r} at quality {q}: {exc}") from exc
         results.append(by_q)

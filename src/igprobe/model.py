@@ -545,6 +545,9 @@ def read_json_object(path: str | Path, where: str) -> dict:
 
 # Bytes of a "data" list that are read at a time.
 _SLICE_BYTES = 1 << 16
+# Read in place of a "data" list that holds an integer too large for a
+# float64, so that ``_unpack`` refuses it, naming its field.
+_TOO_LARGE = object()
 _DATA_LIST = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*\[')  # JSON whitespace only
 # The bytes of numbers: digits, signs, points, exponents, the letters of NaN
 # and Infinity, commas and JSON whitespace.
@@ -569,7 +572,8 @@ def _read_numbers(raw: bytes, start: int, stop: int, where: str) -> Tensor:
     """The numbers of list text ``raw[start:stop]`` (brackets excluded) in
     one float64 array sized by the text's commas.  json parses the text in
     slices of about ``_SLICE_BYTES`` that end at a comma, so no Python list
-    as long as the array is held."""
+    as long as the array is held.  A list that holds an integer too large
+    for a float64 reads as ``_TOO_LARGE``."""
     out = np.empty(raw.count(b",", start, stop) + 1)
     filled = 0
     while True:
@@ -587,7 +591,10 @@ def _read_numbers(raw: bytes, start: int, stop: int, where: str) -> Tensor:
             if len(out) > 1:
                 raise _syntax_error(raw, end, "Expecting value", where)
             return out[:0]
-        out[filled:filled + len(values)] = values
+        try:
+            out[filled:filled + len(values)] = values
+        except OverflowError:
+            return _TOO_LARGE
         filled += len(values)
         if end == stop:
             return out
@@ -679,6 +686,8 @@ def _unpack(doc: dict, key: str, where: str) -> Tensor:
     that is not a flat list of numbers is refused, naming the field."""
     obj = _field(doc, key, dict, where)
     where = f"{where} field {key!r}"
+    if obj.get("data") is _TOO_LARGE:
+        raise ValueError(f"{where} field 'data' holds an integer too large for a float64")
     data, shape = _field(obj, "data", np.ndarray, where), _field(obj, "shape", list, where)
     try:
         return data.reshape(shape)
@@ -706,7 +715,11 @@ def load_model(path: str | Path) -> ScorerModel:
     input_shape, class_names = doc.get("input_shape"), doc.get("class_names", [])
     check_declaration(input_shape, class_names, where)
     class_embeddings = _unpack(doc, "class_embeddings", where)
-    temperature = float(_field(doc, "temperature", (int, float), where))
+    try:
+        temperature = float(_field(doc, "temperature", (int, float), where))
+    except OverflowError:
+        raise ValueError(f"{where} field 'temperature' is an integer too large for a float64"
+                         ) from None
     try:
         return ScorerModel(layers=layers, class_embeddings=class_embeddings,
                            temperature=temperature, input_shape=tuple(input_shape),

@@ -392,6 +392,26 @@ def test_an_error_naming_a_non_utf8_file_reaches_a_strict_stderr(tmp_path, capsy
                           "text"), err
 
 
+@pytest.mark.parametrize("field, message", [
+    ("bias", "layer 0 field 'bias' field 'data' holds an integer too large for a float64"),
+    ("temperature", "field 'temperature' is an integer too large for a float64"),
+])
+def test_an_integer_too_large_for_a_float_is_refused_naming_its_field(tmp_path, capsys, ckpt,
+                                                                      field, message):
+    # json reads a 401-digit integer as an int, which no float64 can hold
+    doc = json.loads(ckpt.read_text())
+    if field == "bias":
+        doc["layers"][0]["bias"]["data"][1] = 10 ** 400
+    else:
+        doc["temperature"] = -10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(["sweep", *TINY, "--checkpoint", path, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: checkpoint {path} {message}\n"
+    assert not out.exists()
+
+
 def test_manifest_writes_non_utf8_argv_bytes_escaped(tmp_path, ckpt):
     out = tmp_path / os.fsdecode(b"\xff")
     assert run(["sweep", *TINY, "--checkpoint", ckpt, "--qualities", "original,25",

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igprobe.codec import (CHROMA_BASE, LUMA_BASE, ORIGINAL, _axis_taps, _pad_to_multiple,
-                           _quantize_plane, _resize_axis, _subsample_420, check_image,
-                           check_quality, cubic_kernel, dct8x8, degrade_jpeg, idct8x8, psnr,
-                           quant_table, resize_bicubic)
+from igprobe.codec import (CHROMA_BASE, LUMA_BASE, ORIGINAL, _axis_taps, _dct_blocks,
+                           _pad_to_multiple, _quantized_planes, _resize_axis, _subsample_420,
+                           check_image, check_quality, cubic_kernel, dct8x8, degrade_jpeg,
+                           idct8x8, jpeg_back, jpeg_forward, psnr, quant_table, resize_bicubic,
+                           resize_each)
 from igprobe.data import gen_synthetic
 from igprobe.tensor import SeededRng
 
@@ -180,6 +181,29 @@ def test_degrade_original_is_bit_identical():
     assert np.array_equal(degrade_jpeg(img, ORIGINAL), img)
 
 
+def test_one_forward_half_serves_every_level_of_its_mode():
+    # a side that is a multiple of neither 8 nor 16
+    img = SeededRng(6).uniform([21, 13, 3])
+    for subsample, levels in ((True, (94, 75, 25, 1)), (False, (95, 97, 100))):
+        coef = jpeg_forward(img, subsample)
+        assert coef.shape == (21, 13) and coef.subsample is subsample
+        for q in levels:
+            assert jpeg_back(coef, q).tobytes() == degrade_jpeg(img, q).tobytes()
+
+
+def test_the_back_half_refuses_a_level_of_the_other_mode():
+    img = SeededRng(7).uniform([8, 8, 3])
+    with pytest.raises(ValueError, match=r"^quality 95 takes 4:4:4 chroma, "
+                                         r"the coefficients are 4:2:0$"):
+        jpeg_back(jpeg_forward(img, True), 95)
+    with pytest.raises(ValueError, match="4:2:0 chroma, the coefficients are 4:4:4"):
+        jpeg_back(jpeg_forward(img, False), 94)
+    with pytest.raises(ValueError, match="compressed quality"):
+        jpeg_back(jpeg_forward(img, False), ORIGINAL)
+    with pytest.raises(ValueError, match="values outside"):
+        jpeg_forward(img + 1.0, True)
+
+
 def test_degrade_constant_image_stays_constant_within_dc_step():
     img = np.empty((24, 24, 3))
     img[..., 0], img[..., 1], img[..., 2] = 0.43, 0.61, 0.27
@@ -263,6 +287,19 @@ def test_resize_refuses_an_empty_output_size():
     assert resize_bicubic(np.full((4, 4, 3), 0.5), 2.0, 4).shape == (2, 4, 3)
 
 
+def test_resize_each_gives_each_image_the_bits_of_its_own_call():
+    images = [SeededRng(seed).uniform([9, 20, 3]) for seed in range(4)]
+    got = resize_each(np.stack(images), 13, 7)
+    assert [out.tobytes() for out in got] == [resize_bicubic(img, 13, 7).tobytes()
+                                               for img in images]
+    # each result is its own array: none keeps the stack of all four alive
+    assert all(out.base is None for out in got)
+    with pytest.raises(ValueError, match=r"an \(N, H, W, 3\) stack, got shape \(9, 20, 3\)"):
+        resize_each(images[0], 4, 4)
+    with pytest.raises(ValueError, match="values outside"):
+        resize_each(np.stack([images[0], images[1] + 1.0]), 4, 4)
+
+
 def test_resize_same_size_identity():
     img = SeededRng(8).uniform([12, 17, 3])
     assert np.max(np.abs(resize_bicubic(img, 12, 17) - img)) < 1e-12
@@ -333,8 +370,8 @@ def test_codec_stages_on_a_stack_equal_each_plane_bit_for_bit(stage, h, w):
         "pad8": lambda x: _pad_to_multiple(x, 8),
         "pad16": lambda x: _pad_to_multiple(x, 16),
         "subsample": lambda x: _subsample_420(_pad_to_multiple(x, 16)),
-        "quantize": lambda x: _quantize_plane(_pad_to_multiple(x, 8) - 128.0,
-                                              quant_table(25).chroma),
+        "quantize": lambda x: _quantized_planes(_dct_blocks(_pad_to_multiple(x, 8) - 128.0),
+                                                quant_table(25).chroma),
     }[stage]
     got = apply(stack)
     assert got.shape[0] == 2

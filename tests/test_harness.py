@@ -43,7 +43,7 @@ from igprobe.model import (
 )
 from igprobe.imgio import write_ppm
 from igprobe.provider import provider_connect
-from igprobe.tensor import argmax
+from igprobe.tensor import SeededRng, argmax
 
 
 # ---------------------------------------------------------------- metrics
@@ -192,38 +192,80 @@ def loaded(directory, source):
     return load_dataset(directory)
 
 
-def test_sweep_calls_the_public_codec_per_image_and_quality(tmp_path, monkeypatch):
-    # 12x12 files for an 8x8 scorer, so every prepared image is resized too
-    data = loaded(tmp_path, gen_synthetic(6, classes=2, per_class=3, side=12))
-    as_float = Dataset(items=[DatasetItem(pixels=it.image, label=it.label, id=it.id)
-                              for it in data.items], class_names=data.class_names)
-    model = new_scorer(12, (8, 8, 3), (16,), 8, 2)
-    qualities = [ORIGINAL, 75, 25]
-
-    calls = {"degrade_jpeg": 0, "resize_bicubic": 0}
+@contextmanager
+def counting_codec():
+    """The harness's calls of the JPEG halves and of the stacked resize, each
+    recorded by what it was asked: the subsampling mode, the level, the
+    number of levels resized together."""
+    calls = {"jpeg_forward": [], "jpeg_back": [], "resize_each": []}
+    asked = {"jpeg_forward": lambda img, subsample: subsample,
+             "jpeg_back": lambda coef, q: q,
+             "resize_each": lambda levels, h, w: len(levels)}
 
     def counting(name):
         fn = getattr(harness, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def wrapper(*args):
+            calls[name].append(asked[name](*args))
+            return fn(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(harness, name, counting(name))
-    # one process, so that the counter sees every image: a forked child counts its own
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(harness, name, counting(name))
+        yield calls
+
+
+def test_sweep_transforms_each_image_once_per_mode_and_resizes_its_levels_once(tmp_path,
+                                                                              monkeypatch):
+    # 12x12 files for an 8x8 scorer, so every image's levels are resized too
+    data = loaded(tmp_path, gen_synthetic(6, classes=2, per_class=3, side=12))
+    as_float = Dataset(items=[DatasetItem(pixels=it.image, label=it.label, id=it.id)
+                              for it in data.items], class_names=data.class_names)
+    model = new_scorer(12, (8, 8, 3), (16,), 8, 2)
+    qualities = [75, ORIGINAL, 95, 25]
+    inputs = []  # what each call of the scorer saw
+    logits = model.logits
+    monkeypatch.setattr(model, "logits", lambda x: inputs.append(x[0]) or logits(x))
+    # one process, so that the counters see every image: a forked child counts its own
     monkeypatch.setattr(harness, "_workers", lambda scorer, n_items: 1)
-    table = sweep_precision(model, data, qualities)
-    n = len(data.items) * len(qualities)
-    assert calls == {"degrade_jpeg": n, "resize_bicubic": n}
+    n = len(data.items)
+    with counting_codec() as calls:
+        table = sweep_precision(model, data, qualities)
+    # per image: 4:2:0 for 75 and 25, 4:4:4 for 95; the original first, in one stack
+    assert calls == {"jpeg_forward": [True, False] * n, "jpeg_back": [75, 95, 25] * n,
+                     "resize_each": [4] * n}
+    want = [prepare_input(it.image, q, (8, 8)) for it in data.items for q in qualities]
+    assert [x.tobytes() for x in inputs] == [x.tobytes() for x in want]
     assert sweep_precision(model, as_float, qualities) == table
 
-    # attribution too: the original once per image as every path's baseline
-    calls.update(degrade_jpeg=0, resize_bicubic=0)
-    maps = attribute_batch(model, data, qualities, steps=2)
-    assert calls == {"degrade_jpeg": n, "resize_bicubic": n}
-    assert [list(by_q) for by_q in maps] == [[75, 25]] * len(data.items)
+    # attribution too: the original once per image, as every path's baseline
+    with counting_codec() as calls:
+        maps = attribute_batch(model, data, qualities, steps=2)
+    assert calls == {"jpeg_forward": [True, False] * n, "jpeg_back": [75, 95, 25] * n,
+                     "resize_each": [4] * n}
+    assert [list(by_q) for by_q in maps] == [[75, 95, 25]] * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 40), st.integers(1, 40),
+       st.lists(st.sampled_from([ORIGINAL, 100, 97, 95, 94, 75, 50, 25, 3]), min_size=1,
+                max_size=6, unique=True),
+       st.booleans())
+def test_prepare_inputs_equals_each_level_prepared_alone(seed, h, w, qualities, resize):
+    # sides that are multiples of neither 8 nor 16 go through the edge padding
+    image = SeededRng(seed).uniform([h, w, 3])
+    hw = (8, 13) if resize else (h, w)
+    with counting_codec() as calls:
+        got = harness.prepare_inputs(image, qualities, hw)
+    compressed = [q for q in qualities if q != ORIGINAL]
+    assert sorted(calls["jpeg_forward"]) == sorted({q < 95 for q in compressed})
+    assert calls["jpeg_back"] == compressed
+    assert calls["resize_each"] == ([len(qualities)] if resize and (h, w) != hw else [])
+    assert len(got) == len(qualities)
+    for q, x in zip(qualities, got):
+        assert x.shape == (*hw, 3)
+        assert x.tobytes() == prepare_input(image, q, hw).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -240,6 +282,41 @@ def test_each_map_keeps_the_resized_original_it_started_from(tmp_path, monkeypat
         assert by_q[75].baseline is by_q[25].baseline
         assert by_q[75].baseline.shape == want.shape == (8, 8, 3)
         assert by_q[75].baseline.tobytes() == want.tobytes()
+
+
+def kept_alive(a: np.ndarray) -> int:
+    """The bytes of the buffer at the root of ``a``'s chain of bases: the
+    memory that ``a`` keeps alive."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return memoryview(a).nbytes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("side", [12, 8], ids=["resized", "not_resized"])
+def test_each_images_maps_share_one_baseline_that_owns_its_data(tmp_path, monkeypatch,
+                                                                 workers, side):
+    # a baseline that were a view of an image's level stack would keep the
+    # whole stack alive, in the process that makes the map and, once
+    # unpickled, in the parent that joins a child's reply
+    data = loaded(tmp_path, gen_synthetic(6, classes=2, per_class=2, side=side))
+    pin_workers(monkeypatch, workers)
+    integrate = harness.integrated_gradients
+
+    def owned_baseline(scorer, spec, label):
+        assert spec.baseline.base is None, "a path's baseline is a view"
+        return integrate(scorer, spec, label)
+
+    # forked children inherit the check, and a child's failure fails the run
+    monkeypatch.setattr(harness, "integrated_gradients", owned_baseline)
+    maps = attribute_batch(new_scorer(12, (8, 8, 3), (16,), 8, 2), data, [ORIGINAL, 95, 25],
+                           steps=2)
+    for by_q in maps:
+        baseline = by_q[95].baseline
+        assert by_q[25].baseline is baseline
+        assert baseline.shape == (8, 8, 3) and kept_alive(baseline) == baseline.nbytes
+    if workers == 1:
+        assert all(by_q[95].baseline.base is None for by_q in maps)
 
 
 def test_sweep_accuracy_metric():
@@ -357,15 +434,15 @@ def four_classes(seed: int = 41):
 
 @pytest.fixture
 def prepared(monkeypatch):
-    """The images ``prepare_input`` is asked for, counted."""
+    """The levels ``prepare_inputs`` is asked for, one list per image."""
     calls = []
-    prepare = harness.prepare_input
+    prepare = harness.prepare_inputs
 
-    def counting(image, quality, resize_to):
-        calls.append(quality)
-        return prepare(image, quality, resize_to)
+    def counting(image, qualities, resize_to):
+        calls.append(qualities)
+        return prepare(image, qualities, resize_to)
 
-    monkeypatch.setattr(harness, "prepare_input", counting)
+    monkeypatch.setattr(harness, "prepare_inputs", counting)
     return calls
 
 
