@@ -21,7 +21,8 @@ from .provider import decode_f32, encode_f32
 
 MISBEHAVE_MODES = ("none", "no-hello", "bad-hello", "wrong-grad-len",
                    "bad-loss", "nan-grad", "error", "exit", "garbage", "slow",
-                   "deaf", "partial-line", "wrong-id")
+                   "deaf", "partial-line", "wrong-id", "text-loss", "bool-logits",
+                   "huge-loss")
 SLOW_ROW_S = 0.7  # --misbehave slow: sleep per batch row before replying
 
 
@@ -89,8 +90,15 @@ def serve(seed: int, classes: int, side: int, misbehave: str = "none") -> int:
             losses, logits, grads = losses * np.nan, logits * np.nan, grads * np.nan
         if misbehave == "wrong-id":
             rid += 1
-        reply = json.dumps({"type": "grad_result", "id": rid, "losses": losses.tolist(),
-                            "logits": logits.tolist(), "grads": encode_f32(grads)})
+        losses, logits = losses.tolist(), logits.tolist()
+        if misbehave == "text-loss":
+            losses = [str(v) for v in losses]
+        if misbehave == "bool-logits":
+            logits = [[False] * len(row) for row in logits]
+        if misbehave == "huge-loss":  # 401 digits: no float64 holds it
+            losses[-1] = 10 ** 400
+        reply = json.dumps({"type": "grad_result", "id": rid, "losses": losses,
+                            "logits": logits, "grads": encode_f32(grads)})
         if misbehave == "partial-line":
             print(reply[:len(reply) // 2], end="", flush=True)
             time.sleep(3600.0)

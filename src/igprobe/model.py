@@ -545,9 +545,6 @@ def read_json_object(path: str | Path, where: str) -> dict:
 
 # Bytes of a "data" list that are read at a time.
 _SLICE_BYTES = 1 << 16
-# Read in place of a "data" list that holds an integer too large for a
-# float64, so that ``_unpack`` refuses it, naming its field.
-_TOO_LARGE = object()
 _DATA_LIST = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*\[')  # JSON whitespace only
 # The bytes of numbers: digits, signs, points, exponents, the letters of NaN
 # and Infinity, commas and JSON whitespace.
@@ -561,19 +558,13 @@ def _numbers_only(raw: bytes, start: int, stop: int) -> bool:
                    for at in range(start, stop, _SLICE_BYTES))
 
 
-def _syntax_error(raw: bytes, at: int, msg: str, where: str) -> ValueError:
-    """json's refusal ``msg`` at byte ``at`` of file text ``raw``, with the
-    line, column and character that json gives for that point."""
-    text = raw[:at].decode("utf-8")
-    return ValueError(f"cannot read {where}: {json.JSONDecodeError(msg, text, len(text))}")
-
-
-def _read_numbers(raw: bytes, start: int, stop: int, where: str) -> Tensor:
+def _read_numbers(raw: bytes, start: int, stop: int) -> Tensor:
     """The numbers of list text ``raw[start:stop]`` (brackets excluded) in
     one float64 array sized by the text's commas.  json parses the text in
     slices of about ``_SLICE_BYTES`` that end at a comma, so no Python list
-    as long as the array is held.  A list that holds an integer too large
-    for a float64 reads as ``_TOO_LARGE``."""
+    as long as the array is held.  An integer reads as ``float`` reads its
+    digits, so one too large for a float64 is infinite.  Text that is not a
+    list of numbers raises ``ValueError``."""
     out = np.empty(raw.count(b",", start, stop) + 1)
     filled = 0
     while True:
@@ -583,22 +574,17 @@ def _read_numbers(raw: bytes, start: int, stop: int, where: str) -> Tensor:
             if end < 0:  # no comma in the slice: one number is longer than it
                 end = raw.find(b",", start, stop)
                 end = stop if end < 0 else end
-        try:
-            values = json.loads(b"[%b]" % raw[start:end])
-        except json.JSONDecodeError as exc:  # exc.pos counts the "[" put before the slice
-            raise _syntax_error(raw, start + exc.pos - 1, exc.msg, where) from None
-        if not values:  # whitespace alone: "[]", or a gap before or after a comma
-            if len(out) > 1:
-                raise _syntax_error(raw, end, "Expecting value", where)
-            return out[:0]
-        try:
-            out[filled:filled + len(values)] = values
-        except OverflowError:
-            return _TOO_LARGE
+        values = json.loads(b"[%b]" % raw[start:end], parse_int=float)
+        out[filled:filled + len(values)] = values
         filled += len(values)
         if end == stop:
-            return out
+            break
         start = end + 1
+    if filled == len(out):
+        return out
+    if filled or len(out) > 1:  # a gap before or after a comma
+        raise ValueError("Expecting value")
+    return out[:0]  # "[]"
 
 
 def _read_checkpoint(path: str | Path, where: str) -> dict:
@@ -610,9 +596,10 @@ def _read_checkpoint(path: str | Path, where: str) -> dict:
     nowhere in the file: ``mark`` and the list's index.  ``json.loads`` reads
     that much smaller text as UTF-8, and its ``parse_float`` reads each list
     where its literal is, in document order.  So json still judges every
-    number's syntax and gives every value's bits, a refusal names the file's
-    own line and column, and the load holds the file's bytes and the arrays,
-    never a Python float per weight.
+    number's syntax and gives every value's bits, and the load holds the
+    file's bytes and the arrays, never a Python float per weight.  A file
+    this read refuses is read again by ``json.loads`` whole, so that the
+    refusal is json's own, at the file's own line and column.
     """
     try:
         raw = Path(path).read_bytes()
@@ -631,35 +618,22 @@ def _read_checkpoint(path: str | Path, where: str) -> dict:
         mark += b"0"
     # A space ends each literal where its list ended.
     literals = [b"%b%d " % (mark, k) for k in range(len(lists))] + [b""]
-
-    def in_file(at: int) -> int:
-        """Byte ``at`` of the text json reads, as a byte of ``raw``; a byte of
-        a literal is its list's "["."""
-        for piece_start, piece, literal in zip(edges[::2], pieces, literals):
-            if at <= len(piece):
-                return piece_start + at
-            at -= len(piece)
-            if at < len(literal):
-                return piece_start + len(piece)
-            at -= len(literal)
-
     text_mark = mark.decode()
 
     def number(literal: str):
         if literal.startswith(text_mark):
-            return _read_numbers(raw, *lists[int(literal[len(text_mark):])], where)
+            return _read_numbers(raw, *lists[int(literal[len(text_mark):])])
         return float(literal)
 
     try:
-        text = b"".join(part for pair in zip(pieces, literals) for part in pair).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        at = in_file(exc.start)
-        exc.object, exc.start, exc.end = raw, at, at + exc.end - exc.start
+        try:
+            text = b"".join(part for pair in zip(pieces, literals) for part in pair)
+            doc = json.loads(text.decode("utf-8"), parse_float=number)
+        except ValueError:  # json words the refusal, for the whole file
+            json.loads(raw.decode("utf-8"))
+            raise  # json took the file, so the fault is this reader's: its error goes on
+    except ValueError as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ValueError(f"cannot read {where}: {exc}") from None
-    try:
-        doc = json.loads(text, parse_float=number)
-    except json.JSONDecodeError as exc:
-        raise _syntax_error(raw, in_file(len(text[:exc.pos].encode())), exc.msg, where) from None
     return _json_object(doc, where)
 
 
@@ -686,8 +660,6 @@ def _unpack(doc: dict, key: str, where: str) -> Tensor:
     that is not a flat list of numbers is refused, naming the field."""
     obj = _field(doc, key, dict, where)
     where = f"{where} field {key!r}"
-    if obj.get("data") is _TOO_LARGE:
-        raise ValueError(f"{where} field 'data' holds an integer too large for a float64")
     data, shape = _field(obj, "data", np.ndarray, where), _field(obj, "shape", list, where)
     try:
         return data.reshape(shape)

@@ -51,6 +51,19 @@ def decode_f32(text: str, count: int, what: str) -> np.ndarray:
     return values.astype(np.float64)
 
 
+def _numbers(reply: dict, key: str) -> np.ndarray:
+    """Reply field ``key`` as float64: JSON numbers, in lists to any depth.
+    Text, booleans and integers too large for a float64 are refused."""
+    values = np.asarray(reply[key], dtype=object)
+    kinds = {type(v).__name__ for v in values.flat} - {"int", "float"}
+    if kinds:
+        raise TypeError(f"{key} must hold JSON numbers, got {', '.join(sorted(kinds))}")
+    try:
+        return values.astype(np.float64)
+    except OverflowError:
+        raise ValueError(f"{key} holds an integer too large for a float64") from None
+
+
 class ProviderClient:
     """Spawned provider wrapped as a ``Scorer``: a batched GradFn with
     ``input_shape``, ``num_classes`` and ``logits``.
@@ -171,8 +184,7 @@ class ProviderClient:
         if reply.get("id") != request_id:
             raise self._fail(f"reply to request {request_id} has id {reply.get('id')!r}")
         try:
-            losses = np.asarray(reply["losses"], dtype=np.float64)
-            logits = np.asarray(reply["logits"], dtype=np.float64)
+            losses, logits = _numbers(reply, "losses"), _numbers(reply, "logits")
             grads = decode_f32(reply["grads"], images.size, f"grads of request {request_id}")
         except (KeyError, TypeError, ValueError) as exc:
             raise self._fail(f"malformed grad_result for request {request_id}: {exc}")

@@ -392,23 +392,40 @@ def test_an_error_naming_a_non_utf8_file_reaches_a_strict_stderr(tmp_path, capsy
                           "text"), err
 
 
-@pytest.mark.parametrize("field, message", [
-    ("bias", "layer 0 field 'bias' field 'data' holds an integer too large for a float64"),
-    ("temperature", "field 'temperature' is an integer too large for a float64"),
-])
+@pytest.mark.parametrize("field, digits, message", [
+    ("bias", 401, "checkpoint {path} layer 0: bias contains non-finite values"),
+    ("bias", 5001, "checkpoint {path} layer 0: bias contains non-finite values"),
+    ("class_embeddings", 5001, "checkpoint {path}: class embeddings contains non-finite values"),
+    ("temperature", 401,
+     "checkpoint {path} field 'temperature' is an integer too large for a float64"),
+    ("temperature", 5001, None),
+    ("input_shape", 5001, None),
+], ids=["bias-401", "bias-5001", "class_embeddings-5001", "temperature-401", "temperature-5001",
+        "input_shape-5001"])
 def test_an_integer_too_large_for_a_float_is_refused_naming_its_field(tmp_path, capsys, ckpt,
-                                                                      field, message):
-    # json reads a 401-digit integer as an int, which no float64 can hold
+                                                                      field, digits, message):
+    # An integer in a "data" list reads as a float, so one too large for a
+    # float64 is infinite.  Elsewhere json reads it as an int, and refuses one
+    # past Python's 4,300-digit limit: message None expects json's own words.
     doc = json.loads(ckpt.read_text())
     if field == "bias":
-        doc["layers"][0]["bias"]["data"][1] = 10 ** 400
+        doc["layers"][0]["bias"]["data"][1] = "HUGE"
+    elif field == "class_embeddings":
+        doc["class_embeddings"]["data"][0] = "HUGE"
+    elif field == "input_shape":
+        doc["input_shape"][0] = "HUGE"
     else:
-        doc["temperature"] = -10 ** 400
+        doc["temperature"] = "-HUGE"
+    text = re.sub('"(-?)HUGE"', r"\g<1>1" + "0" * (digits - 1), json.dumps(doc))
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
+    if message is None:
+        with pytest.raises(ValueError) as refusal:
+            json.loads(text)
+        message = "cannot read checkpoint {path}: " + str(refusal.value)
     out = tmp_path / "o"
     assert run(["sweep", *TINY, "--checkpoint", path, "--out", out]) == 1
-    assert capsys.readouterr().err == f"error: checkpoint {path} {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not out.exists()
 
 

@@ -4,10 +4,12 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from igprobe import model as model_module
@@ -638,6 +640,58 @@ def test_a_syntax_error_names_the_files_own_line_and_column(tmp_path, monkeypatc
     with pytest.raises(ValueError) as exc:
         load_model(path)
     assert str(exc.value) == f"cannot read checkpoint {path}: {want.value}"
+
+
+def assert_same_document(got, want):
+    """``got``, a document ``_read_checkpoint`` read, is ``want``, json's:
+    each array has the bits of ``want``'s list, every other value is equal."""
+    if isinstance(got, np.ndarray):
+        assert type(want) is list and bits(got) == bits(np.array(want, dtype=np.float64))
+    elif isinstance(got, (dict, list)):
+        assert type(got) is type(want) and len(got) == len(want)
+        pairs = [(got[k], want[k]) for k in got] if isinstance(got, dict) else zip(got, want)
+        for g, w in pairs:
+            assert_same_document(g, w)
+    else:
+        assert type(got) is type(want) and (got == want or got != got and want != want)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory) -> tuple[bytes, Path]:
+    """A small scorer's checkpoint bytes, and a path to write edits of them."""
+    path = tmp_path_factory.mktemp("small") / "model.json"
+    save_model(new_scorer(17, (1, 2, 3), (4,), 2, 2, class_names=["é", "b"]), path)
+    return path.read_bytes(), path
+
+
+@seed(3501)
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), edit=st.sampled_from(["keep", "insert", "delete", "replace", "double"]),
+       byte=st.sampled_from([bytes([b]) for b in b',[]{}":1eE-.x \xff']),
+       slice_bytes=st.sampled_from([7, 1 << 16]))
+def test_the_checkpoint_reader_reads_what_json_reads(small_checkpoint, data, edit, byte,
+                                                      slice_bytes):
+    # One byte is inserted, deleted, replaced or doubled, at any byte or at one
+    # of the file's structure, where a byte more or less (",," above all)
+    # turns a list into another or into none.
+    raw, path = small_checkpoint
+    structure = [at for at, b in enumerate(raw) if b in b',[]{}":']
+    at = data.draw(st.integers(0, len(raw) - 1) | st.sampled_from(structure))
+    here = raw[at:at + 1]
+    raw = raw[:at] + {"keep": here, "insert": byte + here, "delete": b"", "replace": byte,
+                      "double": here + here}[edit] + raw[at + 1:]
+    path.write_bytes(raw)
+    try:
+        want = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        want = exc
+    with mock.patch.object(model_module, "_SLICE_BYTES", slice_bytes):
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError) as refusal:
+                model_module._read_checkpoint(path, "doc")
+            assert str(refusal.value) == f"cannot read doc: {want}"
+        else:
+            assert_same_document(model_module._read_checkpoint(path, "doc"), want)
 
 
 def test_loading_a_checkpoint_holds_no_python_float_per_weight(tmp_path):

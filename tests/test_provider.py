@@ -423,6 +423,12 @@ MISBEHAVIOUR = {
     "deaf": (51, 0.05, r"grad request 0 timed out after 2\.55s"),
     "partial-line": (1, 0.05, r"grad request 0 timed out after 0\.05s"),
     "wrong-id": (1, 10.0, "reply to request 0 has id 1"),
+    "text-loss": (1, 10.0, "malformed grad_result for request 0: losses must hold JSON numbers, "
+                           "got str"),
+    "bool-logits": (1, 10.0, "malformed grad_result for request 0: logits must hold JSON "
+                             "numbers, got bool"),
+    "huge-loss": (1, 10.0, "malformed grad_result for request 0: losses holds an integer too "
+                           "large for a float64"),
 }
 HELLO_TIMEOUT = 10.0
 
@@ -463,6 +469,8 @@ def test_every_misbehaviour_fails_within_its_deadline(mode):
     [(exc, elapsed)] = outcome
     assert re.search(message, str(exc)), str(exc)
     assert elapsed < limit
+    if "malformed" in message:  # refused through _fail, which stops the provider
+        assert client._proc.poll() is not None
 
 
 # A provider that still speaks the single-image form of the protocol.
