@@ -7,7 +7,9 @@ IGPROBE_OUTPUT_DIR environment variable (output dir only), then the
 writes an output directory has returned, ``main`` echoes its resolved
 settings to ``<subcommand>.manifest.json`` there, so commands sharing a
 directory keep their own records, and identical settings produce
-byte-identical artifacts.
+byte-identical artifacts.  ``python -m igprobe`` and the ``igprobe``
+command run ``main`` through ``igprobe.__main__``, which sizes OpenBLAS's
+thread pool before this module imports numpy.
 """
 
 from __future__ import annotations
@@ -465,7 +467,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -545,7 +545,11 @@ def read_json_object(path: str | Path, where: str) -> dict:
 
 # Bytes of a "data" list that are read at a time.
 _SLICE_BYTES = 1 << 16
-_DATA_LIST = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*\[')  # JSON whitespace only
+# A "data" key's opening quote follows "{", "," or JSON whitespace, so the
+# escaped quote of a key such as "k\"data" opens none.  That check comes
+# after the quote, so the search still scans for a literal: placed before
+# it, the search took 58 ms on the benchmark's 4.4 MB checkpoint, not 2 ms.
+_DATA_LIST = re.compile(rb'"(?<=[{, \t\n\r]")data"[ \t\n\r]*:[ \t\n\r]*\[')
 # The bytes of numbers: digits, signs, points, exponents, the letters of NaN
 # and Infinity, commas and JSON whitespace.
 _NUMBER_BYTES = b"-+.0123456789eENaInfity, \t\n\r"

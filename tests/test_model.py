@@ -594,6 +594,17 @@ def test_a_class_name_that_looks_like_a_data_list_is_kept(tmp_path):
     assert bits(loaded.class_embeddings) == bits(model.class_embeddings)
 
 
+def test_a_key_that_ends_in_an_escaped_data_keeps_its_list(tmp_path):
+    # The escaped quote of "k\"data" opens no "data" key, so its value stays
+    # the list json reads, while the "data" list beside it is an array.
+    text = r'{"k\"data": [1, 2], "a": {"data": [3]}}'
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    got, want = model_module._read_checkpoint(path, "doc"), json.loads(text)
+    assert_same_document(got, want)
+    assert type(got['k"data']) is list and type(got["a"]["data"]) is np.ndarray
+
+
 def test_a_file_that_holds_the_readers_stand_in_text_reads_as_it_is(tmp_path):
     # Each "data" list of numbers is replaced, while the file is read, by a
     # number literal the file does not hold; 1E-00 is the first it would try.
